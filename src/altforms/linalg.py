@@ -173,14 +173,6 @@ def nullspace(A, ncols=None):
     return basis
 
 
-def in_span(vectors, v):
-    """True iff v lies in the span of the given vectors (all same length)."""
-    if not vectors:
-        return all(x == 0 for x in v)
-    A = [list(row) for row in vectors]
-    return rank(A) == rank(A + [list(v)])
-
-
 def congruent_signature(G):
     """Exact signature (n_plus, n_minus, n_zero) of a symmetric matrix.
 

@@ -253,7 +253,6 @@ def lie_action(X, x):
     out = {}
     for key, v in x.coeffs.items():
         for pos, idx in enumerate(key):
-            col = X  # X[r][idx-1] over rows r
             for r in range(n):
                 c = X[r][idx - 1]
                 if c == 0:

@@ -167,13 +167,6 @@ def demote(x):
     return x
 
 
-def conj_scalar(x):
-    """Galois conjugation, the identity on rationals and floats."""
-    if isinstance(x, QuadExt):
-        return x.conjugate()
-    return x
-
-
 def squarefree_part(q):
     """Write a nonzero rational q as r^2 * d with d a squarefree integer.
 
@@ -225,26 +218,20 @@ def cube_root_rational(q):
 
 
 def _icbrt(n):
-    if n == 0:
-        return 0
+    """Exact integer cube root of n, or None if n is not a perfect cube.
+
+    Integer Newton iteration from 2**ceil(bits/3) >= cbrt(|n|); the iterates
+    decrease to floor(cbrt(|n|)), so no float is involved at any size.
+    """
     sign = -1 if n < 0 else 1
     m = abs(n)
-    r = round(m ** (1.0 / 3.0))
-    for c in (r - 1, r, r + 1, r + 2):
-        if c >= 0 and c ** 3 == m:
-            return sign * c
-    # fall back to exact bisection for very large inputs
-    lo, hi = 0, 1 << ((m.bit_length() + 2) // 3 + 1)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        cube = mid ** 3
-        if cube == m:
-            return sign * mid
-        if cube < m:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    r = 1 << -(-m.bit_length() // 3)
+    while r:
+        y = (2 * r + m // (r * r)) // 3
+        if y >= r:
+            break
+        r = y
+    return sign * r if r ** 3 == m else None
 
 
 def rational_reconstruct(x, max_denominator, tol):

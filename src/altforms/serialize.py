@@ -14,7 +14,6 @@ Target files:
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .multilinear import AlternatingForm
 from .perturb import PartialTarget
@@ -118,11 +117,3 @@ def parse_target(path):
             raise FormFormatError(f"malformed JSON: {exc}")
     return target_from_dict(data)
 
-
-def matrix_to_json(M):
-    return [[scalar_to_json(v) for v in row] for row in M]
-
-
-def scalarish_to_json(v):
-    """Scalar of any supported kind, for report payloads."""
-    return scalar_to_json(v if not isinstance(v, int) else Fraction(v))

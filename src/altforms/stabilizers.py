@@ -27,21 +27,18 @@ class LieSubalgebra:
         return len(self.basis)
 
 
+def _unit(n, *entries):
+    """n x n matrix with the given (i, j, value) entries and zeros elsewhere."""
+    M = linalg.zeros(n, n)
+    for i, j, v in entries:
+        M[i][j] = Fraction(v)
+    return M
+
+
 def sl_basis(n):
     """Basis of trace-zero n x n matrices: off-diagonal units then E11 - Eii."""
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                M = linalg.zeros(n, n)
-                M[i][j] = Fraction(1)
-                out.append(M)
-    for i in range(1, n):
-        M = linalg.zeros(n, n)
-        M[0][0] = Fraction(1)
-        M[i][i] = Fraction(-1)
-        out.append(M)
-    return out
+    return ([_unit(n, (i, j, 1)) for i in range(n) for j in range(n) if i != j]
+            + [_unit(n, (0, 0, 1), (i, i, -1)) for i in range(1, n)])
 
 
 def stab_lie_algebra(x, label=""):
@@ -91,62 +88,107 @@ def _combine(coeffs, basis, n):
 
 
 def fixed_space(L, shape):
-    """Exact basis of the forms of the given (dim, degree) killed by all of L."""
+    """Exact basis of the forms of the given (dim, degree) killed by all of L.
+
+    The kernels of lie_action(X, .) are intersected one basis element X at a
+    time: X acts only on the current kernel basis, and the nullspace of that
+    #keys x k system shrinks the kernel.  The result is the canonical basis
+    of the common kernel, the one the nullspace of the stacked system of all
+    the operators gives: one vector per free column (a column where some
+    kernel vector has its last nonzero entry), with a 1 there and 0 at every
+    other free column.  That is the RREF of the kernel rows with the column
+    order reversed, so the basis depends on the kernel alone, not on the
+    order in which it was cut down.  Float bases are rejected: they are
+    approximate, so an exact kernel of them is not the fixed space.
+    """
     dim, degree = shape
     if L.ambient_dim != dim:
         raise ValueError("ambient dimension mismatch")
+    if any(isinstance(v, float) for M in L.basis for row in M for v in row):
+        raise ValueError("fixed_space needs an exact stabilizer basis; float forms are not supported")
     keys = all_keys(dim, degree)
-    kidx = {k: i for i, k in enumerate(keys)}
-    rows = []
+    kernel = [{k: Fraction(1)} for k in keys]
     for X in L.basis:
-        # operator matrix of lie_action(X, .): stack rows (out_key x in_key)
-        cols = []
-        for k in keys:
-            img = lie_action(X, AlternatingForm(dim, degree, {k: Fraction(1)}))
-            cols.append([img.coeffs.get(k2, Fraction(0)) for k2 in keys])
-        for r in range(len(keys)):
-            rows.append([cols[c][r] for c in range(len(keys))])
-    vecs = linalg.nullspace(rows, len(keys)) if rows else linalg.identity(len(keys))
-    out = []
-    for v in vecs:
-        out.append(AlternatingForm(dim, degree, {k: v[i] for k, i in kidx.items() if v[i] != 0}))
+        images = [lie_action(X, AlternatingForm(dim, degree, f)).coeffs for f in kernel]
+        hit = sorted({k for img in images for k in img})
+        if not hit:
+            continue
+        rows = [[img.get(k, Fraction(0)) for img in images] for k in hit]
+        kernel = [_combine_forms(c, kernel) for c in linalg.nullspace(rows, len(kernel))]
+        if not kernel:
+            return []
+    flipped = [[f.get(k, Fraction(0)) for k in reversed(keys)] for f in kernel]
+    rows, _ = linalg.rref(flipped)
+    return [AlternatingForm(dim, degree, dict(zip(reversed(keys), r))) for r in reversed(rows)]
+
+
+def _combine_forms(coeffs, forms):
+    out = {}
+    for c, f in zip(coeffs, forms):
+        if c != 0:
+            for k, v in f.items():
+                out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _entries(M):
+    """Nonzero entries of a matrix as rows {i: {j: c}}."""
+    out = {}
+    for i, row in enumerate(M):
+        nz = {j: v for j, v in enumerate(row) if v != 0}
+        if nz:
+            out[i] = nz
     return out
+
+
+def _commutator(X, Y):
+    """Nonzero entries {(i, j): c} of XY - YX, for X, Y given by _entries."""
+    out = {}
+    for P, Q, sign in ((X, Y, 1), (Y, X, -1)):
+        for i, prow in P.items():
+            for j, a in prow.items():
+                for k, b in Q.get(j, {}).items():
+                    out[i, k] = out.get((i, k), 0) + sign * a * b
+    return {ik: v for ik, v in out.items() if v != 0}
 
 
 def bracket(X, Y):
     """Commutator X Y - Y X."""
     if len(X) != len(Y):
         raise ValueError("dimension mismatch")
-    return linalg.mat_sub(linalg.mat_mul(X, Y), linalg.mat_mul(Y, X))
+    B = linalg.zeros(len(X), len(X))
+    for (i, j), v in _commutator(_entries(X), _entries(Y)).items():
+        B[i][j] = v
+    return B
 
 
 def subalgebra_closed(L):
     """(True, None) if [L, L] lies in span(L); else (False, witness pair).
 
-    The span is row-reduced once; each bracket is then reduced against the
-    echelon rows, so the whole check is a single elimination plus one sweep
-    per basis pair.
+    The span is row-reduced once.  Each bracket is formed from the nonzero
+    entries of the pair and reduced sparsely: in RREF the multiple of the
+    pivot row of column c is the bracket's own entry at c, so the residual
+    is B - sum_c B[c] * row_c over the bracket's nonzero pivot entries.
+    Pairs are taken in basis order (a <= b); the first one with a nonzero
+    residual is the witness.
     """
     n = L.ambient_dim
     flat = [[M[i][j] for i in range(n) for j in range(n)] for M in L.basis]
     if not flat:
         return True, None
     rows, pivots = linalg.rref(flat)
-    rows = [r for r in rows if any(v != 0 for v in r)]
-
-    def reduce(v):
-        v = list(v)
-        for r, c in zip(rows, pivots):
-            if v[c] != 0:
-                f = v[c]
-                v = [a - f * b for a, b in zip(v, r)]
-        return any(a != 0 for a in v)
-
-    for a, X in enumerate(L.basis):
-        for Y in L.basis[a:]:
-            B = bracket(X, Y)
-            if reduce([B[i][j] for i in range(n) for j in range(n)]):
-                return False, (X, Y)
+    echelon = {divmod(c, n): {divmod(t, n): v for t, v in enumerate(r) if v != 0}
+               for r, c in zip(rows, pivots)}
+    sparse = [_entries(M) for M in L.basis]
+    for a, X in enumerate(sparse):
+        for b in range(a + 1, len(sparse)):
+            B = _commutator(X, sparse[b])
+            residual = dict(B)
+            for c, f in B.items():
+                for t, v in echelon.get(c, {}).items():
+                    residual[t] = residual.get(t, 0) - f * v
+            if any(v != 0 for v in residual.values()):
+                return False, (L.basis[a], L.basis[b])
     return True, None
 
 
@@ -166,49 +208,25 @@ def span_dim(subalgebras):
 def h1_case1():
     """Pairs of traceless 3x3 blocks on the diagonal (dimension 16)."""
     basis = []
-    for blk in (0, 3):
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    M = linalg.zeros(6, 6)
-                    M[blk + i][blk + j] = Fraction(1)
-                    basis.append(M)
-        for i in range(1, 3):
-            M = linalg.zeros(6, 6)
-            M[blk][blk] = Fraction(1)
-            M[blk + i][blk + i] = Fraction(-1)
-            basis.append(M)
+    for b in (0, 3):
+        basis += [_unit(6, (b + i, b + j, 1)) for i in range(3) for j in range(3) if i != j]
+        basis += [_unit(6, (b, b, 1), (b + i, b + i, -1)) for i in range(1, 3)]
     return LieSubalgebra(6, basis, "h1")
 
 
 def u1_case1():
     """Strictly upper-right 3x3 block (dimension 9)."""
-    basis = []
-    for i in range(3):
-        for j in range(3):
-            M = linalg.zeros(6, 6)
-            M[i][j + 3] = Fraction(1)
-            basis.append(M)
-    return LieSubalgebra(6, basis, "u1")
+    return LieSubalgebra(6, [_unit(6, (i, j + 3, 1)) for i in range(3) for j in range(3)], "u1")
 
 
 def u2_case1():
     """Strictly lower-left 3x3 block (dimension 9)."""
-    basis = []
-    for i in range(3):
-        for j in range(3):
-            M = linalg.zeros(6, 6)
-            M[i + 3][j] = Fraction(1)
-            basis.append(M)
-    return LieSubalgebra(6, basis, "u2")
+    return LieSubalgebra(6, [_unit(6, (i + 3, j, 1)) for i in range(3) for j in range(3)], "u2")
 
 
 def t_case1():
     """The line through diag(I3, -I3)."""
-    M = linalg.zeros(6, 6)
-    for i in range(3):
-        M[i][i] = Fraction(1)
-        M[i + 3][i + 3] = Fraction(-1)
+    M = _unit(6, *((i, i, 1) for i in range(3)), *((i, i, -1) for i in range(3, 6)))
     return LieSubalgebra(6, [M], "t")
 
 

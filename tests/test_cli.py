@@ -107,6 +107,15 @@ def test_cli_stab_and_fixed(tmp_path, capsys):
     assert doc["dim"] == 1
 
 
+def test_cli_fixed_rejects_float_forms(tmp_path, capsys):
+    # a float stabilizer basis is approximate: an exact kernel of it would be
+    # empty, while the fixed space of case1_w has dimension 2
+    path = write_json(tmp_path, "w1f.json", form_to_dict(make_rep("case1_w").as_float()))
+    code, out, err = run(capsys, "fixed", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "float" in err
+
+
 def test_cli_octonion(tmp_path, capsys):
     code, out, _ = run(capsys, "octonion", "c-form", "--algebra", "split")
     assert code == 0

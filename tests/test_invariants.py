@@ -139,6 +139,12 @@ def test_delta_case2_homogeneity():
     assert delta_case2(x.scale(lam))[0] == lam ** 7 * delta_case2(x)[0]
 
 
+def test_delta_case2_past_float_range():
+    # det gram grows like c**21: far past 1e308, where a float cube root overflows
+    c = Fraction(10 ** 60)
+    assert delta_case2(W2.scale(c)) == (c ** 7 * 6, True)
+
+
 def test_delta_case2_float_mode_flagged_inexact():
     xf = W2.as_float()
     d, exact = delta_case2(xf)

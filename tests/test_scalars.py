@@ -105,6 +105,10 @@ def test_cube_root_rational():
     assert cube_root_rational(Fraction(2)) is None
     big = Fraction(12345678901234567890) ** 3
     assert cube_root_rational(big) == Fraction(12345678901234567890)
+    huge = Fraction(3 ** 700 + 1, 10 ** 400)
+    assert cube_root_rational(huge ** 3) == huge
+    assert cube_root_rational(huge ** 3 + 1) is None
+    assert cube_root_rational(Fraction(0)) == 0
 
 
 def test_rational_reconstruct_examples():
