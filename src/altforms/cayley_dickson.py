@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .invariants import QuadraticForm, q_case2, delta_case2
-from .multilinear import AlternatingForm, evaluate, gl_action, sort_sign
+from .invariants import QuadraticForm, _delta_from_q, q_case2
+from .multilinear import AlternatingForm, gl_action, sort_sign
 
 
 class AlgebraStructure:
@@ -312,12 +312,12 @@ def octonion_from_form(x):
     if x.dim != 7 or x.degree != 3:
         raise ValueError("octonion_from_form needs dim 7, degree 3")
     Q = q_case2(x)
-    is_float = x.scalar_kind() == "float"
-    delta, exact = delta_case2(x)
+    kind = x.scalar_kind()
+    is_float = kind == "float"
+    delta, _ = _delta_from_q(Q, kind)
     if (not is_float and delta == 0) or (is_float and abs(delta) < 1e-12 * max(1.0, x.max_abs()) ** 7):
         raise ValueError("not semistable")
     gram7 = [list(r) for r in Q.gram]
-    basis7 = [[Fraction(1) if m == i else Fraction(0) for m in range(7)] for i in range(7)]
     if is_float:
         import numpy as np
         Gf = np.array([[float(v) for v in r] for r in gram7])
@@ -327,20 +327,20 @@ def octonion_from_form(x):
             assert resid <= 1e-9 * max(1.0, float(np.max(np.abs(rhs)))), "ill-conditioned product solve"
             return [float(s) for s in sol]
     else:
+        inv7 = linalg.mat_inv(gram7)
         def solve7(rhs):
-            return linalg.solve(gram7, list(rhs))
+            return linalg.mat_vec(inv7, rhs)
 
     dim = 8
     table = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         table[0][i] = tuple((1 if m == i else 0) for m in range(dim))
         table[i][0] = tuple((1 if m == i else 0) for m in range(dim))
-    for i in range(7):
-        for j in range(7):
-            rhs = [3 * evaluate(x, basis7[m], basis7[i], basis7[j]) for m in range(7)]
-            im = solve7(rhs)
-            re = -Q.bilinear(basis7[i], basis7[j]) / delta
-            table[i + 1][j + 1] = tuple([re] + list(im))
+    for i in range(1, 8):
+        for j in range(1, 8):
+            im = solve7([3 * x.coeff(m, i, j) for m in range(1, 8)])
+            re = -gram7[i - 1][j - 1] / delta
+            table[i][j] = tuple([re] + list(im))
     gram = [[(0.0 if is_float else Fraction(0))] * dim for _ in range(dim)]
     gram[0][0] = 1.0 if is_float else Fraction(1)
     for i in range(7):

@@ -59,17 +59,6 @@ def _flat(v):
     return str(v)
 
 
-def _sj(v):
-    """Scalar to JSON, tolerating ints/Fractions/floats/QuadExt."""
-    if isinstance(v, (int, Fraction, float, QuadExt)):
-        return scalar_to_json(Fraction(v) if isinstance(v, int) else v)
-    return str(v)
-
-
-def _matrix_json(M):
-    return [[_sj(v) for v in row] for row in M]
-
-
 def cmd_rep(args):
     kwargs = {}
     if args.d is not None:
@@ -84,14 +73,15 @@ def cmd_rep(args):
 def cmd_invariant(args):
     x = serialize.parse_form(args.form)
     rep = invariant_report(x)
-    out = {"case": rep.case, "delta": _sj(rep.delta) if rep.delta is not None else None,
+    out = {"case": rep.case,
+           "delta": scalar_to_json(rep.delta) if rep.delta is not None else None,
            "delta_exact": rep.delta_exact}
     if rep.s_matrix is not None:
-        out["s_matrix"] = _matrix_json(rep.s_matrix)
+        out["s_matrix"] = scalar_to_json(rep.s_matrix)
     if rep.q_form is not None:
-        out["q_gram"] = _matrix_json(rep.q_form.gram)
+        out["q_gram"] = scalar_to_json(rep.q_form.gram)
     if rep.pfaffian is not None:
-        out["pfaffian"] = _sj(rep.pfaffian)
+        out["pfaffian"] = scalar_to_json(rep.pfaffian)
     _emit(out, args.pretty)
     return 0
 
@@ -101,7 +91,7 @@ def cmd_classify(args):
     rep = classify_real(x, tol=args.tol)
     out = {"case": rep.case, "real_orbit": rep.real_orbit,
            "real_rank_positive": rep.real_rank_positive,
-           "delta": _sj(rep.delta) if rep.delta is not None else None}
+           "delta": scalar_to_json(rep.delta) if rep.delta is not None else None}
     if rep.field_d is not None:
         out["field_d"] = rep.field_d
     if rep.real_orbit != "degenerate":
@@ -117,7 +107,7 @@ def cmd_stab(args):
     x = serialize.parse_form(args.form)
     L = stabilizers.stab_lie_algebra(x)
     _emit({"dim": L.dim, "ambient": L.ambient_dim,
-           "basis": [_matrix_json(M) for M in L.basis]}, args.pretty)
+           "basis": scalar_to_json(L.basis)}, args.pretty)
     return 0
 
 
@@ -154,7 +144,7 @@ def _algebra_checks(A, samples=25, seed=0):
                                                    A.basis_element(i).coords))
                   for i in range(A.dim))
     return {"norm_multiplicative_on_samples": ok_norm, "unit_law": ok_unit,
-            "norm_of_unit": _sj(one.norm())}
+            "norm_of_unit": scalar_to_json(one.norm())}
 
 
 def cmd_octonion(args):
@@ -164,8 +154,8 @@ def cmd_octonion(args):
         x = serialize.parse_form(args.form)
         A = cd.octonion_from_form(x)
         out = {"dim": A.dim,
-               "table": [[[_sj(c) for c in vec] for vec in row] for row in A.table],
-               "norm_gram": _matrix_json(A.gram),
+               "table": scalar_to_json(A.table),
+               "norm_gram": scalar_to_json(A.gram),
                "checks": _algebra_checks(A)}
         _emit(out, args.pretty)
         return 0
@@ -190,7 +180,7 @@ def cmd_perturb(args):
         cert = perturb.extend_case3(target, args.epsilon, n=args.n or target.n)
     out = {"form": serialize.form_to_dict(cert.form),
            "deviation": cert.deviation,
-           "auxiliaries": {k: _sj(v) for k, v in cert.auxiliaries.items()},
+           "auxiliaries": {k: scalar_to_json(v) for k, v in cert.auxiliaries.items()},
            "orbit": cert.orbit.real_orbit,
            "real_rank_positive": cert.orbit.real_rank_positive}
     _emit(out, args.pretty)
@@ -393,7 +383,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormFormatError, ValueError, ZeroDivisionError, FileNotFoundError) as exc:
+    except (FormFormatError, ValueError, ArithmeticError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

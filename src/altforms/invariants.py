@@ -17,11 +17,13 @@ the variant that agrees exactly with the S_x^2 route (see tests).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
-from .multilinear import AlternatingForm, d3, sort_sign, wedge
+from .multilinear import d3, sort_sign
 from .scalars import cube_root_rational
 
 # det gram(Q_x) = QCASE2_DET_RATIO * delta(x)^3, pinned at x = w.
@@ -45,10 +47,6 @@ class QuadraticForm:
 
     def evaluate(self, v):
         return sum(self.gram[i][j] * v[i] * v[j]
-                   for i in range(self.dim) for j in range(self.dim))
-
-    def bilinear(self, u, v):
-        return sum(self.gram[i][j] * u[i] * v[j]
                    for i in range(self.dim) for j in range(self.dim))
 
     def det(self):
@@ -92,17 +90,40 @@ def _check_shape(x, dim, degree, what):
                          f"got dim {x.dim}, degree {x.degree}")
 
 
+@lru_cache(maxsize=None)
+def _complement_table(dim):
+    """{(triple, pair): (comp, sign)} over disjoint index triples and pairs, with
+    comp the rest of 1..dim and e_triple ^ e_pair ^ e_comp = sign * e_1..dim."""
+    table = {}
+    for triple in itertools.combinations(range(1, dim + 1), 3):
+        rest = [m for m in range(1, dim + 1) if m not in triple]
+        for pair in itertools.combinations(rest, 2):
+            comp = tuple(m for m in rest if m not in pair)
+            table[triple, pair] = comp, sort_sign(triple + pair + comp)[1]
+    return table
+
+
+def _complement_terms(x, dx):
+    """(vec, c, comp, v) over the terms c e_pair (x) e_vec of dx = D3(x) and the
+    terms of x ^ e_pair, v being the coefficient of e_1..dim in x ^ e_pair ^ e_comp."""
+    table = _complement_table(x.dim)
+    for (pair, (vec,)), c in dx.items():
+        for triple, xv in x.coeffs.items():
+            hit = table.get((triple, pair))
+            if hit is not None:
+                comp, s = hit
+                yield vec, c, comp, s * xv
+
+
 def s_case1(x):
-    """S_x = x ^ D3(x) as a 6x6 matrix, quadratic in x."""
+    """S_x = x ^ D3(x) as a 6x6 matrix, quadratic in x.
+
+    x ^ e_pair pairs with e_j by e_j ^ e_1..5 = -e_1..5 ^ e_j: hence the minus.
+    """
     _check_shape(x, 6, 3, "s_case1")
-    dx = d3(x)
     S = [[Fraction(0)] * 6 for _ in range(6)]
-    for (pair, (vec,)), c in dx.coeffs.items():
-        five = wedge(x, AlternatingForm(6, 2, {pair: 1}))
-        for key5, v5 in five.coeffs.items():
-            (j,) = (m for m in range(1, 7) if m not in key5)
-            _, s = sort_sign((j,) + key5)
-            S[vec - 1][j - 1] = S[vec - 1][j - 1] + s * c * v5
+    for vec, c, (j,), v in _complement_terms(x, d3(x)):
+        S[vec - 1][j - 1] = S[vec - 1][j - 1] - c * v
     return S
 
 
@@ -110,19 +131,20 @@ def delta_case1(x, tol=None):
     """Quartic invariant via S_x^2 = delta * I; exact for exact scalars.
 
     For float coefficients pass a tolerance for the internal consistency
-    assertion (scaled absolutely).
+    check (scaled absolutely).
     """
-    S = s_case1(x)
+    return _delta_from_s(s_case1(x), tol)
+
+
+def _delta_from_s(S, tol=None):
+    """delta with S^2 = delta * I for a built S_x; ArithmeticError otherwise."""
     S2 = linalg.mat_mul(S, S)
     d = S2[0][0]
-    for i in range(6):
-        for j in range(6):
+    for i, row in enumerate(S2):
+        for j, v in enumerate(row):
             want = d if i == j else 0
-            if tol is None:
-                assert S2[i][j] == want, "S_x^2 is not a scalar matrix (internal bug)"
-            else:
-                assert abs(float(S2[i][j]) - float(want)) <= tol, \
-                    "S_x^2 is not a scalar matrix (internal bug)"
+            if not (v == want if tol is None else abs(float(v) - float(want)) <= tol):
+                raise ArithmeticError("S_x^2 is not a scalar matrix (internal bug)")
     return d
 
 
@@ -177,15 +199,11 @@ def s_case2(x):
     dx = d3(x)
     S = [[Fraction(0)] * 7 for _ in range(7)]
     by_pair = {}
-    for (pair, (vec,)), c in dx.coeffs.items():
+    for (pair, (vec,)), c in dx.items():
         by_pair.setdefault(pair, []).append((vec, c))
-    for (pair1, (v1,)), c1 in dx.coeffs.items():
-        five = wedge(x, AlternatingForm(7, 2, {pair1: 1}))
-        for key5, c5 in five.coeffs.items():
-            comp = tuple(m for m in range(1, 8) if m not in key5)
-            _, s = sort_sign(key5 + comp)
-            for v2, c2 in by_pair.get(comp, ()):
-                S[v1 - 1][v2 - 1] = S[v1 - 1][v2 - 1] + s * c1 * c2 * c5
+    for v1, c1, comp, v in _complement_terms(x, dx):
+        for v2, c2 in by_pair.get(comp, ()):
+            S[v1 - 1][v2 - 1] = S[v1 - 1][v2 - 1] + c1 * c2 * v
     return S
 
 
@@ -207,11 +225,15 @@ def delta_case2(x):
     rational (always the case for rational input); float input yields the
     real cube root with exact=False.
     """
-    q = q_case2(x)
-    if x.scalar_kind() == "rational":
-        cube = q.det() / QCASE2_DET_RATIO
-        root = cube_root_rational(cube)
-        assert root is not None, "det gram / (81/4) must be a perfect cube for rational input"
+    return _delta_from_q(q_case2(x), x.scalar_kind())
+
+
+def _delta_from_q(q, kind):
+    """delta_case2 from a built Q_x of a form with the given scalar kind."""
+    if kind == "rational":
+        root = cube_root_rational(q.det() / QCASE2_DET_RATIO)
+        if root is None:
+            raise ArithmeticError("det gram / (81/4) must be a perfect cube for rational input")
         return root, True
     import numpy as np
     det = float(np.linalg.det(np.array([[float(v) for v in r] for r in q.gram])))
@@ -285,15 +307,16 @@ def case_of(x):
 def invariant_report(x, tol=None):
     case = case_of(x)
     if case == 1:
-        is_float = x.scalar_kind() == "float"
-        if is_float:
-            d = delta_case1_explicit(x)
-        else:
-            d = delta_case1(x, tol=tol)
-            assert d == delta_case1_explicit(x)
-        return InvariantReport(case=1, delta=d, delta_exact=not is_float,
-                               s_matrix=s_case1(x))
+        S = s_case1(x)
+        if x.scalar_kind() == "float":
+            return InvariantReport(case=1, delta=delta_case1_explicit(x), delta_exact=False,
+                                   s_matrix=S)
+        d = _delta_from_s(S, tol)
+        if d != delta_case1_explicit(x):
+            raise ArithmeticError("S_x^2 and the explicit quartic disagree (internal bug)")
+        return InvariantReport(case=1, delta=d, s_matrix=S)
     if case == 2:
-        d, exact = delta_case2(x)
-        return InvariantReport(case=2, delta=d, delta_exact=exact, q_form=q_case2(x))
+        q = q_case2(x)
+        d, exact = _delta_from_q(q, x.scalar_kind())
+        return InvariantReport(case=2, delta=d, delta_exact=exact, q_form=q)
     return InvariantReport(case=3, pfaffian=pfaffian(x))

@@ -50,92 +50,31 @@ def mat_eq(A, B):
     return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
 
 
-def mat_det(A):
-    """Exact determinant by elimination with division."""
-    n = len(A)
-    M = [row[:] for row in A]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if M[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0 * det
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det = det * M[col][col]
-        inv = M[col][col]
-        for r in range(col + 1, n):
-            if M[r][col] != 0:
-                f = M[r][col] / inv
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return det
+def _gauss_jordan(M, ncols):
+    """Reduce M in place to reduced row echelon form on its first ncols columns.
 
-
-def mat_inv(A):
-    n = len(A)
-    M = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(A)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if M[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        M[col], M[piv] = M[piv], M[col]
-        pv = M[col][col]
-        M[col] = [v / pv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [row[n:] for row in M]
-
-
-def solve(A, b):
-    """Solve A x = b exactly; raises ZeroDivisionError if A is singular."""
-    n = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if M[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        M[col], M[piv] = M[piv], M[col]
-        pv = M[col][col]
-        M[col] = [v / pv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b2 for a, b2 in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
-
-
-def rref(A):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    M = [row[:] for row in A]
+    The pivot of a column is its first nonzero entry at or below the current
+    row; that row is swapped up, scaled to 1 and cleared from every other
+    row.  Columns past ncols are carried along, so [A | B] reduces to
+    [I | A^-1 B] for an invertible A.  Returns (pivot columns, det), where
+    det is the product of the pivots with one sign flip per row swap: the
+    determinant of a square M whose every column has a pivot.
+    """
     nr = len(M)
-    nc = len(M[0]) if nr else 0
     pivots = []
+    det = Fraction(1)
     r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if M[i][c] != 0:
-                piv = i
-                break
+    for c in range(ncols):
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if M[i][c] != 0), None)
         if piv is None:
             continue
-        M[r], M[piv] = M[piv], M[r]
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            det = -det
         pv = M[r][c]
+        det = det * pv
         M[r] = [v / pv for v in M[r]]
         for i in range(nr):
             if i != r and M[i][c] != 0:
@@ -143,31 +82,54 @@ def rref(A):
                 M[i] = [a - f * b for a, b in zip(M[i], M[r])]
         pivots.append(c)
         r += 1
-        if r == nr:
-            break
+    return pivots, det
+
+
+def mat_det(A):
+    """Exact determinant: the signed product of the elimination pivots."""
+    M = [list(row) for row in A]
+    pivots, det = _gauss_jordan(M, len(M))
+    return det if len(pivots) == len(M) else 0 * det
+
+
+def _solve_block(A, B):
+    """X with A X = B for a square A, read off the reduction of [A | B]."""
+    n = len(A)
+    M = [list(ra) + list(rb) for ra, rb in zip(A, B)]
+    if len(_gauss_jordan(M, n)[0]) < n:
+        raise ZeroDivisionError("singular matrix")
+    return [row[n:] for row in M]
+
+
+def mat_inv(A):
+    return _solve_block(A, identity(len(A)))
+
+
+def solve(A, b):
+    """Solve A x = b exactly; raises ZeroDivisionError if A is singular."""
+    return [row[0] for row in _solve_block(A, [[v] for v in b])]
+
+
+def rref(A):
+    """Reduced row echelon form; returns (rows, pivot column list)."""
+    M = [list(row) for row in A]
+    pivots, _ = _gauss_jordan(M, len(M[0]) if M else 0)
     return M, pivots
 
 
 def rank(A):
-    if not A:
-        return 0
     return len(rref(A)[1])
 
 
 def nullspace(A, ncols=None):
     """Exact basis of {x : A x = 0} for a list-of-rows matrix."""
-    if not A:
-        return [ [Fraction(1) if i == j else Fraction(0) for j in range(ncols)]
-                 for i in range(ncols) ] if ncols else []
-    ncols = ncols if ncols is not None else len(A[0])
+    ncols = ncols if ncols is not None else len(A[0]) if A else 0
     M, pivots = rref(A)
-    pivot_of_col = {c: r for r, c in enumerate(pivots)}
-    free = [c for c in range(ncols) if c not in pivot_of_col]
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(ncols)) - set(pivots)):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for c, r in pivot_of_col.items():
+        for r, c in enumerate(pivots):
             v[c] = -M[r][fc]
         basis.append(v)
     return basis

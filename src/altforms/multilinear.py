@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from . import linalg
 from .scalars import scalar_kind
 
 
@@ -117,11 +118,7 @@ class AlternatingForm:
         return AlternatingForm(self.dim, self.degree, _clean(out))
 
     def __sub__(self, other):
-        self._check_shape(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return AlternatingForm(self.dim, self.degree, _clean(out))
+        return self + (-other)
 
     def __neg__(self):
         return self.map_coeffs(lambda v: -v)
@@ -151,39 +148,6 @@ class AlternatingForm:
         return f"AlternatingForm({self.dim},{self.degree}: {inner or '0'})"
 
 
-class MixedTensor:
-    """Element of wedge^a W (x) W^(x b): sparse map (increasing a-tuple, b-tuple) -> scalar."""
-
-    __slots__ = ("dim", "wedge_degree", "arity", "coeffs")
-
-    def __init__(self, dim, wedge_degree, arity, coeffs=None):
-        self.dim = dim
-        self.wedge_degree = wedge_degree
-        self.arity = arity
-        clean = {}
-        for (wkey, tkey), val in (coeffs or {}).items():
-            wkey, tkey = tuple(wkey), tuple(tkey)
-            if list(wkey) != sorted(set(wkey)) or len(wkey) != wedge_degree:
-                raise ValueError(f"bad wedge key {wkey}")
-            if len(tkey) != arity:
-                raise ValueError(f"bad tensor key {tkey}")
-            if not (val == 0):
-                clean[(wkey, tkey)] = val
-        self.coeffs = clean
-
-    def terms(self):
-        return sorted(self.coeffs.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, MixedTensor):
-            return NotImplemented
-        return (self.dim, self.wedge_degree, self.arity, self.coeffs) == \
-               (other.dim, other.wedge_degree, other.arity, other.coeffs)
-
-    def __repr__(self):
-        return f"MixedTensor(dim={self.dim}, a={self.wedge_degree}, b={self.arity}, {len(self.coeffs)} terms)"
-
-
 def wedge(a, b):
     """Graded-anticommutative product of two alternating forms on the same space."""
     if a.dim != b.dim:
@@ -201,10 +165,11 @@ def wedge(a, b):
 
 
 def d3(x):
-    """Polarization of a trivector into wedge^2 W (x) W.
+    """Polarization of a trivector into wedge^2 W (x) W, as a term dict.
 
     On a basis term e_{ijk} it produces e_{jk} (x) e_i - e_{ik} (x) e_j
-    + e_{ij} (x) e_k, extended linearly.
+    + e_{ij} (x) e_k, extended linearly; the result maps (pair, (vec,)) to
+    the nonzero coefficient of e_pair (x) e_vec.
     """
     if x.degree != 3:
         raise ValueError("d3 needs a degree-3 form")
@@ -213,7 +178,7 @@ def d3(x):
         for pair, vec, s in (((j, k), i, 1), ((i, k), j, -1), ((i, j), k, 1)):
             key = (pair, (vec,))
             out[key] = out.get(key, 0) + s * v
-    return MixedTensor(x.dim, 2, 1, _clean(out))
+    return _clean(out)
 
 
 def gl_action(g, x):
@@ -292,18 +257,7 @@ def _small_det(rows):
         return (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
                 - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
                 + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        _, s = sort_sign(tuple(p + 1 for p in perm))
-        total = total + s * _prod(rows[i][perm[i]] for i in range(n))
-    return total
-
-
-def _prod(it):
-    out = 1
-    for v in it:
-        out = out * v
-    return out
+    return linalg.mat_det(rows)
 
 
 def all_keys(dim, degree):

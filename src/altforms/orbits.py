@@ -10,12 +10,12 @@ mode produced it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg
-from .invariants import (case_of, delta_case1, delta_case1_explicit, delta_case2,
-                         pfaffian, q_case2, s_case1)
+from .invariants import (_delta_from_q, _delta_from_s, case_of, delta_case1,
+                         delta_case1_explicit, pfaffian, q_case2, s_case1)
 from .scalars import (QuadExt, demote, rational_reconstruct, rational_sqrt,
                       squarefree_part)
 
@@ -63,14 +63,16 @@ def classify_real(x, tol=1e-9):
     """OrbitReport for a form of any of the three shapes.
 
     Exact coefficients give exact verdicts; float coefficients compare
-    against tol scaled by the coefficient magnitude.
+    against tol scaled by the coefficient magnitude, and NaN/inf
+    coefficients or an overflowing float invariant raise ValueError.
     """
     case = case_of(x)
     is_float = x.scalar_kind() == "float"
+    if is_float and not all(math.isfinite(v) for v in x.coeffs.values()):
+        raise ValueError("classify_real needs finite float coefficients")
     if case == 1:
         d = delta_case1_explicit(x)
-        scale = max(1.0, x.max_abs()) ** 4
-        if (d == 0) if not is_float else (abs(float(d)) <= tol * scale):
+        if (d == 0) if not is_float else (abs(_finite(d)) <= _cutoff(x, tol, 4)):
             orbit = "degenerate"
         elif float(d) > 0:
             orbit = "case1_positive"
@@ -82,8 +84,10 @@ def classify_real(x, tol=1e-9):
         return rep
     if case == 2:
         q = q_case2(x)
-        kind = q.definiteness(tol=tol * max(1.0, x.max_abs()) ** 3 if is_float else None)
-        delta, _ = delta_case2(x)
+        if is_float:
+            _finite(*(v for row in q.gram for v in row))
+        kind = q.definiteness(tol=_cutoff(x, tol, 3) if is_float else None)
+        delta, _ = _delta_from_q(q, x.scalar_kind())
         if kind == "degenerate":
             orbit = "degenerate"
         elif kind in ("positive", "negative"):
@@ -92,12 +96,26 @@ def classify_real(x, tol=1e-9):
             orbit = "case2_split"
         return OrbitReport(2, orbit, real_rank_positive=_RANK_POSITIVE[orbit], delta=delta)
     pf = pfaffian(x)
-    scale = max(1.0, x.max_abs()) ** (x.dim // 2)
-    if (pf == 0) if not is_float else (abs(float(pf)) <= tol * scale):
+    if (pf == 0) if not is_float else (abs(_finite(pf)) <= _cutoff(x, tol, x.dim // 2)):
         orbit = "degenerate"
     else:
         orbit = "case3_nondegenerate"
     return OrbitReport(3, orbit, real_rank_positive=_RANK_POSITIVE[orbit], delta=pf)
+
+
+def _finite(*values):
+    """The first value, once all are finite (an overflowed float invariant is not)."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("float coefficients too large: an invariant overflows")
+    return values[0]
+
+
+def _cutoff(x, tol, degree):
+    """tol * max(1, |x|)^degree: the zero cutoff of a float invariant of that degree."""
+    try:
+        return tol * max(1.0, x.max_abs()) ** degree
+    except OverflowError:
+        raise ValueError("float coefficients too large: an invariant overflows") from None
 
 
 def field_kx(x):
@@ -121,7 +139,7 @@ def eigenspaces(x, tol=1e-9):
     if x.scalar_kind() == "float":
         return _eigenspaces_float(x, tol)
     S = s_case1(x)
-    delta = demote(delta_case1(x))
+    delta = demote(_delta_from_s(S))
     if delta == 0:
         raise ValueError("not semistable")
     if isinstance(delta, QuadExt):
@@ -133,7 +151,8 @@ def eigenspaces(x, tol=1e-9):
         rows = [[_to_common(S[i][j], root) - (lam if i == j else 0) for j in range(6)]
                 for i in range(6)]
         ns = linalg.nullspace(rows, 6)
-        assert len(ns) == 3, "eigenspace dimension must be 3"
+        if len(ns) != 3:
+            raise ArithmeticError("eigenspace dimension must be 3 (internal bug)")
         bases.append([[demote(c) for c in v] for v in ns])
     return GrassmannPoint(bases[0], bases[1])
 
@@ -156,7 +175,8 @@ def _eigenspaces_float(x, tol):
         M = S.astype(complex) - sign * lam * np.eye(6)
         u, s, vh = np.linalg.svd(M)
         ns = vh[np.sum(s > s[0] * 1e-9):].conj()
-        assert ns.shape[0] == 3, "eigenspace dimension must be 3"
+        if ns.shape[0] != 3:
+            raise ArithmeticError("eigenspace dimension must be 3")
         bases.append([[complex(v) for v in row] for row in ns])
     return GrassmannPoint(bases[0], bases[1])
 

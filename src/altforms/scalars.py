@@ -13,13 +13,21 @@ at the call site; there is no global epsilon.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 Rational = Fraction
 
 
-def _is_squarefree_candidate(d):
-    return isinstance(d, int) and d not in (0, 1)
+@lru_cache(maxsize=None)
+def _is_squarefree(d):
+    """d != 0, 1 with no square factor; cached, as every QuadExt checks its d."""
+    if d in (0, 1):
+        return False
+    from sympy import factorint
+
+    return all(e == 1 for e in factorint(abs(d)).values())
 
 
 class QuadExt:
@@ -32,7 +40,7 @@ class QuadExt:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0, d=None):
-        if not _is_squarefree_candidate(d):
+        if type(d) is not int or not _is_squarefree(d):
             raise ValueError(f"invalid quadratic extension discriminant: {d!r}")
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "b", Fraction(b))
@@ -119,12 +127,6 @@ class QuadExt:
             return self.b == 0 and self.a == other
         return NotImplemented
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return eq
-        return not eq
-
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
@@ -145,15 +147,9 @@ class QuadExt:
     def is_rational(self):
         return self.b == 0
 
-    def rational_part(self):
-        if self.b != 0:
-            raise ValueError(f"{self!r} is not rational")
-        return self.a
-
     def __float__(self):
         if self.d < 0 and self.b != 0:
             raise ValueError("imaginary quadratic value has no float image")
-        import math
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
     def __repr__(self):
@@ -192,7 +188,6 @@ def squarefree_part(q):
 
 
 def _isqrt_exact(n):
-    import math
     r = math.isqrt(n)
     if r * r != n:
         raise ArithmeticError(f"{n} is not a perfect square")
@@ -262,7 +257,10 @@ def scalar_kind(x):
 
 
 def scalar_to_json(x):
-    """Serialize: rationals as 'p/q' strings, QuadExt as a dict, floats as numbers."""
+    """Serialize: rationals as 'p/q' strings, QuadExt as a dict, floats as numbers;
+    lists and tuples (vectors, matrices, tables) element by element."""
+    if isinstance(x, (list, tuple)):
+        return [scalar_to_json(v) for v in x]
     if isinstance(x, int):
         x = Fraction(x)
     if isinstance(x, Fraction):
@@ -279,13 +277,21 @@ def scalar_from_json(v, kind, d=None):
     if kind == "rational":
         return _parse_fraction(v)
     if kind == "float":
-        return float(v)
+        return finite_float(v)
     if kind == "quadext":
         if isinstance(v, dict):
             dd = v.get("d", d)
             return QuadExt(_parse_fraction(v["a"]), _parse_fraction(v["b"]), dd)
         return QuadExt(_parse_fraction(v), 0, d)
     raise ValueError(f"unknown scalar kind {kind!r}")
+
+
+def finite_float(v):
+    """float(v), rejecting NaN and infinities with ValueError."""
+    f = float(v)
+    if not math.isfinite(f):
+        raise ValueError(f"non-finite float value {v!r}")
+    return f
 
 
 def _parse_fraction(v):

@@ -17,7 +17,7 @@ import json
 
 from .multilinear import AlternatingForm
 from .perturb import PartialTarget
-from .scalars import QuadExt, scalar_from_json, scalar_to_json
+from .scalars import QuadExt, finite_float, scalar_from_json, scalar_to_json
 
 
 class FormFormatError(ValueError):
@@ -73,13 +73,16 @@ def form_from_dict(data):
     return AlternatingForm(dim, degree, coeffs)
 
 
-def parse_form(path):
+def _load_json(path):
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormFormatError(f"malformed JSON: {exc}")
-    return form_from_dict(data)
+
+
+def parse_form(path):
+    return form_from_dict(_load_json(path))
 
 
 def target_to_dict(t):
@@ -102,7 +105,10 @@ def target_from_dict(data):
     degree = 2 if case == 3 else 3
     for key, val in (data.get("values") or {}).items():
         idx = _parse_key(key, degree)
-        values[idx] = float(val)
+        try:
+            values[idx] = finite_float(val)
+        except (TypeError, ValueError):
+            raise FormFormatError(f"bad target value {val!r} at {key!r}")
     try:
         return PartialTarget(case, values, n=int(n) if n else None)
     except ValueError as exc:
@@ -110,10 +116,5 @@ def target_from_dict(data):
 
 
 def parse_target(path):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormFormatError(f"malformed JSON: {exc}")
-    return target_from_dict(data)
+    return target_from_dict(_load_json(path))
 

@@ -104,8 +104,7 @@ def fixed_space(L, shape):
     dim, degree = shape
     if L.ambient_dim != dim:
         raise ValueError("ambient dimension mismatch")
-    if any(isinstance(v, float) for M in L.basis for row in M for v in row):
-        raise ValueError("fixed_space needs an exact stabilizer basis; float forms are not supported")
+    _require_exact(L, "fixed_space")
     keys = all_keys(dim, degree)
     kernel = [{k: Fraction(1)} for k in keys]
     for X in L.basis:
@@ -120,6 +119,11 @@ def fixed_space(L, shape):
     flipped = [[f.get(k, Fraction(0)) for k in reversed(keys)] for f in kernel]
     rows, _ = linalg.rref(flipped)
     return [AlternatingForm(dim, degree, dict(zip(reversed(keys), r))) for r in reversed(rows)]
+
+
+def _require_exact(L, what):
+    if any(isinstance(v, float) for M in L.basis for row in M for v in row):
+        raise ValueError(f"{what} needs an exact basis; float forms are not supported")
 
 
 def _combine_forms(coeffs, forms):
@@ -170,8 +174,10 @@ def subalgebra_closed(L):
     pivot row of column c is the bracket's own entry at c, so the residual
     is B - sum_c B[c] * row_c over the bracket's nonzero pivot entries.
     Pairs are taken in basis order (a <= b); the first one with a nonzero
-    residual is the witness.
+    residual is the witness.  Float bases are rejected: exact zero tests on
+    them call closed algebras open.
     """
+    _require_exact(L, "subalgebra_closed")
     n = L.ambient_dim
     flat = [[M[i][j] for i in range(n) for j in range(n)] for M in L.basis]
     if not flat:

@@ -206,3 +206,50 @@ def test_cli_approximate_via_orbit_and_threads(tmp_path, capsys, monkeypatch):
     doc = json.loads(out)
     assert "via_orbit_deviation" in doc
     assert doc["via_orbit_deviation"] < 0.025
+
+
+def test_cli_rejects_non_squarefree_discriminant(tmp_path, capsys):
+    path = write_json(tmp_path, "d4.json",
+                      {"dim": 6, "degree": 3, "scalar": "quadext", "d": 4,
+                       "coeffs": {"1,2,3": "1", "4,5,6": {"a": "0", "b": "1", "d": 4}}})
+    with pytest.raises(FormFormatError, match="discriminant"):
+        parse_form(path)
+    code, out, err = run(capsys, "invariant", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "discriminant" in err
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+def test_cli_rejects_non_finite_form_coefficients(tmp_path, capsys, bad):
+    path = write_json(tmp_path, "nan.json",
+                      {"dim": 6, "degree": 3, "scalar": "float",
+                       "coeffs": {"1,2,3": bad, "4,5,6": 1.0}})
+    with pytest.raises(FormFormatError, match="non-finite"):
+        parse_form(path)
+    code, out, err = run(capsys, "classify", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "non-finite" in err
+
+
+def test_cli_rejects_non_finite_perturb_target(tmp_path, capsys):
+    values = {",".join(map(str, k)): 0.5 for k in constrained_keys(1)}
+    values["1,2,3"] = float("nan")
+    with pytest.raises(FormFormatError, match="bad target value"):
+        target_from_dict({"case": 1, "values": values})
+    path = write_json(tmp_path, "t.json", {"case": 1, "values": values})
+    code, out, err = run(capsys, "perturb", "case1", path, "--epsilon", "0.1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "bad target value" in err
+
+
+@pytest.mark.parametrize("shape, coeffs", (
+    ((6, 3), {"1,2,3": 1e200, "4,5,6": 1e200}),
+    ((7, 3), {"1,2,3": 1e200, "4,5,6": 1e200, "1,4,7": 1.0}),
+    ((4, 2), {"1,2": 1e200, "3,4": 1e200}),
+))
+def test_cli_classify_overflow_is_an_error(tmp_path, capsys, shape, coeffs):
+    path = write_json(tmp_path, "big.json", {"dim": shape[0], "degree": shape[1],
+                                             "scalar": "float", "coeffs": coeffs})
+    code, out, err = run(capsys, "classify", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "too large" in err

@@ -228,3 +228,38 @@ def test_signature_on_isotropic_diagonal_blocks():
         eig = np.linalg.eigvalsh(np.array([[float(v) for v in r] for r in G]))
         assert npos == int((eig > 1e-9).sum())
         assert nneg == int((eig < -1e-9).sum())
+
+
+def test_self_checks_run_under_python_O():
+    # the S^2 = delta * I check must raise even when asserts are stripped
+    import os
+    import subprocess
+    import sys
+
+    import altforms
+    src = os.path.dirname(os.path.dirname(altforms.__file__))
+    code = (
+        "import sys\n"
+        "assert False, 'asserts are on'\n"
+        "import altforms.invariants as inv\n"
+        "from altforms.representatives import make_rep\n"
+        "inv.s_case1 = lambda x: [[1 if j == (i + 1) % 6 else 0 for j in range(6)]"
+        " for i in range(6)]\n"
+        "for f in (inv.delta_case1, inv.invariant_report):\n"
+        "    try:\n"
+        "        f(make_rep('case1_w'))\n"
+        "    except ArithmeticError as exc:\n"
+        "        print('raised', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.count("raised S_x^2 is not a scalar matrix") == 2
+
+
+def test_delta_case2_cube_check_raises(monkeypatch):
+    import altforms.invariants as inv
+    monkeypatch.setattr(inv, "cube_root_rational", lambda q: None)
+    with pytest.raises(ArithmeticError, match="perfect cube"):
+        delta_case2(W2)

@@ -235,3 +235,13 @@ def test_negative_orbit_float_eigenspaces_are_complex_but_pair_is_real():
     rep = grassmann_rationality(gr, max_den=1000, tol=1e-9)
     # the representative itself is rational, so the unordered pair is rational
     assert rep.rational
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_classify_real_rejects_non_finite_coefficients(bad):
+    # a NaN coefficient used to come out as case1_negative
+    for shape, keys in (((6, 3), ((1, 2, 3), (4, 5, 6))), ((7, 3), ((1, 2, 3), (4, 5, 6))),
+                        ((4, 2), ((1, 2), (3, 4)))):
+        x = AlternatingForm(*shape, {keys[0]: bad, keys[1]: 1.0})
+        with pytest.raises(ValueError, match="finite"):
+            classify_real(x)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from altforms.scalars import (QuadExt, cube_root_rational, demote,
+from altforms.scalars import (QuadExt, cube_root_rational, demote, finite_float,
                               rational_reconstruct, rational_sqrt,
                               scalar_from_json, scalar_to_json, squarefree_part)
 
@@ -134,3 +134,17 @@ def test_scalar_json_round_trip():
 def test_scalar_json_zero_denominator():
     with pytest.raises(ValueError, match="zero denominator"):
         scalar_from_json("1/0", "rational")
+
+
+@pytest.mark.parametrize("d", (4, -4, 8, 12, -18, 9))
+def test_quadext_rejects_non_squarefree_discriminant(d):
+    # sqrt(4) = 2 is rational: QuadExt(0, 1, 4) would claim to be irrational
+    with pytest.raises(ValueError, match="discriminant"):
+        QuadExt(0, 1, d)
+
+
+def test_non_finite_float_values_are_rejected():
+    for bad in (float("nan"), float("inf"), -float("inf"), "nan"):
+        with pytest.raises(ValueError, match="non-finite"):
+            scalar_from_json(bad, "float")
+    assert finite_float("1e300") == 1e300

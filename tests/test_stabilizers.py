@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 
 from altforms import linalg
 from altforms.invariants import q_case2
@@ -178,3 +179,10 @@ def test_exponentials_of_stabilizer_have_unit_determinant():
         # and the generated element preserves the quadratic covariant
         G = np.array([[float(v) for v in row] for row in q_case2(w).gram])
         assert np.max(np.abs(g @ G @ g.T - G)) < 1e-8
+
+
+def test_subalgebra_closed_rejects_float_bases():
+    # exact zero tests on a float basis called the closed stabilizer open
+    L = stab_lie_algebra(make_rep("case1_w").as_float())
+    with pytest.raises(ValueError, match="exact basis"):
+        subalgebra_closed(L)
