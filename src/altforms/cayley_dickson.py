@@ -307,12 +307,16 @@ def octonion_from_form(x):
 
     The imaginary product u.v solves gram(Q) * (u.v) = 3 x(., u, v); the real
     part is -Q(u, v)/delta and the norm of v is Q(v)/delta.  Raises
-    ValueError("not semistable") when Q is degenerate.
+    ValueError("not semistable") when Q is degenerate, and ValueError on
+    Q(sqrt d) coefficients, whose delta is only computed as a float.
     """
     if x.dim != 7 or x.degree != 3:
         raise ValueError("octonion_from_form needs dim 7, degree 3")
-    Q = q_case2(x)
     kind = x.scalar_kind()
+    if kind == "quadext":
+        raise ValueError("octonion_from_form supports rational or float coefficients, "
+                         "not Q(sqrt d)")
+    Q = q_case2(x)
     is_float = kind == "float"
     delta, _ = _delta_from_q(Q, kind)
     if (not is_float and delta == 0) or (is_float and abs(delta) < 1e-12 * max(1.0, x.max_abs()) ** 7):

@@ -368,7 +368,7 @@ def build_parser():
     sp.add_argument("--via-orbit", action="store_true", dest="via_orbit")
     sp.add_argument("--both-sides", action="store_true", dest="both_sides")
     sp.add_argument("--threads", type=int, default=0,
-                    help="0 honors ALTFORMS_THREADS; >1 enables the parallel beam")
+                    help="accepted, like ALTFORMS_THREADS; the search runs serially")
     common(sp)
     sp.set_defaults(func=cmd_approximate)
 

@@ -18,6 +18,7 @@ the variant that agrees exactly with the S_x^2 route (see tests).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -208,13 +209,14 @@ def s_case2(x):
 
 
 def q_case2(x):
-    """Quadratic covariant: the symmetrization (S_x + S_x^T)/2 as a form on W*."""
+    """Quadratic covariant: the symmetrization (S_x + S_x^T)/2 as a form on W*;
+    ValueError when a float gram entry overflows."""
     S = s_case2(x)
-    half = Fraction(1, 2)
-    kind = x.scalar_kind()
-    if kind == "float":
-        half = 0.5
+    is_float = x.scalar_kind() == "float"
+    half = 0.5 if is_float else Fraction(1, 2)
     gram = [[half * (S[i][j] + S[j][i]) for j in range(7)] for i in range(7)]
+    if is_float:
+        _finite(*(v for row in gram for v in row))
     return QuadraticForm(7, gram)
 
 
@@ -305,12 +307,14 @@ def case_of(x):
 
 
 def invariant_report(x, tol=None):
+    """InvariantReport of x; ValueError when a float result overflows."""
     case = case_of(x)
+    is_float = x.scalar_kind() == "float"
     if case == 1:
         S = s_case1(x)
-        if x.scalar_kind() == "float":
-            return InvariantReport(case=1, delta=delta_case1_explicit(x), delta_exact=False,
-                                   s_matrix=S)
+        if is_float:
+            d = _finite(delta_case1_explicit(x), *(v for row in S for v in row))
+            return InvariantReport(case=1, delta=d, delta_exact=False, s_matrix=S)
         d = _delta_from_s(S, tol)
         if d != delta_case1_explicit(x):
             raise ArithmeticError("S_x^2 and the explicit quartic disagree (internal bug)")
@@ -318,5 +322,15 @@ def invariant_report(x, tol=None):
     if case == 2:
         q = q_case2(x)
         d, exact = _delta_from_q(q, x.scalar_kind())
-        return InvariantReport(case=2, delta=d, delta_exact=exact, q_form=q)
-    return InvariantReport(case=3, pfaffian=pfaffian(x))
+        return InvariantReport(case=2, delta=d if exact else _finite(d), delta_exact=exact,
+                               q_form=q)
+    pf = pfaffian(x)
+    return InvariantReport(case=3, delta_exact=not is_float,
+                           pfaffian=_finite(pf) if is_float else pf)
+
+
+def _finite(*values):
+    """The first value, once all are finite (an overflowed float invariant is not)."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("float coefficients too large: an invariant overflows")
+    return values[0]

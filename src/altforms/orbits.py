@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import linalg
-from .invariants import (_delta_from_q, _delta_from_s, case_of, delta_case1,
+from .invariants import (_delta_from_q, _delta_from_s, _finite, case_of, delta_case1,
                          delta_case1_explicit, pfaffian, q_case2, s_case1)
 from .scalars import (QuadExt, demote, rational_reconstruct, rational_sqrt,
                       squarefree_part)
@@ -84,8 +84,6 @@ def classify_real(x, tol=1e-9):
         return rep
     if case == 2:
         q = q_case2(x)
-        if is_float:
-            _finite(*(v for row in q.gram for v in row))
         kind = q.definiteness(tol=_cutoff(x, tol, 3) if is_float else None)
         delta, _ = _delta_from_q(q, x.scalar_kind())
         if kind == "degenerate":
@@ -101,13 +99,6 @@ def classify_real(x, tol=1e-9):
     else:
         orbit = "case3_nondegenerate"
     return OrbitReport(3, orbit, real_rank_positive=_RANK_POSITIVE[orbit], delta=pf)
-
-
-def _finite(*values):
-    """The first value, once all are finite (an overflowed float invariant is not)."""
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError("float coefficients too large: an invariant overflows")
-    return values[0]
 
 
 def _cutoff(x, tol, degree):

@@ -61,10 +61,16 @@ class PerturbationCertificate:
         return self.deviation < eps and self.orbit.real_orbit == orbit_name
 
 
+def _check(ok, message):
+    """A certificate check that also runs under python -O."""
+    if not ok:
+        raise ArithmeticError(message)
+
+
 def _nudge_until(z, coords, predicate, eps, cap=64):
     """Deterministically bump coordinates by eps/2 (halving per sweep) until
     the predicate holds.  The open-density of the target condition guarantees
-    termination; the cap trips an assertion otherwise."""
+    termination; the cap raises ArithmeticError otherwise."""
     if predicate(z):
         return z
     delta = eps / 2.0
@@ -75,7 +81,7 @@ def _nudge_until(z, coords, predicate, eps, cap=64):
             if predicate(z):
                 return z
         delta /= 2.0
-    raise AssertionError("nudge loop failed to reach a generic point")
+    raise ArithmeticError("nudge loop failed to reach a generic point")
 
 
 def _form_of(z, dim, degree):
@@ -167,7 +173,7 @@ def extend_case1(y, eps, sign):
             if _delta1(z) > 0 and abs(a) * t * t > 4.0 * (abs(b) * t + abs(c) + tol):
                 break
             t *= 2.0
-        assert t <= GROWTH_CAP, "growth cap exceeded with nonzero leading coefficient"
+        _check(t <= GROWTH_CAP, "growth cap exceeded with nonzero leading coefficient")
         aux["delta"] = _delta1(z)
     else:
         # zero the top-index coordinates except the three live ones
@@ -182,8 +188,8 @@ def extend_case1(y, eps, sign):
         order = [(3, 4, 5), (1, 3, 5), (2, 3, 4), (1, 3, 4), (2, 3, 5), (1, 2, 3)]
         z = _nudge_until(z, order, generic, eps)
         f1, f2, f3, f4 = fit_discriminant_case1(z)
-        assert abs(f1 - f1_case1(z)) <= 1e-6 * max(1.0, abs(f1)), \
-            "probe fit disagrees with the closed bilinear coefficient"
+        _check(abs(f1 - f1_case1(z)) <= 1e-6 * max(1.0, abs(f1)),
+               "probe fit disagrees with the closed bilinear coefficient")
         s = 1.0 if f1 > 0 else -1.0
         t = 1.0
         disc = None
@@ -193,18 +199,19 @@ def extend_case1(y, eps, sign):
             if disc > 0 and abs(f1) * t * t > 2.0 * ((abs(f2) + abs(f3)) * t + abs(f4) + tol):
                 break
             t *= 2.0
-        assert t <= GROWTH_CAP, "growth cap exceeded while opening the discriminant"
+        _check(t <= GROWTH_CAP, "growth cap exceeded while opening the discriminant")
         z[(1, 5, 6)] = s * t
         z[(2, 4, 6)] = t
         a, b, c = _quadratic_in_z456(z)
         z[(4, 5, 6)] = -b / (2.0 * a)
         aux.update({"f1": f1, "f2": f2, "f3": f3, "f4": f4,
                     "discriminant": disc, "delta": _delta1(z)})
-        assert aux["delta"] < 0, "vertex value must be negative when the discriminant is positive"
+        _check(aux["delta"] < 0,
+               "vertex value must be negative when the discriminant is positive")
 
     form = _form_of(z, 6, 3)
     cert = PerturbationCertificate(form, _deviation(z, y), aux, classify_real(form))
-    assert cert.deviation < eps
+    _check(cert.deviation < eps, "certificate deviation is not below eps")
     return cert
 
 
@@ -280,7 +287,7 @@ def extend_case2(y, eps):
         form, aux, rep = complete(dict(z))
         if form is not None:
             cert = PerturbationCertificate(form, _deviation(dict(form.coeffs), y), aux, rep)
-            assert cert.deviation < eps
+            _check(cert.deviation < eps, "certificate deviation is not below eps")
             return cert
         # degenerate completion: move off the zero locus without touching
         # the (1,j,k) or (i,j,7) coordinates
@@ -289,7 +296,7 @@ def extend_case2(y, eps):
         z = dict(z)
         z[c] = z.get(c, 0.0) + delta_step
         delta_step /= 2.0
-    raise AssertionError("nudge loop failed to reach a semistable completion")
+    raise ArithmeticError("nudge loop failed to reach a semistable completion")
 
 
 # ---------------------------------------------------------------- case 3 ----
@@ -329,13 +336,13 @@ def extend_case3(y, eps, n=None):
             t = 1.0
             while abs(c0 + coeffs[idx] * t) <= tol * scale ** n:
                 t *= 2.0
-                assert t <= GROWTH_CAP
+                _check(t <= GROWTH_CAP, "growth cap exceeded for the free column")
             cert_z = dict(base)
             cert_z[(idx + 1, dim)] = t
             break
         # the free column is useless: the constrained part needs a nudge
         attempts += 1
-        assert attempts <= 64, "nudge loop failed for the degenerate target"
+        _check(attempts <= 64, "nudge loop failed for the degenerate target")
         delta = eps / (2.0 ** attempts)
         for k in constrained_keys(3, n):
             z2 = dict(z)
@@ -354,5 +361,5 @@ def extend_case3(y, eps, n=None):
     form = _form_of(cert_z, dim, 2)
     aux = {"pfaffian": pf_of(cert_z)}
     cert = PerturbationCertificate(form, _deviation(cert_z, y), aux, classify_real(form))
-    assert cert.deviation < eps
+    _check(cert.deviation < eps, "certificate deviation is not below eps")
     return cert

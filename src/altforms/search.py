@@ -4,13 +4,15 @@ basis whose evaluations of a fixed form approximate a target.
 The word alphabet is the elementary matrices E_ij(+-1), i != j (their
 inverses are in the set).  Words extend a candidate by right multiplication
 (refining the basis); left extension can be enabled as well.  Selection is a
-stable sort on (objective, word), so runs are reproducible bit for bit, and
-the chunked parallel evaluation performs the identical arithmetic per
-candidate, keeping parallel and serial runs in exact agreement.
+stable sort on (objective, seeded hash, word), so runs are reproducible bit
+for bit; the search is serial, whatever the threads setting.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -18,6 +20,7 @@ import numpy as np
 
 from . import linalg
 from .invariants import case_of
+from .multilinear import sort_sign
 from .orbits import classify_real, irrationality_report
 from .perturb import PartialTarget, constrained_keys
 
@@ -37,7 +40,7 @@ class SearchConfig:
     seed: int = 0
     epsilon: float = 1e-9
     both_sides: bool = False
-    threads: int = 0          # 0: honor ALTFORMS_THREADS, else serial
+    threads: int = 0          # 0: honor ALTFORMS_THREADS; the search is serial either way
 
     def __post_init__(self):
         if self.beam_width < 1:
@@ -64,15 +67,12 @@ class BasisCandidate:
 
 def generator_moves(n):
     """Elementary moves E_ij(s), i != j, s in {+1, -1}, in a fixed order."""
-    moves = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                for s in (1, -1):
-                    E = np.eye(n, dtype=np.int64)
-                    E[i, j] = s
-                    moves.append(E)
-    return moves
+    eye = np.eye(n, dtype=np.int64)
+    return [eye + s * np.outer(eye[i], eye[j]) for i, j, s in _move_list(n)]
+
+
+def _move_list(n):
+    return [(i, j, s) for i in range(n) for j in range(n) if i != j for s in (1, -1)]
 
 
 def _unimodular_check(h):
@@ -133,10 +133,8 @@ def objective(x, y, h):
 
 def objective_matrix(x, y, h):
     """Objective for an arbitrary (real) basis matrix; no unimodularity check."""
-    items = _x_items(x)
-    targets = _targets(x, y)
     H = np.asarray(h, dtype=float)[None, :, :]
-    return float(_batch_objective(items, targets, H)[0])
+    return float(_batch_objective(_x_items(x), _targets(x, y), H)[0])
 
 
 @dataclass
@@ -153,60 +151,89 @@ def approximate(x, y, config=None):
     Deterministic for a given config: candidates are ranked by
     (objective, seeded content hash, word), duplicates are pruned by matrix
     content, and the best-so-far objective is non-increasing in depth
-    (asserted).  The seeded hash spreads exact objective ties uniformly
+    (checked).  The seeded hash spreads exact objective ties uniformly
     instead of biasing the beam toward low-index generators, which matters
     on the large plateaus the sparse representatives produce; the word order
     remains the final tie-break, so runs with one seed agree bit for bit.
-    """
-    import hashlib
 
+    A depth expands the beam as one array, keeps the first copy of each child and scores it
+    from its parent's exact minors det h[K, I], updated by the move, with the float operations
+    of _batch_objective; hash and word are computed only for ties reaching into the beam.
+    """
+    import hashlib  # lazily: it loads OpenSSL, which commands without a search do not need
     config = config or SearchConfig()
-    n = x.dim
-    items = _x_items(x)
-    targets = _targets(x, y)
-    moves = generator_moves(n)
-    nmoves = len(moves)
-    threads = config.resolved_threads()
+    n, deg, both = x.dim, x.degree, config.both_sides
+    items, targets = _x_items(x), _targets(x, y)
+    sets, mi, mj, ms, csrc, ccoef, rsrc, rcoef = _move_tables(n, deg, both)
+    nm, nc, nr = len(csrc), len(sets), len(mi)
+    kpos = [sets.index(tuple(k)) for k, _ in items]
+    krows = kpos if both else range(len(items))
+    tcols = np.array([sets.index(tuple(k)) for k, _ in targets], dtype=np.intp)
+    tvals = np.array([v for _, v in targets])
+    # per move, the target columns it may change, padded with ones it leaves alone
+    changed = (ccoef[:, tcols] != 0) | (np.arange(nm) >= nr)[:, None]
+    chg = np.argsort(~changed, axis=1, kind="stable")[:, :changed.sum(1).max()]
+    ccols = tcols[chg]
+    csrc_c, ccoef_c = np.take_along_axis(csrc, ccols, 1), np.take_along_axis(ccoef, ccols, 1)
     salt = int(config.seed).to_bytes(8, "little", signed=True)
 
-    def tie_hash(h):
-        return hashlib.blake2b(salt + h.tobytes(), digest_size=8).digest()
-
-    ident = np.eye(n, dtype=np.int64)
-    obj0 = float(_batch_objective(items, targets, ident[None])[0])
-    beam = [(obj0, (), ident)]
-    best = BasisCandidate(ident.copy(), (), obj0)
-    trace = [obj0]
+    # minors[r, b, c] = det h_b[row set r, sets[c]]; vals[b, t] = x(h_b) on target t
+    minors = np.eye(nc, dtype=np.int64)[list(range(nc)) if both else kpos][:, None, :]
+    vals = sum((c * minors[r][:, tcols] for r, (_, c) in zip(krows, items)),
+               np.zeros((1, len(tcols))))
+    H, words = np.eye(n, dtype=np.int64)[None], [()]
+    trace = [float(np.abs(vals - tvals).max())]
+    best = BasisCandidate(H[0].copy(), (), trace[0])
 
     for depth in range(1, config.max_depth + 1):
-        stacked = []
-        words = []
-        seen = set()
-        for objv, word, h in beam:
-            for m in range(nmoves):
-                h2 = h @ moves[m]
-                key = h2.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    stacked.append(h2)
-                    words.append(word + (m,))
-            if config.both_sides:
-                for m in range(nmoves):
-                    h2 = moves[m] @ h
-                    key = h2.tobytes()
-                    if key not in seen:
-                        seen.add(key)
-                        stacked.append(h2)
-                        words.append(word + (m + nmoves,))
-        H = np.stack(stacked)
-        objs = _evaluate_chunked(items, targets, H, threads)
-        order = sorted(range(len(words)),
-                       key=lambda i: (objs[i], tie_hash(stacked[i]), words[i]))
-        beam = [(float(objs[i]), words[i], stacked[i]) for i in order[:config.beam_width]]
-        if beam[0][0] < best.objective:
-            best = BasisCandidate(beam[0][2].copy(), beam[0][1], beam[0][0])
+        kids = np.repeat(H[:, None], nm, axis=1)
+        kids[:, np.arange(nr), :, mj] += ms[:, None, None] * H[:, :, mi].transpose(2, 0, 1)
+        if both:
+            kids[:, nr + np.arange(nr), mi, :] += ms[None, :, None] * H[:, mj, :]
+        if math.factorial(deg) * int(np.abs(kids).max()) ** deg >= 2 ** 53:
+            raise ArithmeticError("basis entries too large for exact float minors")
+        # int32 keys halve the dedupe's copies; the guard keeps entries below 2^31
+        packed = kids.reshape(-1, n * n).astype(np.int32).view(f"V{4 * n * n}")
+        first = np.unique(packed, return_index=True)[1]
+        p, m = np.divmod(np.sort(first), nm)
+        i1, i2, a2 = p[:, None] * nc + ccols[m], p[:, None] * nc + csrc_c[m], ccoef_c[m]
+        part = np.zeros(i1.shape)
+        for r, (_, c) in zip(krows, items):
+            v = minors[r].ravel()[i1] + a2 * minors[r].ravel()[i2]
+            if both:
+                v += rcoef[m, r][:, None] * minors.reshape(nc, -1)[rsrc[m, r][:, None], i1]
+            part += c * v
+        vals = vals[p]
+        np.put_along_axis(vals, chg[m], part, axis=1)
+        del i1, i2, a2, part  # before the objective's temporaries: peak memory
+        objs = np.abs(vals - tvals).max(axis=1)
+
+        order = np.argsort(objs, kind="stable")
+        ranked = objs[order]
+        cut = min(config.beam_width, len(order))
+        end = int(np.searchsorted(ranked, ranked[cut - 1], side="right"))
+        for a, size in zip(*np.unique(ranked[:end], return_index=True, return_counts=True)[1:]):
+            if size > 1:
+                # (hash, parent word, move) sorts as (hash, word): words share a length
+                tie, nb = order[a:a + size], 8 * n * n
+                raw = kids[p[tie], m[tie]].tobytes()
+                keys = [(hashlib.blake2b(salt + raw[k * nb:(k + 1) * nb], digest_size=8)
+                         .digest(), words[pk], mk)
+                        for k, (pk, mk) in enumerate(zip(p[tie].tolist(), m[tie].tolist()))]
+                order[a:a + size] = tie[sorted(range(size), key=keys.__getitem__)]
+        sel = order[:cut]
+
+        ps, mm = p[sel], m[sel]
+        new = minors[:, ps, :] + ccoef[mm] * minors[:, ps[:, None], csrc[mm]]
+        if both:
+            new += rcoef[mm].T[:, :, None] * minors[rsrc[mm].T, ps[None, :], :]
+        minors, H, vals = np.ascontiguousarray(new), kids[ps, mm], vals[sel]
+        words = [words[i] + (k,) for i, k in zip(ps.tolist(), mm.tolist())]
+        if objs[sel[0]] < best.objective:
+            best = BasisCandidate(H[0].copy(), words[0], float(objs[sel[0]]))
         trace.append(best.objective)
-        assert trace[-1] <= trace[-2] + 1e-15, "best-so-far must be non-increasing"
+        if not trace[-1] <= trace[-2] + 1e-15:
+            raise ArithmeticError("best-so-far must be non-increasing")
         if best.objective < config.epsilon:
             break
 
@@ -214,14 +241,27 @@ def approximate(x, y, config=None):
     return SearchResult(best, best.objective < config.epsilon, trace)
 
 
-def _evaluate_chunked(items, targets, H, threads):
-    if threads <= 1 or H.shape[0] < 2 * threads:
-        return _batch_objective(items, targets, H)
-    from concurrent.futures import ThreadPoolExecutor
-    chunks = np.array_split(np.arange(H.shape[0]), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda idx: _batch_objective(items, targets, H[idx]), chunks))
-    return np.concatenate(parts)
+@functools.lru_cache(maxsize=None)
+def _move_tables(n, deg, both_sides):
+    """Index sets of size deg and the action of each move on the minors: a right
+    move E_ij(s) (column j += s column i) adds ccoef * det h[K, csrc] to det
+    h[K, I] (csrc: I with j -> i; ccoef: s times the reordering sign, 0 unless
+    j in I, i not in I).  Left moves (row i += s row j) follow, on row sets."""
+    sets = list(itertools.combinations(range(n), deg))
+    mv = _move_list(n)
+    ident = np.tile(np.arange(len(sets)), (len(mv), 1))
+    src, coef = ident.copy(), np.zeros_like(ident)
+    for m, (i, j, s) in enumerate(mv):
+        for k, I in enumerate(sets):
+            if j in I and i not in I:
+                swapped, sign = sort_sign([i if c == j else c for c in I])
+                src[m, k], coef[m, k] = sets.index(swapped), s * sign
+    mi, mj, ms = (np.array(col) for col in zip(*mv))
+    if not both_sides:
+        return sets, mi, mj, ms, src, coef, None, None
+    tr = [mv.index((j, i, s)) for i, j, s in mv]
+    return (sets, mi, mj, ms, np.concatenate([src, ident]), np.concatenate([coef, 0 * coef]),
+            np.concatenate([ident, src[tr]]), np.concatenate([0 * coef, coef[tr]]))
 
 
 def hypothesis_check(x, max_den=1000, tol=1e-9):

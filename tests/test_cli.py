@@ -253,3 +253,41 @@ def test_cli_classify_overflow_is_an_error(tmp_path, capsys, shape, coeffs):
     code, out, err = run(capsys, "classify", path)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "too large" in err
+
+
+def test_cli_octonion_table_rejects_quadext(tmp_path, capsys):
+    from altforms.cayley_dickson import octonion_from_form
+    from altforms.multilinear import all_keys
+    from altforms.scalars import QuadExt
+    coeffs = {k: QuadExt(i % 5 - 2, (3 * i) % 7 - 3, 2) for i, k in enumerate(all_keys(7, 3))}
+    x = AlternatingForm(7, 3, coeffs)
+    with pytest.raises(ValueError, match="sqrt d"):
+        octonion_from_form(x)
+    path = write_json(tmp_path, "q7.json", form_to_dict(x))
+    code, out, err = run(capsys, "octonion", "table", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "sqrt d" in err
+
+
+@pytest.mark.parametrize("dim, degree", ((6, 3), (7, 3), (8, 2)))
+def test_cli_invariant_overflow_is_an_error(tmp_path, capsys, dim, degree):
+    # dense 1e200 coefficients: the invariants overflow to inf or NaN, which
+    # is not JSON
+    from altforms.multilinear import all_keys
+    coeffs = {",".join(map(str, k)): (-1) ** i * (i + 1) * 1e200
+              for i, k in enumerate(all_keys(dim, degree))}
+    path = write_json(tmp_path, "big.json", {"dim": dim, "degree": degree,
+                                             "scalar": "float", "coeffs": coeffs})
+    code, out, err = run(capsys, "invariant", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "too large" in err
+
+
+def test_cli_invariant_case3_float_is_not_exact(tmp_path, capsys):
+    x = AlternatingForm(4, 2, {(1, 2): 0.5, (3, 4): 2.0})
+    code, out, _ = run(capsys, "invariant", write_json(tmp_path, "x.json", form_to_dict(x)))
+    assert code == 0
+    assert json.loads(out) == {"case": 3, "delta": None, "delta_exact": False, "pfaffian": 1.0}
+    code, out, _ = run(capsys, "rep", "case3_w", "--n", "2")
+    code, out, _ = run(capsys, "invariant", write_json(tmp_path, "w.json", json.loads(out)))
+    assert json.loads(out)["delta_exact"] is True

@@ -177,3 +177,49 @@ def test_both_sides_search_also_recovers():
     y = restriction_target(x, h)
     res = S.approximate(x, y, S.SearchConfig(beam_width=64, max_depth=6, both_sides=True))
     assert res.candidate.objective < 1e-9
+
+
+def test_search_and_perturb_checks_run_under_python_O():
+    # forced failures of the search and certificate checks must raise even
+    # when asserts are stripped
+    import os
+    import subprocess
+    import sys
+
+    import altforms
+    src = os.path.dirname(os.path.dirname(altforms.__file__))
+    code = (
+        "assert False, 'asserts are on'\n"
+        "import altforms.perturb as P\n"
+        "import altforms.search as S\n"
+        "from altforms.representatives import make_rep\n"
+        "class Stuck:\n"
+        "    objective = float('inf')\n"
+        "    def __init__(self, h, word, objective):\n"
+        "        self.h, self.word = h, word\n"
+        "y = {(1, 2): 0.3, (1, 3): -0.7, (2, 3): 0.11}\n"
+        "y1 = {k: 0.1 for k in P.constrained_keys(1)}\n"
+        "x = make_rep('case3_w', n=2).as_float()\n"
+        "def search():\n"
+        "    S.BasisCandidate = Stuck\n"
+        "    S.approximate(x, y, S.SearchConfig(beam_width=4, max_depth=2))\n"
+        "def growth():\n"
+        "    P.GROWTH_CAP = 0.5\n"
+        "    P.extend_case1(y1, 0.1, '+')\n"
+        "def deviation():\n"
+        "    P._deviation = lambda z, y: 1.0\n"
+        "    P.extend_case3(P.PartialTarget(3, y, 2), 0.1)\n"
+        "for f in (search, growth, deviation):\n"
+        "    try:\n"
+        "        f()\n"
+        "    except ArithmeticError as exc:\n"
+        "        print('raised', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "raised best-so-far must be non-increasing",
+        "raised growth cap exceeded with nonzero leading coefficient",
+        "raised certificate deviation is not below eps"]

@@ -1,0 +1,200 @@
+"""The vectorized beam search against a test-local copy of the per-candidate
+search it replaced.
+
+``loop_approximate`` expands each beam entry move by move with ``h @ E``,
+dedupes through a ``seen`` set of matrix bytes, scores every child with
+float 2x2/3x3 determinants of the basis matrix (``batch_objective``), hashes
+every candidate and ranks with one tuple sort.  The program carries exact
+integer minors instead and hashes only ties that reach into the beam; the
+results must agree bit for bit: word, basis, objective and trace.
+"""
+
+import hashlib
+import math
+import random
+
+import numpy as np
+import pytest
+
+from altforms import search as S
+from altforms.multilinear import AlternatingForm, all_keys, evaluate
+from altforms.perturb import PartialTarget, constrained_keys
+from altforms.representatives import make_rep
+
+IRRATIONAL_X4 = AlternatingForm(4, 2, {
+    (1, 2): math.sqrt(2), (1, 3): math.pi / 3.0, (1, 4): math.e / 4.0,
+    (2, 3): math.sqrt(5) / 2.0, (2, 4): 0.25 + math.sqrt(3), (3, 4): 1.0})
+
+
+def batch_objective(items, targets, H):
+    B = H.shape[0]
+    Hf = H.astype(float)
+    out = np.zeros(B)
+    deg = len(items[0][0]) if items else 3
+    for tkey, tval in targets:
+        vals = np.zeros(B)
+        for xkey, c in items:
+            sub = Hf[:, xkey, :][:, :, tkey]
+            if deg == 2:
+                det = sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
+            else:
+                det = (sub[:, 0, 0] * (sub[:, 1, 1] * sub[:, 2, 2] - sub[:, 1, 2] * sub[:, 2, 1])
+                       - sub[:, 0, 1] * (sub[:, 1, 0] * sub[:, 2, 2] - sub[:, 1, 2] * sub[:, 2, 0])
+                       + sub[:, 0, 2] * (sub[:, 1, 0] * sub[:, 2, 1] - sub[:, 1, 1] * sub[:, 2, 0]))
+            vals += c * det
+        out = np.maximum(out, np.abs(vals - tval))
+    return out
+
+
+def loop_approximate(x, y, config):
+    n = x.dim
+    items = S._x_items(x)
+    targets = S._targets(x, y)
+    moves = S.generator_moves(n)
+    nmoves = len(moves)
+    salt = int(config.seed).to_bytes(8, "little", signed=True)
+
+    def tie_hash(h):
+        return hashlib.blake2b(salt + h.tobytes(), digest_size=8).digest()
+
+    ident = np.eye(n, dtype=np.int64)
+    obj0 = float(batch_objective(items, targets, ident[None])[0])
+    beam = [(obj0, (), ident)]
+    best = (ident.copy(), (), obj0)
+    trace = [obj0]
+    for _ in range(config.max_depth):
+        stacked, words, seen = [], [], set()
+        for _, word, h in beam:
+            children = [(h @ moves[m], m) for m in range(nmoves)]
+            if config.both_sides:
+                children += [(moves[m] @ h, m + nmoves) for m in range(nmoves)]
+            for h2, m in children:
+                if h2.tobytes() not in seen:
+                    seen.add(h2.tobytes())
+                    stacked.append(h2)
+                    words.append(word + (m,))
+        objs = batch_objective(items, targets, np.stack(stacked))
+        order = sorted(range(len(words)),
+                       key=lambda i: (objs[i], tie_hash(stacked[i]), words[i]))
+        beam = [(float(objs[i]), words[i], stacked[i]) for i in order[:config.beam_width]]
+        if beam[0][0] < best[2]:
+            best = (beam[0][2].copy(), beam[0][1], beam[0][0])
+        trace.append(best[2])
+        if best[2] < config.epsilon:
+            break
+    return best, trace
+
+
+def restriction(x, h, case, n=None):
+    vals = {k: float(evaluate(x, *[list(map(float, h[:, i - 1])) for i in k]))
+            for k in constrained_keys(case, n)}
+    return PartialTarget(case, vals, n=n)
+
+
+def planted(x, word, case, n=None):
+    moves = S.generator_moves(x.dim)
+    h = np.eye(x.dim, dtype=np.int64)
+    for m in word:
+        h = h @ moves[m]
+    return restriction(x, h, case, n)
+
+
+def assert_same(x, y, config):
+    (h, word, objective), trace = loop_approximate(x, y, config)
+    res = S.approximate(x, y, config)
+    assert res.candidate.word == word
+    assert np.array_equal(res.candidate.h, h)
+    assert res.candidate.objective == objective
+    assert res.trace == trace
+    assert res.success == (objective < config.epsilon)
+    return res
+
+
+def test_irrational_dim4_beam256_depth8():
+    rng = random.Random(81)
+    for seed in (0, 3):
+        y = {k: rng.uniform(-1, 1) for k in constrained_keys(3, 2)}
+        assert_same(IRRATIONAL_X4, y,
+                    S.SearchConfig(beam_width=256, max_depth=8, epsilon=1e-12, seed=seed))
+
+
+def test_dense_dim7_beam128_depth4():
+    rng = random.Random(82)
+    x = AlternatingForm(7, 3, {k: rng.uniform(-1, 1) for k in all_keys(7, 3)})
+    y = {k: rng.uniform(-1, 1) for k in constrained_keys(2)}
+    res = assert_same(x, y, S.SearchConfig(beam_width=128, max_depth=4, epsilon=1e-12, seed=2))
+    assert len(res.candidate.word) == 4
+
+
+def test_case1_planted_word_on_the_tie_plateau():
+    # the planted word of four moves is not recovered: the objective is flat
+    # at 1.0 around the identity, so the hash decides the whole beam
+    x = make_rep("case1_w").as_float()
+    y = planted(x, (16, 53, 11, 13), 1)
+    res = assert_same(x, y, S.SearchConfig(beam_width=64, max_depth=6, seed=7))
+    assert res.trace == [1.0] * 7
+
+
+def test_case1_planted_words_recovered():
+    x = make_rep("case1_w").as_float()
+    for word, seed in (((16, 53), 0), ((5, 40, 22), 7)):
+        assert_same(x, planted(x, word, 1), S.SearchConfig(beam_width=64, max_depth=6, seed=seed))
+
+
+def test_both_sides():
+    x = make_rep("case1_w").as_float()
+    assert_same(x, planted(x, (16, 53), 1),
+                S.SearchConfig(beam_width=64, max_depth=6, both_sides=True))
+    rng = random.Random(83)
+    x7 = AlternatingForm(7, 3, {k: rng.uniform(-1, 1) for k in all_keys(7, 3)})
+    y7 = {k: rng.uniform(-1, 1) for k in constrained_keys(2)}
+    assert_same(x7, y7, S.SearchConfig(beam_width=16, max_depth=3, both_sides=True, seed=5))
+    x3 = make_rep("case3_w", n=2).as_float()
+    assert_same(x3, planted(x3, (1, 5), 3, 2),
+                S.SearchConfig(beam_width=64, max_depth=6, both_sides=True))
+
+
+def test_threads_match_the_serial_oracle():
+    y = {(1, 2): 0.3, (1, 3): -0.7, (2, 3): 0.11}
+    for threads in (1, 2):
+        assert_same(IRRATIONAL_X4, y, S.SearchConfig(beam_width=64, max_depth=6, threads=threads))
+
+
+def test_sparse_form():
+    # support of x smaller than C(n, deg): the minors cover its rows only
+    rng = random.Random(84)
+    x = AlternatingForm(6, 3, {k: rng.uniform(-1, 1) for k in all_keys(6, 3)
+                               if rng.random() < 0.4})
+    assert 0 < len(x.coeffs) < 20
+    y = {k: rng.uniform(-1, 1) for k in constrained_keys(1)}
+    assert_same(x, y, S.SearchConfig(beam_width=64, max_depth=5, seed=11))
+    assert_same(x, y, S.SearchConfig(beam_width=16, max_depth=4, seed=11, both_sides=True))
+    x8 = AlternatingForm(8, 2, {(1, 2): 0.5, (3, 4): -1.25, (5, 8): 2.0, (6, 7): 0.75})
+    y8 = {k: rng.uniform(-1, 1) for k in constrained_keys(3, 4)}
+    assert_same(x8, y8, S.SearchConfig(beam_width=32, max_depth=4, seed=1))
+
+
+def test_zero_form():
+    x = AlternatingForm(4, 2, {})
+    y = {(1, 2): 0.5, (1, 3): -0.25, (2, 3): 1.0}
+    res = assert_same(x, y, S.SearchConfig(beam_width=8, max_depth=3))
+    assert res.trace == [1.0] * 4
+
+
+def test_overflow_guard():
+    # the targets pull the basis entries up until 2 * max|h|^2 reaches 2^53,
+    # where float minors stop being exact: the search raises instead
+    y = {(1, 2): 1e16, (1, 3): 1e16, (2, 3): 1e16}
+    config = S.SearchConfig(beam_width=1, max_depth=200)
+    with pytest.raises(ArithmeticError, match="too large for exact float minors"):
+        S.approximate(IRRATIONAL_X4, y, config)
+    depth = 0
+    while True:
+        try:
+            res = S.approximate(IRRATIONAL_X4, y, S.SearchConfig(beam_width=1, max_depth=depth + 1))
+        except ArithmeticError:
+            break
+        depth += 1
+    assert 2 * int(np.abs(res.candidate.h).max()) ** 2 >= 2 ** 50
+    # up to the last depth that passes the guard the oracle agrees
+    assert_same(IRRATIONAL_X4, y, S.SearchConfig(beam_width=1, max_depth=depth))
