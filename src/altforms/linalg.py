@@ -162,7 +162,8 @@ def congruent_signature(G):
             for t in range(n):
                 M[t][k] = M[t][k] + sign * M[t][j]
         d = M[k][k]
-        assert d != 0
+        if d == 0:
+            raise ArithmeticError("signature pivot is zero: the gram is not symmetric")
         if d > 0:
             npos += 1
         else:
@@ -175,5 +176,6 @@ def congruent_signature(G):
                 for t in range(n):
                     M[t][j] = M[t][j] - f * M[t][k]
         live.pop(0)
-    assert npos + nneg + nzero == n
+    if npos + nneg + nzero != n:
+        raise ArithmeticError("signature counts do not add up to the dimension (internal bug)")
     return npos, nneg, nzero

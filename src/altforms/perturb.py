@@ -302,64 +302,41 @@ def extend_case2(y, eps):
 # ---------------------------------------------------------------- case 3 ----
 
 def extend_case3(y, eps, n=None):
-    """Complete a target on i<j<=2n-1 to a nondegenerate two-form by choosing
-    the free last column; the constrained entries are only touched when the
-    free-column polynomial vanishes identically."""
+    """Complete a target on i<j<=2n-1 to a nondegenerate two-form by one unit
+    entry of the free last column.
+
+    With the free column zero, pf(z + t e_{i,2n}) = t * pf_i for a signed
+    sub-Pfaffian pf_i of the constrained block; the first i with pf_i above
+    the cutoff gets t = 1.  The constrained entries are only nudged when every
+    pf_i vanishes (the block has rank below 2n-2).  n, when given, must be
+    the target's.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    y = y if isinstance(y, PartialTarget) else PartialTarget(3, y, n)
+    if not isinstance(y, PartialTarget):
+        y = PartialTarget(3, y, n)
+    elif n is not None and n != y.n:
+        raise ValueError(f"target is for n = {y.n}, not n = {n}")
     n = y.n
     dim = 2 * n
-    tol = 1e-12
-
-    def pf_of(w):
-        return pfaffian(AlternatingForm(dim, 2, {k: v for k, v in w.items() if v != 0.0}))
-
     z = dict(y.values)
-    attempts = 0
-    while True:
-        base = dict(z)
-        for i in range(1, dim):
-            base[(i, dim)] = 0.0
-        c0 = pf_of(base)
-        coeffs = []
-        for i in range(1, dim):
-            probe = dict(base)
-            probe[(i, dim)] = 1.0
-            coeffs.append(pf_of(probe) - c0)
-        scale = _scale(base)
-        if abs(c0) > tol * scale ** n:
-            cert_z = base
-            break
-        idx = next((i for i, c in enumerate(coeffs) if abs(c) > tol * scale ** n), None)
-        if idx is not None:
-            t = 1.0
-            while abs(c0 + coeffs[idx] * t) <= tol * scale ** n:
-                t *= 2.0
-                _check(t <= GROWTH_CAP, "growth cap exceeded for the free column")
-            cert_z = dict(base)
-            cert_z[(idx + 1, dim)] = t
-            break
-        # the free column is useless: the constrained part needs a nudge
-        attempts += 1
-        _check(attempts <= 64, "nudge loop failed for the degenerate target")
-        delta = eps / (2.0 ** attempts)
-        for k in constrained_keys(3, n):
-            z2 = dict(z)
-            z2[k] = z2.get(k, 0.0) + delta
-            base2 = dict(z2)
-            for i in range(1, dim):
-                base2[(i, dim)] = 0.0
-            c0b = pf_of(base2)
-            cb = [pf_of({**base2, (i, dim): 1.0}) - c0b for i in range(1, dim)]
-            if abs(c0b) > tol or any(abs(c) > tol for c in cb):
-                z = z2
-                break
-        else:
-            continue
+    for i in range(1, dim):
+        z[(i, dim)] = 0.0
+    found = {}
 
-    form = _form_of(cert_z, dim, 2)
-    aux = {"pfaffian": pf_of(cert_z)}
-    cert = PerturbationCertificate(form, _deviation(cert_z, y), aux, classify_real(form))
+    def completes(w):
+        cutoff = 1e-9 * _scale(w) ** n  # classify_real's: the certificate is nondegenerate
+        for i in range(1, dim):
+            pf = pfaffian(_form_of({**w, (i, dim): 1.0}, dim, 2))
+            if abs(pf) > cutoff:
+                found.update(key=(i, dim), pfaffian=pf)
+                return True
+        return False
+
+    z = _nudge_until(z, constrained_keys(3, n), completes, eps)
+    z[found["key"]] = 1.0
+    form = _form_of(z, dim, 2)
+    cert = PerturbationCertificate(form, _deviation(z, y), {"pfaffian": found["pfaffian"]},
+                                   classify_real(form))
     _check(cert.deviation < eps, "certificate deviation is not below eps")
     return cert

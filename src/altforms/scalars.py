@@ -181,9 +181,11 @@ def squarefree_part(q):
         if e % 2:
             d *= p
     r2 = q / d
-    assert r2 > 0
+    if r2 <= 0:
+        raise ArithmeticError(f"squarefree part of {q} has the wrong sign (internal bug)")
     r = Fraction(_isqrt_exact(r2.numerator), _isqrt_exact(r2.denominator))
-    assert r * r * d == q
+    if r * r * d != q:
+        raise ArithmeticError(f"squarefree part of {q} does not recompose (internal bug)")
     return d, r
 
 

@@ -143,6 +143,29 @@ def test_cli_perturb(tmp_path, capsys):
     assert doc["deviation"] < 0.1
 
 
+def test_cli_perturb_case3_rejects_a_different_n(tmp_path, capsys):
+    path = write_json(tmp_path, "t.json", target_to_dict(
+        PartialTarget(3, {k: 0.5 for k in constrained_keys(3, 2)}, n=2)))
+    code, out, err = run(capsys, "perturb", "case3", path, "--epsilon", "0.1", "--n", "7")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "not n = 7" in err
+
+
+def test_cli_perturb_case3_at_n_10(tmp_path, capsys):
+    # a 20-dim form: (2n-1)!! = 654,729,075 terms per Pfaffian by expansion
+    import random
+    rng = random.Random(10)
+    values = {k: rng.uniform(-1.0, 1.0) for k in constrained_keys(3, 10)}
+    path = write_json(tmp_path, "t.json", target_to_dict(PartialTarget(3, values, n=10)))
+    code, out, _ = run(capsys, "perturb", "case3", path, "--epsilon", "0.01")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["form"]["dim"] == 20
+    assert doc["deviation"] < 0.01
+    assert doc["orbit"] == "case3_nondegenerate"
+    assert abs(doc["auxiliaries"]["pfaffian"]) > 0
+
+
 def test_cli_approximate(tmp_path, capsys):
     code, out, _ = run(capsys, "rep", "case3_w", "--n", "2")
     xpath = write_json(tmp_path, "x.json", json.loads(out))

@@ -138,6 +138,33 @@ def test_case3_random_targets():
                 assert cert.orbit.real_orbit == "case3_nondegenerate"
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_case3_zero_target(n):
+    # the free column alone cannot help: the constrained block needs rank 2n-2
+    cert = extend_case3(zero_target(3, n=n), 0.1)
+    assert cert.deviation < 0.1
+    assert cert.orbit.real_orbit == "case3_nondegenerate"
+    assert abs(cert.auxiliaries["pfaffian"]) > 1e-9
+
+
+def test_case3_rank_two_target():
+    rng = random.Random(68)
+    n = 5
+    u = [rng.uniform(-1, 1) for _ in range(2 * n - 1)]
+    v = [rng.uniform(-1, 1) for _ in range(2 * n - 1)]
+    y = PartialTarget(3, {(i, j): u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
+                          for i, j in constrained_keys(3, n)}, n=n)
+    cert = extend_case3(y, 0.1)
+    assert cert.deviation < 0.1
+    assert cert.orbit.real_orbit == "case3_nondegenerate"
+
+
+def test_case3_rejects_a_different_n():
+    with pytest.raises(ValueError, match="target is for n = 2, not n = 7"):
+        extend_case3(zero_target(3, n=2), 0.1, n=7)
+    assert extend_case3(zero_target(3, n=2), 0.1, n=2).deviation < 0.1
+
+
 def test_case3_keeps_trivial_completion():
     rng = random.Random(67)
     y = rand_target(rng, 3, n=2)

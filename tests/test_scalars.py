@@ -148,3 +148,42 @@ def test_non_finite_float_values_are_rejected():
         with pytest.raises(ValueError, match="non-finite"):
             scalar_from_json(bad, "float")
     assert finite_float("1e300") == 1e300
+
+
+def test_scalar_and_signature_guards_run_under_python_O():
+    # the checks on squarefree_part and congruent_signature guard results, so
+    # they must still raise when asserts are stripped
+    import os
+    import subprocess
+    import sys
+
+    import altforms
+    src = os.path.dirname(os.path.dirname(altforms.__file__))
+    code = (
+        "from fractions import Fraction\n"
+        "assert False, 'asserts are on'\n"
+        "import sympy\n"
+        "from altforms import linalg, scalars\n"
+        "real_factorint, real_isqrt = sympy.factorint, scalars._isqrt_exact\n"
+        "def wrong_sign():\n"
+        "    sympy.factorint = lambda n: {-1: 1}\n"
+        "    scalars.squarefree_part(Fraction(12))\n"
+        "def wrong_root():\n"
+        "    sympy.factorint, scalars._isqrt_exact = real_factorint, lambda n: 1\n"
+        "    scalars.squarefree_part(Fraction(12))\n"
+        "def skew_gram():\n"
+        "    linalg.congruent_signature([[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]])\n"
+        "for f in (wrong_sign, wrong_root, skew_gram):\n"
+        "    try:\n"
+        "        f()\n"
+        "    except ArithmeticError as exc:\n"
+        "        print('raised', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "raised squarefree part of 12 has the wrong sign (internal bug)",
+        "raised squarefree part of 12 does not recompose (internal bug)",
+        "raised signature pivot is zero: the gram is not symmetric"]
