@@ -1,8 +1,10 @@
-"""Exact dense linear algebra over field scalars (Fraction, QuadExt).
+"""Exact linear algebra over field scalars (Fraction, QuadExt).
 
-Matrices are lists of lists.  Elimination uses exact division, so results
-are exact for any scalar type with exact ``+ - * /``; the float paths of the
-package use numpy instead.
+Matrices are lists of lists.  Determinant, inverse, solve, RREF, rank and
+nullspace run on one sparse Gauss-Jordan kernel over the nonzero entries
+of each row, so its cost follows the nonzeros, not the shape.  Division is
+exact, so results are exact for any scalar type with exact ``+ - * /``;
+the float paths of the package use numpy instead.
 """
 
 from __future__ import annotations
@@ -36,13 +38,15 @@ def mat_scale(c, A):
 
 def mat_mul(A, B):
     n, k, m = len(A), len(B), len(B[0])
-    assert len(A[0]) == k, "shape mismatch"
+    if len(A[0]) != k:
+        raise ValueError(f"shape mismatch: {n}x{len(A[0])} times {k}x{m}")
     Bt = transpose(B)
     return [[sum(A[i][t] * Bt[j][t] for t in range(k)) for j in range(m)] for i in range(n)]
 
 
 def mat_vec(A, v):
-    assert len(A[0]) == len(v)
+    if len(A[0]) != len(v):
+        raise ValueError(f"shape mismatch: {len(A)}x{len(A[0])} times a vector of {len(v)}")
     return [sum(row[j] * v[j] for j in range(len(v))) for row in A]
 
 
@@ -53,36 +57,56 @@ def mat_eq(A, B):
 def _gauss_jordan(M, ncols):
     """Reduce M in place to reduced row echelon form on its first ncols columns.
 
-    The pivot of a column is its first nonzero entry at or below the current
-    row; that row is swapped up, scaled to 1 and cleared from every other
-    row.  Columns past ncols are carried along, so [A | B] reduces to
-    [I | A^-1 B] for an invertible A.  Returns (pivot columns, det), where
-    det is the product of the pivots with one sign flip per row swap: the
-    determinant of a square M whose every column has a pivot.
+    Sparse Gauss-Jordan on rows held as {column: value}, taken in decreasing
+    order of their leading column.  A row is reduced at the stored pivot
+    columns where it is nonzero (stored rows are zero at each other's
+    pivots), takes its first nonzero column below ncols as its pivot, is
+    scaled so the pivot is 1, and that column is cleared from the stored
+    rows.  Columns past ncols are carried along: [A | B] -> [I | A^-1 B].
+    M is written back as the pivot rows in column order, then the others,
+    with zeros as 0 * an entry, so Q(sqrt d) rows stay Q(sqrt d).  Returns
+    (pivot columns, det): det is the product of the pivots times the sign
+    of the permutation from row to pivot column, the determinant of a
+    square M with a pivot in every column.
     """
-    nr = len(M)
-    pivots = []
-    det = Fraction(1)
-    r = 0
-    for c in range(ncols):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            M[r], M[piv] = M[piv], M[r]
-            det = -det
-        pv = M[r][c]
-        det = det * pv
-        M[r] = [v / pv for v in M[r]]
-        for i in range(nr):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
+    rows = [{j: v for j, v in enumerate(row) if v != 0} for row in M]
+    width = len(M[0]) if M else 0
+    stored, det = {}, Fraction(1)  # pivot column -> (row index, reduced row)
+    for i in sorted(range(len(M)), key=lambda i: min(rows[i], default=width), reverse=True):
+        row = rows[i]
+        for c in [c for c in row if c in stored]:
+            _eliminate(row, row[c], stored[c][1])
+        c = min((j for j in row if j < ncols), default=None)
+        if c is not None:
+            pv = row[c]
+            det, row = det * pv, {j: v / pv for j, v in row.items()}
+            for _, other in stored.values():
+                if c in other:
+                    _eliminate(other, other[c], row)
+            stored[c] = (i, row)
+    pivots = sorted(stored)
+    order = [stored[c][0] for c in pivots]
+    if sum(b < a for k, a in enumerate(order) for b in order[k + 1:]) % 2:
+        det = -det
+    out = []
+    for c in pivots:
+        zero = 0 * stored[c][1][c]
+        out.append([stored[c][1].get(j, zero) for j in range(width)])
+    for i in sorted(set(range(len(M))) - set(order)):
+        nz = next((v for v in M[i] if v != 0), None)
+        out.append(M[i] if nz is None else [rows[i].get(j, 0 * nz) for j in range(width)])
+    M[:] = out
     return pivots, det
+
+
+def _eliminate(row, f, prow):
+    """row -= f * prow on {column: value} rows, dropping entries that cancel."""
+    for j, b in prow.items():
+        v = row.get(j, 0) - f * b
+        if v != 0:
+            row[j] = v
+        else:
+            del row[j]
 
 
 def mat_det(A):

@@ -49,6 +49,7 @@ def stab_lie_algebra(x, label=""):
     """
     n = x.dim
     basis = sl_basis(n)
+    units = [_entries(B) for B in basis]
     keys = all_keys(n, x.degree)
     if x.scalar_kind() == "float":
         import numpy as np
@@ -60,30 +61,24 @@ def stab_lie_algebra(x, label=""):
         u, s, vh = np.linalg.svd(A)
         tol = max(A.shape) * (s[0] if len(s) else 0.0) * 1e-12
         null = vh[int((s > tol).sum()):]
-        mats = []
-        for coeffs in null:
-            M = [[0.0] * n for _ in range(n)]
-            for c, B in zip(coeffs, basis):
-                if c:
-                    for i in range(n):
-                        for j in range(n):
-                            M[i][j] += c * float(B[i][j])
-            mats.append(M)
-        return LieSubalgebra(n, mats, label or "stab(float)")
+        return LieSubalgebra(n, [_combine(c.tolist(), units, n) for c in null],
+                             label or "stab(float)")
     acts = [lie_action(X, x) for X in basis]
     rows = [[acts[b].coeffs.get(k, Fraction(0)) for b in range(len(basis))] for k in keys]
     combos = linalg.nullspace(rows, len(basis))
-    mats = [_combine(c, basis, n) for c in combos]
-    return LieSubalgebra(n, mats, label or "stab")
+    return LieSubalgebra(n, [_combine(c, units, n) for c in combos], label or "stab")
 
 
-def _combine(coeffs, basis, n):
-    M = linalg.zeros(n, n)
-    for c, B in zip(coeffs, basis):
-        if c != 0:
-            for i in range(n):
-                for j in range(n):
-                    M[i][j] = M[i][j] + c * B[i][j]
+def _combine(coeffs, units, n):
+    """sum c * B over the nonzero coefficients, B given by _entries.  Entries start
+    from 0 * c summed over those c: QuadExt (or float) when any c is."""
+    nonzero = [(c, B) for c, B in zip(coeffs, units) if c != 0]
+    zero = sum((0 * c for c, _ in nonzero), Fraction(0))
+    M = [[zero] * n for _ in range(n)]
+    for c, B in nonzero:
+        for i, row in B.items():
+            for j, v in row.items():
+                M[i][j] = M[i][j] + c * v
     return M
 
 

@@ -116,6 +116,51 @@ def test_cli_fixed_rejects_float_forms(tmp_path, capsys):
     assert err.startswith("error:") and "float" in err
 
 
+def _dense_rational_form(dim, degree, seed):
+    import random
+    from altforms.multilinear import all_keys
+    rng = random.Random(seed)
+    return AlternatingForm(dim, degree, {
+        k: Fraction(rng.randint(-255, 255), rng.choice((1, 2, 3, 5, 8, 15, 16, 240)))
+        for k in all_keys(dim, degree)})
+
+
+@pytest.mark.parametrize("dim,degree,stab_dim", [(7, 3, 14), (8, 2, 36)])
+def test_cli_fixed_on_dense_rational_forms_is_the_line_of_x(tmp_path, capsys, dim, degree,
+                                                            stab_dim):
+    # a generic 3-form on R^7 has stabilizer g2 and a generic two-form on R^8
+    # sp(8); the forms either one fixes are the multiples of x
+    x = _dense_rational_form(dim, degree, seed=dim)
+    path = write_json(tmp_path, "x.json", form_to_dict(x))
+    code, out, _ = run(capsys, "stab", path)
+    assert code == 0 and json.loads(out)["dim"] == stab_dim
+    code, out, _ = run(capsys, "fixed", path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["dim"] == 1
+    (f,) = [form_from_dict(b) for b in doc["basis"]]
+    k = next(iter(x.coeffs))
+    assert f == x.scale(f.coeffs[k] / x.coeffs[k])
+
+
+def test_cli_stab_on_a_rational_form_does_not_import_sympy(tmp_path):
+    import subprocess
+    import sys
+
+    import altforms
+    path = write_json(tmp_path, "x.json", form_to_dict(_dense_rational_form(7, 3, seed=1)))
+    code = ("import sys\n"
+            "from altforms.cli import main\n"
+            f"assert main(['stab', {path!r}]) == 0\n"
+            "print('sympy' in sys.modules, file=sys.stderr)\n")
+    src = os.path.dirname(os.path.dirname(altforms.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.strip() == "False"
+
+
 def test_cli_octonion(tmp_path, capsys):
     code, out, _ = run(capsys, "octonion", "c-form", "--algebra", "split")
     assert code == 0

@@ -151,8 +151,9 @@ def test_non_finite_float_values_are_rejected():
 
 
 def test_scalar_and_signature_guards_run_under_python_O():
-    # the checks on squarefree_part and congruent_signature guard results, so
-    # they must still raise when asserts are stripped
+    # the checks on squarefree_part, congruent_signature and the shapes of
+    # mat_mul/mat_vec guard results, so they must still raise when asserts
+    # are stripped
     import os
     import subprocess
     import sys
@@ -173,17 +174,24 @@ def test_scalar_and_signature_guards_run_under_python_O():
         "    scalars.squarefree_part(Fraction(12))\n"
         "def skew_gram():\n"
         "    linalg.congruent_signature([[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]])\n"
-        "for f in (wrong_sign, wrong_root, skew_gram):\n"
+        "row = [[Fraction(1), Fraction(2)]]\n"
+        "def short_mul():\n"
+        "    linalg.mat_mul(row, row)\n"
+        "def short_vec():\n"
+        "    linalg.mat_vec(row, [Fraction(1)])\n"
+        "for f in (wrong_sign, wrong_root, skew_gram, short_mul, short_vec):\n"
         "    try:\n"
         "        f()\n"
-        "    except ArithmeticError as exc:\n"
-        "        print('raised', exc)\n"
+        "    except (ArithmeticError, ValueError) as exc:\n"
+        "        print('raised', type(exc).__name__, exc)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
-        "raised squarefree part of 12 has the wrong sign (internal bug)",
-        "raised squarefree part of 12 does not recompose (internal bug)",
-        "raised signature pivot is zero: the gram is not symmetric"]
+        "raised ArithmeticError squarefree part of 12 has the wrong sign (internal bug)",
+        "raised ArithmeticError squarefree part of 12 does not recompose (internal bug)",
+        "raised ArithmeticError signature pivot is zero: the gram is not symmetric",
+        "raised ValueError shape mismatch: 1x2 times 1x2",
+        "raised ValueError shape mismatch: 1x2 times a vector of 1"]
