@@ -27,7 +27,8 @@ from fractions import Fraction
 
 from . import linalg
 from .invariants import QuadraticForm, _delta_from_q, q_case2
-from .multilinear import AlternatingForm, gl_action, sort_sign
+from .multilinear import AlternatingForm, gl_action, integral_multiple, sort_sign
+from .scalars import clear_denominators
 
 
 class AlgebraStructure:
@@ -41,7 +42,8 @@ class AlgebraStructure:
         self.gram = tuple(tuple(row) for row in gram)
         self.label = label
         unit = self.table[0][0]
-        assert unit[0] == 1 and all(c == 0 for c in unit[1:]), "basis 0 must be the unit"
+        if not (unit[0] == 1 and all(c == 0 for c in unit[1:])):
+            raise ValueError("basis 0 must be the unit")
 
     def element(self, coords):
         coords = tuple(coords)
@@ -58,24 +60,10 @@ class AlgebraStructure:
         return self.basis_element(0)
 
     def mul_coords(self, u, v):
-        out = [0] * self.dim
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            for j, vj in enumerate(v):
-                if vj == 0:
-                    continue
-                t = self.table[i][j]
-                c = ui * vj
-                for m in range(self.dim):
-                    if not (t[m] == 0):
-                        out[m] = out[m] + c * t[m]
-        return tuple(out)
+        return _mul_coords(self.table, u, v)
 
     def inner_coords(self, u, v):
-        return sum(self.gram[i][j] * u[i] * v[j]
-                   for i in range(self.dim) for j in range(self.dim)
-                   if not (self.gram[i][j] == 0))
+        return _inner_coords(self.gram, u, v)
 
     def norm_form(self):
         return QuadraticForm(self.dim, [list(r) for r in self.gram])
@@ -87,6 +75,75 @@ class AlgebraStructure:
 
     def __repr__(self):
         return f"AlgebraStructure(dim={self.dim}, label={self.label!r})"
+
+
+def _mul_coords(table, u, v):
+    """Coordinates of the product uv in the structure constants `table`."""
+    n = len(table)
+    out = [0] * n
+    for i, ui in enumerate(u):
+        if ui == 0:
+            continue
+        for j, vj in enumerate(v):
+            if vj == 0:
+                continue
+            t = table[i][j]
+            c = ui * vj
+            for m in range(n):
+                if not (t[m] == 0):
+                    out[m] = out[m] + c * t[m]
+    return tuple(out)
+
+
+def _inner_coords(gram, u, v):
+    """u^T gram v over the nonzero gram entries."""
+    n = len(gram)
+    return sum(gram[i][j] * u[i] * v[j]
+               for i in range(n) for j in range(n) if not (gram[i][j] == 0))
+
+
+def algebra_laws(A, samples=25, seed=0):
+    """(norm multiplicative on samples, unit law) for an algebra structure.
+
+    N(uv) == N(u) N(v) is tried on `samples` seeded pairs with coordinates in
+    -3..3.  A rational algebra runs it on integers: with the table T = T' / Dt
+    and the gram G = G' / Dg over common denominators, the law reads
+    Dg N'(u T' v) == Dt^2 N'(u) N'(v) with N'(w) = w^T G' w.  Float algebras
+    compare with a relative tolerance of 1e-9, other algebras exactly.
+    """
+    import random
+    rng = random.Random(seed)
+    n = A.dim
+    if any(isinstance(c, float) for row in A.gram for c in row):
+        def eq(a, b):
+            return abs(float(a) - float(b)) <= 1e-9 * max(1.0, abs(float(a)), abs(float(b)))
+    else:
+        def eq(a, b):
+            return a == b
+    table = clear_denominators(c for row in A.table for vec in row for c in vec)
+    gram = clear_denominators(c for row in A.gram for c in row)
+    if table and gram:
+        (Dt, T), (Dg, G) = table, gram
+        T = [[T[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+        G = [G[i * n:(i + 1) * n] for i in range(n)]
+    else:
+        T, G, Dt, Dg = A.table, A.gram, 1, 1
+    norm_ok = True
+    for _ in range(samples):
+        u = [rng.randint(-3, 3) for _ in range(n)]
+        v = [rng.randint(-3, 3) for _ in range(n)]
+        uv = _mul_coords(T, u, v)
+        if not eq(Dg * _inner_coords(G, uv, uv),
+                  Dt * Dt * _inner_coords(G, u, u) * _inner_coords(G, v, v)):
+            norm_ok = False
+            break
+    one = A.one
+    unit_ok = all(all(eq(a, b) for a, b in zip((one * A.basis_element(i)).coords,
+                                               A.basis_element(i).coords))
+                  and all(eq(a, b) for a, b in zip((A.basis_element(i) * one).coords,
+                                                   A.basis_element(i).coords))
+                  for i in range(n))
+    return norm_ok, unit_ok
 
 
 @dataclass(frozen=True)
@@ -277,28 +334,31 @@ def split_octonions():
 def c_form(A):
     """Trilinear form C(x, y, z) = <x, yz> on the imaginary part of a dim-8 algebra.
 
-    The result is verified alternating (an assertion trips otherwise) and is
-    returned as a degree-3 form on the 7-dimensional imaginary part.
+    Read off the structure constants: C(i, j, k) = sum_m gram[i][m] table[j][k][m]
+    over the nonzero gram entries.  The result is verified alternating
+    (ArithmeticError otherwise) and is returned as a degree-3 form on the
+    7-dimensional imaginary part.
     """
     if A.dim != 8:
         raise ValueError("c_form needs an 8-dimensional algebra")
     vals = {}
     for i in range(1, 8):
-        bi = A.basis_element(i)
+        gi = [(m, g) for m, g in enumerate(A.gram[i]) if not (g == 0)]
         for j in range(1, 8):
-            bj = A.basis_element(j)
             for k in range(1, 8):
-                v = bi.inner(bj * A.basis_element(k))
+                t = A.table[j][k]
+                v = sum(g * t[m] for m, g in gi if not (t[m] == 0))
                 key, s = sort_sign((i, j, k))
                 if s == 0:
-                    assert v == 0, "C is not alternating (bug)"
+                    if not (v == 0):
+                        raise ArithmeticError("C is not alternating (internal bug)")
                     continue
                 prev = vals.get(key)
                 cur = s * v
                 if prev is None:
                     vals[key] = cur
-                else:
-                    assert prev == cur, "C is not alternating (bug)"
+                elif not (prev == cur):
+                    raise ArithmeticError("C is not alternating (internal bug)")
     return AlternatingForm(7, 3, {k: v for k, v in vals.items() if not (v == 0)})
 
 
@@ -325,15 +385,22 @@ def octonion_from_form(x):
     if is_float:
         import numpy as np
         Gf = np.array([[float(v) for v in r] for r in gram7])
+        xs = x
+
         def solve7(rhs):
             sol = np.linalg.solve(Gf, np.array([float(v) for v in rhs]))
             resid = float(np.max(np.abs(Gf @ sol - rhs)))
-            assert resid <= 1e-9 * max(1.0, float(np.max(np.abs(rhs)))), "ill-conditioned product solve"
+            if not resid <= 1e-9 * max(1.0, float(np.max(np.abs(rhs)))):
+                raise ArithmeticError("ill-conditioned product solve")
             return [float(s) for s in sol]
     else:
-        inv7 = linalg.mat_inv(gram7)
+        # gram^-1 = inv / Di and x = xs / Dx over ints: one Fraction per entry
+        Di, flat = clear_denominators(v for row in linalg.mat_inv(gram7) for v in row)
+        inv = [flat[7 * r:7 * r + 7] for r in range(7)]
+        Dx, xs = integral_multiple(x)
+
         def solve7(rhs):
-            return linalg.mat_vec(inv7, rhs)
+            return [Fraction(v, Di * Dx) for v in linalg.mat_vec(inv, rhs)]
 
     dim = 8
     table = [[None] * dim for _ in range(dim)]
@@ -342,7 +409,7 @@ def octonion_from_form(x):
         table[i][0] = tuple((1 if m == i else 0) for m in range(dim))
     for i in range(1, 8):
         for j in range(1, 8):
-            im = solve7([3 * x.coeff(m, i, j) for m in range(1, 8)])
+            im = solve7([3 * xs.coeff(m, i, j) for m in range(1, 8)])
             re = -gram7[i - 1][j - 1] / delta
             table[i][j] = tuple([re] + list(im))
     gram = [[(0.0 if is_float else Fraction(0))] * dim for _ in range(dim)]

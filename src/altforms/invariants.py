@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .multilinear import d3, sort_sign
+from .multilinear import d3, integral_multiple, sort_sign
 from .scalars import cube_root_rational
 
 # det gram(Q_x) = QCASE2_DET_RATIO * delta(x)^3, pinned at x = w.
@@ -120,12 +120,15 @@ def s_case1(x):
     """S_x = x ^ D3(x) as a 6x6 matrix, quadratic in x.
 
     x ^ e_pair pairs with e_j by e_j ^ e_1..5 = -e_1..5 ^ e_j: hence the minus.
+    A rational x is built as S_{D x} over ints and divided by D^2.
     """
     _check_shape(x, 6, 3, "s_case1")
-    S = [[Fraction(0)] * 6 for _ in range(6)]
-    for vec, c, (j,), v in _complement_terms(x, d3(x)):
+    D, xd = integral_multiple(x) or (None, x)
+    zero = Fraction(0) if D is None else 0
+    S = [[zero] * 6 for _ in range(6)]
+    for vec, c, (j,), v in _complement_terms(xd, d3(xd)):
         S[vec - 1][j - 1] = S[vec - 1][j - 1] - c * v
-    return S
+    return S if D is None else [[Fraction(v, D * D) for v in row] for row in S]
 
 
 def delta_case1(x, tol=None):
@@ -194,18 +197,21 @@ def s_case2(x):
 
     wedge^7 W ~ k via the coefficient of e_1..7.  The second contraction only
     pairs a 5-form with the 2-form on its complementary indices, so terms are
-    matched by complement lookup instead of a full double loop.
+    matched by complement lookup instead of a full double loop.  A rational
+    x is built as S_{D x} over ints and divided by D^3.
     """
     _check_shape(x, 7, 3, "s_case2")
-    dx = d3(x)
-    S = [[Fraction(0)] * 7 for _ in range(7)]
+    D, xd = integral_multiple(x) or (None, x)
+    dx = d3(xd)
+    zero = Fraction(0) if D is None else 0
+    S = [[zero] * 7 for _ in range(7)]
     by_pair = {}
     for (pair, (vec,)), c in dx.items():
         by_pair.setdefault(pair, []).append((vec, c))
-    for v1, c1, comp, v in _complement_terms(x, dx):
+    for v1, c1, comp, v in _complement_terms(xd, dx):
         for v2, c2 in by_pair.get(comp, ()):
             S[v1 - 1][v2 - 1] = S[v1 - 1][v2 - 1] + c1 * c2 * v
-    return S
+    return S if D is None else [[Fraction(v, D ** 3) for v in row] for row in S]
 
 
 def q_case2(x):

@@ -2,14 +2,19 @@
 
 Matrices are lists of lists.  Determinant, inverse, solve, RREF, rank and
 nullspace run on one sparse Gauss-Jordan kernel over the nonzero entries
-of each row, so its cost follows the nonzeros, not the shape.  Division is
-exact, so results are exact for any scalar type with exact ``+ - * /``;
-the float paths of the package use numpy instead.
+of each row, so its cost follows the nonzeros, not the shape.  Rational
+matrices (ints and Fractions alike) are eliminated on integers with one
+common denominator per row, and their results are Fractions; other scalars
+divide exactly, so results are exact for any scalar type with exact
+``+ - * /``.  The float paths of the package use numpy instead.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from .scalars import clear_denominators
 
 
 def identity(n):
@@ -60,53 +65,109 @@ def _gauss_jordan(M, ncols):
     Sparse Gauss-Jordan on rows held as {column: value}, taken in decreasing
     order of their leading column.  A row is reduced at the stored pivot
     columns where it is nonzero (stored rows are zero at each other's
-    pivots), takes its first nonzero column below ncols as its pivot, is
-    scaled so the pivot is 1, and that column is cleared from the stored
-    rows.  Columns past ncols are carried along: [A | B] -> [I | A^-1 B].
-    M is written back as the pivot rows in column order, then the others,
-    with zeros as 0 * an entry, so Q(sqrt d) rows stay Q(sqrt d).  Returns
-    (pivot columns, det): det is the product of the pivots times the sign
-    of the permutation from row to pivot column, the determinant of a
-    square M with a pivot in every column.
+    pivots), takes its first nonzero column below ncols as its pivot, and
+    that column is cleared from the stored rows.  Columns past ncols are
+    carried along: [A | B] -> [I | A^-1 B].  Returns (pivot columns, det):
+    det is the product of the pivots times the sign of the permutation from
+    row to pivot column, the determinant of a square M with a pivot in every
+    column.  M is written back as the pivot rows in column order, then the
+    others.
+
+    A matrix of ints and Fractions runs on Python ints: each row is scaled
+    by its common denominator once, combined fraction-free (Bareiss 1968) as
+    p * row - f * pivot row, and divided by the gcd of its entries, which
+    keeps its entries as small as those of the reduced rational row.  Row i
+    stands for rows[i] * num / den, and only the output entries become
+    Fractions, entry / pivot.  Other scalars (Q(sqrt d), float) divide each
+    new row by its pivot instead, and write zeros back as 0 * an entry, so
+    Q(sqrt d) rows stay Q(sqrt d).
     """
-    rows = [{j: v for j, v in enumerate(row) if v != 0} for row in M]
     width = len(M[0]) if M else 0
+    cleared = [clear_denominators(row) for row in M]
+    exact = None not in cleared
+    if exact:
+        rows = [{j: v for j, v in enumerate(ints) if v} for _, ints in cleared]
+        scale = [[1, D] for D, _ in cleared]  # row i is rows[i] * num / den
+    else:
+        rows = [{j: v for j, v in enumerate(row) if v != 0} for row in M]
     stored, det = {}, Fraction(1)  # pivot column -> (row index, reduced row)
     for i in sorted(range(len(M)), key=lambda i: min(rows[i], default=width), reverse=True):
         row = rows[i]
-        for c in [c for c in row if c in stored]:
-            _eliminate(row, row[c], stored[c][1])
+        hits = [c for c in row if c in stored]
+        if exact:
+            p = math.lcm(*(stored[c][1][c] for c in hits))
+            _eliminate(row, [(row[c] * p // stored[c][1][c], stored[c][1]) for c in hits], p)
+            scale[i][0] *= _primitive(row)
+            scale[i][1] *= p
+        else:
+            _eliminate(row, [(row[c], stored[c][1]) for c in hits])
         c = min((j for j in row if j < ncols), default=None)
-        if c is not None:
-            pv = row[c]
+        if c is None:
+            continue
+        pv = row[c]
+        if exact:
+            det *= Fraction(pv * scale[i][0], scale[i][1])
+        else:
             det, row = det * pv, {j: v / pv for j, v in row.items()}
-            for _, other in stored.values():
-                if c in other:
-                    _eliminate(other, other[c], row)
-            stored[c] = (i, row)
+        for _, other in stored.values():
+            if c in other:
+                if exact:
+                    g = math.gcd(pv, other[c])
+                    _eliminate(other, [(other[c] // g, row)], pv // g)
+                    _primitive(other)
+                else:
+                    _eliminate(other, [(other[c], row)])
+        stored[c] = (i, row)
     pivots = sorted(stored)
     order = [stored[c][0] for c in pivots]
     if sum(b < a for k, a in enumerate(order) for b in order[k + 1:]) % 2:
         det = -det
     out = []
     for c in pivots:
-        zero = 0 * stored[c][1][c]
-        out.append([stored[c][1].get(j, zero) for j in range(width)])
+        row = stored[c][1]
+        if exact:
+            out.append([Fraction(row[j], row[c]) if j in row else _ZERO for j in range(width)])
+        else:
+            zero = 0 * row[c]
+            out.append([row.get(j, zero) for j in range(width)])
     for i in sorted(set(range(len(M))) - set(order)):
-        nz = next((v for v in M[i] if v != 0), None)
-        out.append(M[i] if nz is None else [rows[i].get(j, 0 * nz) for j in range(width)])
+        row = rows[i]
+        if exact:
+            num, den = scale[i]
+            out.append([Fraction(row[j] * num, den) if j in row else _ZERO
+                        for j in range(width)])
+        else:
+            nz = next((v for v in M[i] if v != 0), None)
+            out.append(M[i] if nz is None else [row.get(j, 0 * nz) for j in range(width)])
     M[:] = out
     return pivots, det
 
 
-def _eliminate(row, f, prow):
-    """row -= f * prow on {column: value} rows, dropping entries that cancel."""
-    for j, b in prow.items():
-        v = row.get(j, 0) - f * b
-        if v != 0:
-            row[j] = v
-        else:
-            del row[j]
+_ZERO = Fraction(0)
+
+
+def _eliminate(row, terms, p=1):
+    """row <- p * row - sum of f * prow over (f, prow) in terms, on {column: value}
+    rows, dropping entries that cancel."""
+    if p != 1:
+        for j in row:
+            row[j] *= p
+    for f, prow in terms:
+        for j, b in prow.items():
+            v = row.get(j, 0) - f * b
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+
+
+def _primitive(row):
+    """Divide an int row by the gcd of its entries; returns that gcd (1 for an empty row)."""
+    g = math.gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+    return g or 1
 
 
 def mat_det(A):

@@ -21,7 +21,7 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .scalars import scalar_kind
+from .scalars import clear_denominators, scalar_kind
 
 
 def sort_sign(idx):
@@ -148,6 +148,16 @@ class AlternatingForm:
         return f"AlternatingForm({self.dim},{self.degree}: {inner or '0'})"
 
 
+def integral_multiple(x):
+    """(D, D * x with Python int coefficients), D the least common denominator
+    of a rational form; None for Q(sqrt d) or float coefficients."""
+    cleared = clear_denominators(x.coeffs.values())
+    if cleared is None:
+        return None
+    D, ints = cleared
+    return D, AlternatingForm(x.dim, x.degree, dict(zip(x.coeffs, ints)))
+
+
 def wedge(a, b):
     """Graded-anticommutative product of two alternating forms on the same space."""
     if a.dim != b.dim:
@@ -215,13 +225,14 @@ def lie_action(X, x):
     n = x.dim
     if len(X) != n or any(len(row) != n for row in X):
         raise ValueError("matrix dimension mismatch")
+    cols = {}  # column idx of X -> its nonzero entries (r, X[r][idx - 1])
     out = {}
     for key, v in x.coeffs.items():
         for pos, idx in enumerate(key):
-            for r in range(n):
-                c = X[r][idx - 1]
-                if c == 0:
-                    continue
+            col = cols.get(idx)
+            if col is None:
+                col = cols[idx] = [(r, X[r][idx - 1]) for r in range(n) if X[r][idx - 1] != 0]
+            for r, c in col:
                 newkey, s = sort_sign(key[:pos] + (r + 1,) + key[pos + 1:])
                 if s:
                     out[newkey] = out.get(newkey, 0) + s * c * v

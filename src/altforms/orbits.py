@@ -174,7 +174,8 @@ def _eigenspaces_float(x, tol):
 
 def plucker(basis):
     """Length-20 coordinate vector of a 3-plane in 6-space given by 3 rows."""
-    assert len(basis) == 3 and all(len(r) == 6 for r in basis)
+    if len(basis) != 3 or any(len(r) != 6 for r in basis):
+        raise ValueError("plucker needs 3 rows of length 6")
     out = []
     for cols in itertools.combinations(range(6), 3):
         m = [[basis[r][c] for c in cols] for r in range(3)]

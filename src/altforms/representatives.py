@@ -130,7 +130,7 @@ def stabilizer_witness_case1(A, d):
 
     A must be a 3x3 matrix over Q(sqrt(d)) with determinant exactly 1.  The
     result has all entries rational; a non-rational entry indicates a bug and
-    trips an assertion.
+    raises ArithmeticError.
     """
     detA = linalg.mat_det([[_lift(e, d) for e in row] for row in A])
     if not (detA == 1):
@@ -145,7 +145,8 @@ def stabilizer_witness_case1(A, d):
         r = []
         for e in row:
             e = demote(e)
-            assert not isinstance(e, QuadExt), "stabilizer witness is not rational (bug)"
+            if isinstance(e, QuadExt):
+                raise ArithmeticError("stabilizer witness is not rational (internal bug)")
             r.append(e)
         rat.append(r)
     return rat

@@ -247,6 +247,20 @@ def rational_reconstruct(x, max_denominator, tol):
     return None
 
 
+def clear_denominators(values):
+    """(D, [D * v for v in values]) with D the least common denominator, the
+    scaled values as Python ints; None unless every value is an int or a Fraction.
+
+    Exact kernels run on the ints and divide by D (or its power) once, at the
+    output: int arithmetic takes no gcd per operation, Fraction's does.
+    """
+    values = list(values)
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return None
+    D = math.lcm(*(v.denominator for v in values))
+    return D, [v.numerator * (D // v.denominator) for v in values]
+
+
 def scalar_kind(x):
     """One of 'rational', 'quadext', 'float' for a supported scalar."""
     if isinstance(x, (int, Fraction)):

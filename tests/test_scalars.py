@@ -151,9 +151,10 @@ def test_non_finite_float_values_are_rejected():
 
 
 def test_scalar_and_signature_guards_run_under_python_O():
-    # the checks on squarefree_part, congruent_signature and the shapes of
-    # mat_mul/mat_vec guard results, so they must still raise when asserts
-    # are stripped
+    # the checks on squarefree_part, congruent_signature, the shapes of
+    # mat_mul/mat_vec and plucker, the algebra unit, the alternation of c_form,
+    # the float product solve and the rational stabilizer witness guard
+    # results, so they must still raise when asserts are stripped
     import os
     import subprocess
     import sys
@@ -179,7 +180,36 @@ def test_scalar_and_signature_guards_run_under_python_O():
         "    linalg.mat_mul(row, row)\n"
         "def short_vec():\n"
         "    linalg.mat_vec(row, [Fraction(1)])\n"
-        "for f in (wrong_sign, wrong_root, skew_gram, short_mul, short_vec):\n"
+        "import numpy\n"
+        "from altforms import cayley_dickson as cd, orbits, representatives\n"
+        "from altforms.representatives import make_rep\n"
+        "def e(m):\n"
+        "    return tuple(Fraction(int(t == m)) for t in range(8))\n"
+        "def algebra(products):\n"
+        "    table = [[e(j) if i == 0 else e(i) if j == 0 else products.get((i, j), e(-1))\n"
+        "              for j in range(8)] for i in range(8)]\n"
+        "    return cd.AlgebraStructure(8, table, [list(e(i)) for i in range(8)])\n"
+        "def bad_unit():\n"
+        "    cd.AlgebraStructure(1, [[(Fraction(2),)]], [[Fraction(1)]])\n"
+        "def repeated_index():\n"
+        "    cd.c_form(algebra({(2, 2): e(1)}))\n"
+        "def not_alternating():\n"
+        "    cd.c_form(algebra({(2, 3): e(1), (3, 2): e(1)}))\n"
+        "def bad_solve():\n"
+        "    real = numpy.linalg.solve\n"
+        "    numpy.linalg.solve = lambda G, b: real(G, b) + 1.0\n"
+        "    try:\n"
+        "        cd.octonion_from_form(make_rep('case2_w').as_float())\n"
+        "    finally:\n"
+        "        numpy.linalg.solve = real\n"
+        "def short_plucker():\n"
+        "    orbits.plucker([[1, 2, 3, 4, 5, 6]])\n"
+        "def irrational_witness():\n"
+        "    representatives.demote = lambda v: v\n"
+        "    representatives.stabilizer_witness_case1([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2)\n"
+        "for f in (wrong_sign, wrong_root, skew_gram, short_mul, short_vec, bad_unit,\n"
+        "          repeated_index, not_alternating, bad_solve, short_plucker,\n"
+        "          irrational_witness):\n"
         "    try:\n"
         "        f()\n"
         "    except (ArithmeticError, ValueError) as exc:\n"
@@ -194,4 +224,10 @@ def test_scalar_and_signature_guards_run_under_python_O():
         "raised ArithmeticError squarefree part of 12 does not recompose (internal bug)",
         "raised ArithmeticError signature pivot is zero: the gram is not symmetric",
         "raised ValueError shape mismatch: 1x2 times 1x2",
-        "raised ValueError shape mismatch: 1x2 times a vector of 1"]
+        "raised ValueError shape mismatch: 1x2 times a vector of 1",
+        "raised ValueError basis 0 must be the unit",
+        "raised ArithmeticError C is not alternating (internal bug)",
+        "raised ArithmeticError C is not alternating (internal bug)",
+        "raised ArithmeticError ill-conditioned product solve",
+        "raised ValueError plucker needs 3 rows of length 6",
+        "raised ArithmeticError stabilizer witness is not rational (internal bug)"]
