@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .invariants import QuadraticForm, _delta_from_q, q_case2
@@ -32,18 +33,24 @@ from .scalars import clear_denominators
 
 
 class AlgebraStructure:
-    """Structure constants + norm of a finite-dimensional normed algebra."""
+    """Structure constants + norm of a finite-dimensional normed algebra.
+
+    Immutable, so the constant algebras are built once and shared."""
 
     __slots__ = ("dim", "table", "gram", "label")
 
     def __init__(self, dim, table, gram, label=""):
-        self.dim = dim
-        self.table = tuple(tuple(tuple(vec) for vec in row) for row in table)
-        self.gram = tuple(tuple(row) for row in gram)
-        self.label = label
+        init = object.__setattr__
+        init(self, "dim", dim)
+        init(self, "table", tuple(tuple(tuple(vec) for vec in row) for row in table))
+        init(self, "gram", tuple(tuple(row) for row in gram))
+        init(self, "label", label)
         unit = self.table[0][0]
         if not (unit[0] == 1 and all(c == 0 for c in unit[1:])):
             raise ValueError("basis 0 must be the unit")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AlgebraStructure is immutable")
 
     def element(self, coords):
         coords = tuple(coords)
@@ -256,6 +263,7 @@ def quaternions():
     return cd_double(complex_type(), +1)
 
 
+@lru_cache(maxsize=None)
 def octonions():
     """The norm-definite octonions H(+) with basis 1, i, j, k, e, ie, je, ke."""
     A = cd_double(quaternions(), +1)
@@ -315,6 +323,7 @@ def _pair_coords(x):
             a[0][1], b[0][0], -b[1][0], -a[1][0], b[1][1], b[0][1])
 
 
+@lru_cache(maxsize=None)
 def split_octonions():
     """M(2,2)(+) in the pinned imaginary basis f1..f7 (see module docstring)."""
     def norm(x):

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import cayley_dickson as cd
 from . import linalg, perturb, search, serialize, stabilizers
@@ -357,9 +358,12 @@ def build_parser():
     return p
 
 
+# built once per process: parse_args reads the parser and fills a new namespace each call
+_parser = lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (FormFormatError, ValueError, ArithmeticError, FileNotFoundError) as exc:

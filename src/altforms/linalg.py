@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import clear_denominators
+from .scalars import QuadExt, clear_denominators, demote
 
 
 def identity(n):
@@ -224,7 +224,8 @@ def congruent_signature(G):
     """Exact signature (n_plus, n_minus, n_zero) of a symmetric matrix.
 
     Diagonalizes by simultaneous row/column operations; exact over any
-    ordered exact scalar (use on Fraction grams).
+    ordered exact scalar (use on Fraction grams).  A pivot of Q(sqrt d)
+    that is not rational raises ValueError.
     """
     n = len(G)
     M = [row[:] for row in G]
@@ -246,9 +247,11 @@ def congruent_signature(G):
                 M[k][t] = M[k][t] + sign * M[j][t]
             for t in range(n):
                 M[t][k] = M[t][k] + sign * M[t][j]
-        d = M[k][k]
+        d = demote(M[k][k])
         if d == 0:
             raise ArithmeticError("signature pivot is zero: the gram is not symmetric")
+        if isinstance(d, QuadExt):
+            raise ValueError(f"the signature needs a rational gram, not one over Q(sqrt {d.d})")
         if d > 0:
             npos += 1
         else:

@@ -33,85 +33,97 @@ def _is_squarefree(d):
 class QuadExt:
     """a + b*sqrt(d) with a, b rational and d a fixed squarefree integer.
 
-    Values are immutable.  Mixing two QuadExt values with different d in one
-    expression raises ValueError rather than building a field tower.
+    Held as (A + B*sqrt(d)) / D over Python ints with gcd(A, B, D) = 1 and
+    D > 0, a unique form, so equality and hashing compare the ints.  Each
+    operation is int products and one three-way gcd (none for adding or
+    negating an int); ``.a`` and ``.b`` give the rational parts as Fractions.
+    Results take d from operands already checked: only the constructor
+    checks a new d.  Values are immutable.  Mixing two QuadExt values with
+    different d in one expression raises ValueError rather than building a
+    field tower.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("_A", "_B", "_D", "d")
 
     def __init__(self, a, b=0, d=None):
         if type(d) is not int or not _is_squarefree(d):
             raise ValueError(f"invalid quadratic extension discriminant: {d!r}")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "d", d)
+        a, b = Fraction(a), Fraction(b)
+        D = math.lcm(a.denominator, b.denominator)
+        _init(self, a.numerator * (D // a.denominator), b.numerator * (D // b.denominator),
+              D, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
 
-    def _coerce(self, other):
-        if isinstance(other, QuadExt):
-            if other.d != self.d:
-                raise ValueError(f"mixing sqrt({self.d}) with sqrt({other.d})")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d)
-        return None
+    @property
+    def a(self):
+        return Fraction(self._A, self._D)
+
+    @property
+    def b(self):
+        return Fraction(self._B, self._D)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.d)
+        return _plus(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return _new(-self._A, -self._B, self._D, self.d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.d)
+        return _plus(self, other, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(o.a - self.a, o.b - self.b, self.d)
+        if isinstance(other, (int, Fraction)):
+            return -self + other
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.a * o.a + self.d * self.b * o.b,
-                       self.a * o.b + self.b * o.a, self.d)
+        A, B, D, d = self._A, self._B, self._D, self.d
+        if type(other) is QuadExt:
+            if other.d != d:
+                raise _mixing(self, other)
+            A2, B2 = other._A, other._B
+            return _reduced(A * A2 + d * B * B2, A * B2 + B * A2, D * other._D, d)
+        if isinstance(other, int):
+            g = math.gcd(other, D)
+            k = other // g
+            return _new(A * k, B * k, D // g, d)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return _reduced(A * p, B * p, D * other.denominator, d)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self):
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in QuadExt")
-        return QuadExt(self.a / n, -self.b / n, self.d)
+        return _divided(1, 0, 1, self)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if type(other) is QuadExt:
+            if other.d != self.d:
+                raise _mixing(self, other)
+            return _divided(self._A, self._B, self._D, other)
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                raise ZeroDivisionError("division by zero in QuadExt")
+            p, q = other.numerator, other.denominator
+            if p < 0:
+                p, q = -p, -q
+            return _reduced(self._A * q, self._B * q, self._D * p, self.d)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        if isinstance(other, (int, Fraction)):
+            return _divided(other.numerator, 0, other.denominator, self)
+        return NotImplemented
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = QuadExt(1, 0, self.d)
+        out = _new(1, 0, 1, self.d)
         base = self
         while n:
             if n & 1:
@@ -121,44 +133,107 @@ class QuadExt:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, QuadExt):
-            return self.d == other.d and self.a == other.a and self.b == other.b
+        if type(other) is QuadExt:
+            return (self.d == other.d and self._A == other._A and self._B == other._B
+                    and self._D == other._D)
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return (self._B == 0 and self._A == other.numerator
+                    and self._D == other.denominator)
         return NotImplemented
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self._A != 0 or self._B != 0
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        if self._B == 0:
+            return hash(self._A if self._D == 1 else Fraction(self._A, self._D))
+        return hash((self._A, self._B, self._D, self.d))
 
     def conjugate(self):
         """The Galois conjugate a - b*sqrt(d)."""
-        return QuadExt(self.a, -self.b, self.d)
+        return _new(self._A, -self._B, self._D, self.d)
 
     def norm(self):
         """Field norm x * conj(x) = a^2 - d b^2, a rational number."""
-        return self.a * self.a - self.d * self.b * self.b
+        return Fraction(self._A * self._A - self.d * self._B * self._B, self._D * self._D)
 
     @property
     def is_rational(self):
-        return self.b == 0
+        return self._B == 0
 
     def __float__(self):
-        if self.d < 0 and self.b != 0:
+        if self.d < 0 and self._B != 0:
             raise ValueError("imaginary quadratic value has no float image")
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        return self._A / self._D + self._B / self._D * math.sqrt(self.d)
 
     def __repr__(self):
         return f"QuadExt({self.a}, {self.b}, d={self.d})"
 
 
+def _plus(x, y, sign):
+    """x + sign * y for a QuadExt x, sign = 1 or -1; NotImplemented for an
+    operand outside Q(sqrt d)."""
+    A, B, D, d = x._A, x._B, x._D, x.d
+    if type(y) is QuadExt:
+        if y.d != d:
+            raise _mixing(x, y)
+        A2, B2, D2 = sign * y._A, sign * y._B, y._D
+        if D2 == D:
+            return _reduced(A + A2, B + B2, D, d)
+        return _reduced(A * D2 + A2 * D, B * D2 + B2 * D, D * D2, d)
+    if isinstance(y, int):
+        return _new(A + sign * y * D, B, D, d)
+    if isinstance(y, Fraction):
+        q = y.denominator
+        return _reduced(A * q + sign * y.numerator * D, B * q, D * q, d)
+    return NotImplemented
+
+
+def _mixing(x, y):
+    return ValueError(f"mixing sqrt({x.d}) with sqrt({y.d})")
+
+
+_init_A, _init_B, _init_D, _init_d = (QuadExt._A.__set__, QuadExt._B.__set__,
+                                      QuadExt._D.__set__, QuadExt.d.__set__)
+
+
+def _init(x, A, B, D, d):
+    _init_A(x, A)
+    _init_B(x, B)
+    _init_D(x, D)
+    _init_d(x, d)
+
+
+def _new(A, B, D, d):
+    """(A + B sqrt(d)) / D, already in lowest terms with D > 0."""
+    x = object.__new__(QuadExt)
+    _init(x, A, B, D, d)
+    return x
+
+
+def _reduced(A, B, D, d):
+    """(A + B sqrt(d)) / D in lowest terms, for D > 0."""
+    g = math.gcd(A, B, D)
+    if g != 1:
+        A, B, D = A // g, B // g, D // g
+    return _new(A, B, D, d)
+
+
+def _divided(A, B, D, y):
+    """(A + B sqrt(d)) / D divided by y, through the conjugate of y:
+    (A + B r)(A' - B' r) D' / (D N) with N = A'^2 - d B'^2 and r = sqrt(d)."""
+    A2, B2, D2, d = y._A, y._B, y._D, y.d
+    N = A2 * A2 - d * B2 * B2
+    if N == 0:
+        raise ZeroDivisionError("division by zero in QuadExt")
+    if N < 0:
+        N, D2 = -N, -D2
+    return _reduced((A * A2 - d * B * B2) * D2, (B * A2 - A * B2) * D2, D * N, d)
+
+
 def demote(x):
     """Collapse a QuadExt with zero irrational part back to a Fraction."""
-    if isinstance(x, QuadExt) and x.b == 0:
+    if isinstance(x, QuadExt) and x.is_rational:
         return x.a
     return x
 

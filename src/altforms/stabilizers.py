@@ -7,11 +7,14 @@ does, and annihilators are exact nullspace computations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
-from .multilinear import AlternatingForm, all_keys, lie_action
+from .multilinear import AlternatingForm, all_keys, sort_sign
+from .scalars import clear_denominators
 
 
 @dataclass
@@ -35,6 +38,9 @@ def _unit(n, *entries):
     return M
 
 
+_ZERO = Fraction(0)
+
+
 def sl_basis(n):
     """Basis of trace-zero n x n matrices: off-diagonal units then E11 - Eii."""
     return ([_unit(n, (i, j, 1)) for i in range(n) for j in range(n) if i != j]
@@ -48,37 +54,85 @@ def stab_lie_algebra(x, label=""):
     use a numpy SVD nullspace with a relative cutoff.
     """
     n = x.dim
-    basis = sl_basis(n)
-    units = [_entries(B) for B in basis]
-    keys = all_keys(n, x.degree)
+    rows = stab_system(x)
     if x.scalar_kind() == "float":
         import numpy as np
-        rows = []
-        for X in basis:
-            act = lie_action(X, x)
-            rows.append([float(act.coeffs.get(k, 0.0)) for k in keys])
-        A = np.array(rows, dtype=float).T  # keys x basis
+        A = np.array(rows, dtype=float)  # keys x basis
         u, s, vh = np.linalg.svd(A)
         tol = max(A.shape) * (s[0] if len(s) else 0.0) * 1e-12
         null = vh[int((s > tol).sum()):]
-        return LieSubalgebra(n, [_combine(c.tolist(), units, n) for c in null],
+        return LieSubalgebra(n, [_sl_matrix(c.tolist(), n) for c in null],
                              label or "stab(float)")
-    acts = [lie_action(X, x) for X in basis]
-    rows = [[acts[b].coeffs.get(k, Fraction(0)) for b in range(len(basis))] for k in keys]
-    combos = linalg.nullspace(rows, len(basis))
-    return LieSubalgebra(n, [_combine(c, units, n) for c in combos], label or "stab")
+    combos = linalg.nullspace(rows, n * n - 1)
+    return LieSubalgebra(n, [_sl_matrix(c, n) for c in combos], label or "stab")
 
 
-def _combine(coeffs, units, n):
-    """sum c * B over the nonzero coefficients, B given by _entries.  Entries start
-    from 0 * c summed over those c: QuadExt (or float) when any c is."""
-    nonzero = [(c, B) for c, B in zip(coeffs, units) if c != 0]
-    zero = sum((0 * c for c, _ in nonzero), Fraction(0))
+def stab_system(x):
+    """The keys x sl_basis system whose nullspace is stab(x): entry (K, b) is
+    the coefficient of e_K in lie_action(sl_basis(dim)[b], x).
+
+    Read off the signed index maps of the units, with no products: each
+    entry is one coefficient of x or its negative (a Fraction for an int),
+    and the others are Fraction(0).
+    """
+    rows = [[_ZERO] * (x.dim * x.dim - 1) for _ in range(math.comb(x.dim, x.degree))]
+    moves = _unit_moves(x.dim, x.degree)
+    for K, v in x.coeffs.items():
+        if type(v) is int:
+            v = Fraction(v)
+        signed = (None, v, -v)  # indexed by the sign +1 or -1
+        for t, b, sign in moves[K]:
+            rows[t][b] = signed[sign]
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _unit_moves(dim, degree):
+    """{K: ((t, b, sign), ...)} over the keys K of all_keys(dim, degree), with
+    lie_action(sl_basis(dim)[b], e_K) = sign * e_keys[t].
+
+    An off-diagonal unit E_ij sends e_K to the sorted e_{K with j -> i} when
+    j is in K and i is not, else to 0; E_11 - E_ii scales e_K by
+    [1 in K] - [i in K].  Indices are 1-based, as in the keys.
+    """
+    keys = all_keys(dim, degree)
+    index = {K: t for t, K in enumerate(keys)}
+    off = [(i, j) for i in range(1, dim + 1) for j in range(1, dim + 1) if i != j]
+    moves = {}
+    for K in keys:
+        out = []
+        for b, (i, j) in enumerate(off):
+            if j in K and i not in K:
+                T, sign = sort_sign(tuple(i if k == j else k for k in K))
+                out.append((index[T], b, sign))
+        for i in range(2, dim + 1):
+            sign = (1 in K) - (i in K)
+            if sign:
+                out.append((index[K], len(off) + i - 2, sign))
+        moves[K] = tuple(out)
+    return moves
+
+
+def _sl_matrix(coeffs, n):
+    """sum of c_b * sl_basis(n)[b], placed directly: the off-diagonal entries
+    are the c_b of their units, and the diagonal accumulates c_b at (0, 0) and
+    -c_b at (i, i) in basis order.  Every entry has the type of zero, 0 + 0 * c
+    for a nonzero c of the widest type (QuadExt or float when any c is), and a
+    Fraction c among QuadExt ones is added to zero."""
+    zero = _ZERO + 0 * next((c for c in coeffs if type(c) is not Fraction and c != 0), 0)
+    kind = type(zero)
     M = [[zero] * n for _ in range(n)]
-    for c, B in nonzero:
-        for i, row in B.items():
-            for j, v in row.items():
-                M[i][j] = M[i][j] + c * v
+    units = iter(coeffs)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                c = next(units)
+                if c != 0:
+                    M[i][j] = c if type(c) is kind else zero + c
+    for i, c in enumerate(units, 1):
+        if c != 0:
+            M[0][0] = M[0][0] + c
+            M[i][i] = -c if type(c) is kind else zero - c
     return M
 
 
@@ -93,27 +147,72 @@ def fixed_space(L, shape):
     kernel vector has its last nonzero entry), with a 1 there and 0 at every
     other free column.  That is the RREF of the kernel rows with the column
     order reversed, so the basis depends on the kernel alone, not on the
-    order in which it was cut down.  Float bases are rejected: they are
-    approximate, so an exact kernel of them is not the fixed space.
+    order in which it was cut down.
+
+    A rational basis acts on ints: each X and each kernel vector is scaled
+    to integers, which changes no kernel, and the systems handed to linalg
+    hold the integer images as Fractions.  A Q(sqrt d) basis acts as it is.
+    Float bases are rejected: they are approximate, so an exact kernel of
+    them is not the fixed space.
     """
     dim, degree = shape
     if L.ambient_dim != dim:
         raise ValueError("ambient dimension mismatch")
     _require_exact(L, "fixed_space")
     keys = all_keys(dim, degree)
-    kernel = [{k: Fraction(1)} for k in keys]
-    for X in L.basis:
-        images = [lie_action(X, AlternatingForm(dim, degree, f)).coeffs for f in kernel]
+    ops = [[v for row in X for v in row] for X in L.basis]  # row-major entries
+    cleared = [clear_denominators(X) for X in ops]
+    rational = None not in cleared
+    if rational:
+        ops = [ints for _, ints in cleared]
+    # what linalg gets keeps the parent's types: Fractions, or Q(sqrt d) entries as they are
+    entry = Fraction if rational else (lambda v: v)
+    kernel = [{k: 1} for k in keys]
+    for X in ops:
+        images = _images(X, kernel, dim, degree)
         hit = sorted({k for img in images for k in img})
         if not hit:
             continue
-        rows = [[img.get(k, Fraction(0)) for img in images] for k in hit]
+        rows = [[entry(img.get(k, _ZERO)) for img in images] for k in hit]
         kernel = [_combine_forms(c, kernel) for c in linalg.nullspace(rows, len(kernel))]
+        if rational:
+            kernel = [_integral_vector(f) for f in kernel]
         if not kernel:
             return []
-    flipped = [[f.get(k, Fraction(0)) for k in reversed(keys)] for f in kernel]
+    flipped = [[entry(f.get(k, _ZERO)) for k in reversed(keys)] for f in kernel]
     rows, _ = linalg.rref(flipped)
     return [AlternatingForm(dim, degree, dict(zip(reversed(keys), r))) for r in reversed(rows)]
+
+
+def _images(X, forms, dim, degree):
+    """lie_action(X, f).coeffs for each f in forms, X given by its row-major
+    entries, read off the signed index maps.  X sends e_K to X_kk e_K for each
+    k in K and to s X_ij e_T along each move (T, s) of E_ij; the image of f
+    sums those terms times f_K, the terms lie_action sums, so values and types
+    are the same."""
+    keys = all_keys(dim, degree)
+    off = [X[i * dim + j] for i in range(dim) for j in range(dim) if i != j]
+    columns = {}
+    for K, moves in _unit_moves(dim, degree).items():
+        col = [(K, X[(k - 1) * (dim + 1)]) for k in K if X[(k - 1) * (dim + 1)] != 0]
+        col += [(keys[t], sign * off[b]) for t, b, sign in moves
+                if b < len(off) and off[b] != 0]
+        columns[K] = col
+    out = []
+    for f in forms:
+        img = {}
+        for K, v in f.items():
+            for T, c in columns[K]:
+                img[T] = img.get(T, 0) + c * v
+        out.append({T: v for T, v in img.items() if v != 0})
+    return out
+
+
+def _integral_vector(f):
+    """The primitive integer multiple of a rational vector {key: value}."""
+    _, ints = clear_denominators(f.values())
+    g = math.gcd(*ints)
+    return {k: v // g for k, v in zip(f, ints)}
 
 
 def _require_exact(L, what):

@@ -215,3 +215,12 @@ def test_split_norm_pullback_is_euclidean():
         val = Qw.evaluate(x)
         want = 6 * sum(v * v for v in y)
         assert val == QuadExt(want, 0, -1)
+
+
+def test_constant_algebras_are_built_once_and_immutable():
+    for make in (split_octonions, octonions):
+        A = make()
+        assert make() is A
+        for name in ("dim", "table", "gram", "label", "other"):
+            with pytest.raises(AttributeError):
+                setattr(A, name, None)

@@ -359,3 +359,39 @@ def test_cli_invariant_case3_float_is_not_exact(tmp_path, capsys):
     code, out, _ = run(capsys, "rep", "case3_w", "--n", "2")
     code, out, _ = run(capsys, "invariant", write_json(tmp_path, "w.json", json.loads(out)))
     assert json.loads(out)["delta_exact"] is True
+
+
+def test_successive_main_calls_share_no_arguments(capsys):
+    # the parser is built once per process; each call parses into a new namespace
+    code, out, _ = run(capsys, "rep", "case3_w", "--n", "3", "--pretty")
+    assert code == 0 and not out.startswith("{")
+    code, out, err = run(capsys, "rep", "case3_w")
+    assert code == 1 and out == "" and err == "error: n must be a positive integer; got None\n"
+    code, out, _ = run(capsys, "rep", "case1_w")
+    assert code == 0 and json.loads(out) == form_to_dict(make_rep("case1_w"))
+    with pytest.raises(SystemExit) as exc:
+        main(["rep", "case1_w", "--d"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: altforms rep") and "expected one argument" in err
+    code, out, _ = run(capsys, "rep", "case1_walpha", "--d", "2")
+    assert code == 0 and json.loads(out) == form_to_dict(make_rep("case1_walpha", d=2))
+
+
+def test_cli_classify_rejects_quadext_dim7(tmp_path, capsys):
+    # the exact signature of a Q(sqrt d) gram compared QuadExt with 0: a TypeError traceback
+    from altforms.multilinear import all_keys
+    from altforms.orbits import classify_real
+    from altforms.scalars import QuadExt
+    coeffs = {k: QuadExt(i % 5 - 2, (3 * i) % 7 - 3, 2) for i, k in enumerate(all_keys(7, 3))}
+    x = AlternatingForm(7, 3, coeffs)
+    with pytest.raises(ValueError, match=r"Q\(sqrt 2\)"):
+        classify_real(x)
+    code, out, err = run(capsys, "classify", write_json(tmp_path, "q7.json", form_to_dict(x)))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Q(sqrt 2)" in err
+    # a degenerate Q(sqrt d) form needs no order: its zero gram has no pivot to compare
+    r = QuadExt(1, 1, 2)
+    x = AlternatingForm(7, 3, {(1, 2, 5): r, (1, 2, 6): 2 * r, (1, 3, 6): r - 1, (3, 5, 6): r})
+    code, out, _ = run(capsys, "classify", write_json(tmp_path, "deg.json", form_to_dict(x)))
+    assert code == 0 and json.loads(out)["real_orbit"] == "degenerate"

@@ -6,6 +6,12 @@ bracket against every echelon row.  ``stacked_fixed_space`` stacks the
 operator matrices of lie_action(X, .) for all X into one system and reads
 the nullspace off its RREF; the RREF is sympy's, so the oracle shares no
 elimination code with the program and the dense dim-7 case stays fast.
+
+The stabilizer system and the fixed-space images are read off signed index
+maps; they must match the ``lie_action`` system (``stab_system`` of
+test_elimination_oracles) and ``lie_action`` itself by value and by the
+``type()`` of every entry.  ``combine_units`` sums the ``sl_basis`` unit
+matrices, the oracle of the matrices built from each nullspace vector.
 """
 
 import random
@@ -15,13 +21,14 @@ import pytest
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from altforms import linalg
+from altforms import linalg, stabilizers
 from altforms.multilinear import AlternatingForm, all_keys, lie_action
 from altforms.representatives import make_rep
 from altforms.serialize import form_to_dict
 from altforms.stabilizers import (LieSubalgebra, fixed_space, h1_case1, join, sl_basis,
                                   stab_lie_algebra, subalgebra_closed, t_case1,
                                   u1_case1, u2_case1)
+from test_elimination_oracles import STAB_FORMS, same, stab_system
 
 
 def dense_closed(L):
@@ -148,3 +155,66 @@ def test_witness_matches_on_spans_of_a_dense_stabilizer():
                                                     sl_basis(6)[:4])]
     span = LieSubalgebra(6, shifted)
     assert _same(subalgebra_closed(span), dense_closed(span))
+
+
+# ------------------------------------------- the index-map stab system ----
+
+def combine_units(coeffs, n):
+    """sum c * B over sl_basis(n), as the unit-matrix loop did: entries start
+    from 0 * c summed over the nonzero c, and each unit entry adds c * v."""
+    units = [{(i, j): v for i, row in enumerate(B) for j, v in enumerate(row) if v != 0}
+             for B in sl_basis(n)]
+    nonzero = [(c, B) for c, B in zip(coeffs, units) if c != 0]
+    zero = sum((0 * c for c, _ in nonzero), Fraction(0))
+    M = [[zero] * n for _ in range(n)]
+    for c, B in nonzero:
+        for (i, j), v in B.items():
+            M[i][j] = M[i][j] + c * v
+    return M
+
+
+def _system_forms():
+    yield from STAB_FORMS
+    rng = random.Random(7)
+    yield "float dim-7", AlternatingForm(7, 3, {k: rng.uniform(-2, 2) for k in all_keys(7, 3)})
+    yield "int-valued dim-6", AlternatingForm(6, 3, {(1, 2, 3): 1, (4, 5, 6): -2, (1, 4, 5): 3})
+
+
+SYSTEM_FORMS = list(_system_forms())
+
+
+@pytest.mark.parametrize("name,x", SYSTEM_FORMS, ids=[n for n, _ in SYSTEM_FORMS])
+def test_index_map_stab_system_matches_lie_action(name, x):
+    same(stabilizers.stab_system(x), stab_system(x))
+
+
+@pytest.mark.parametrize("name,x", SYSTEM_FORMS, ids=[n for n, _ in SYSTEM_FORMS])
+def test_stab_basis_matrices_match_the_unit_sums(name, x):
+    L = stab_lie_algebra(x)
+    rows = stab_system(x)
+    if x.scalar_kind() == "float":
+        import numpy as np
+        _, s, vh = np.linalg.svd(np.array(rows, dtype=float))
+        tol = max(len(rows), len(rows[0])) * s[0] * 1e-12
+        combos = [c.tolist() for c in vh[int((s > tol).sum()):]]
+    else:
+        combos = linalg.nullspace(rows, x.dim * x.dim - 1)
+    same(L.basis, [combine_units(c, x.dim) for c in combos])
+
+
+@pytest.mark.parametrize("name,x", STAB_FORMS, ids=[n for n, _ in STAB_FORMS])
+def test_fixed_space_images_match_lie_action(name, x):
+    # kernel vectors mixing Fraction and Q(sqrt d) values, as the Q(sqrt d) path builds
+    rng = random.Random(name)
+    values = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(5)]
+    values += [v * c for v, c in zip(values, x.coeffs.values())]
+    keys = all_keys(x.dim, x.degree)
+    forms = [{k: rng.choice(values) for k in rng.sample(keys, rng.randint(1, len(keys)))}
+             for _ in range(4)]
+    forms = [{k: v for k, v in f.items() if v != 0} for f in forms]
+    for X in stab_lie_algebra(x).basis[:3] + sl_basis(x.dim)[-2:]:
+        got = stabilizers._images([v for row in X for v in row], forms, x.dim, x.degree)
+        want = [lie_action(X, AlternatingForm(x.dim, x.degree, f)).coeffs for f in forms]
+        assert got == want
+        assert [{k: type(v) for k, v in g.items()} for g in got] == \
+            [{k: type(v) for k, v in w.items()} for w in want]
