@@ -66,6 +66,12 @@ def classify_real(x, tol=1e-9):
     against tol scaled by the coefficient magnitude, and NaN/inf
     coefficients or an overflowing float invariant raise ValueError.
     """
+    return _classify_real(x, tol)[0]
+
+
+def _classify_real(x, tol=1e-9, q=None):
+    """classify_real(x, tol), and the Q_x = q_case2(x) it classified a dim-7 form by
+    (None for the other shapes); a caller that has built Q_x passes it as q."""
     case = case_of(x)
     is_float = x.scalar_kind() == "float"
     if is_float and not all(math.isfinite(v) for v in x.coeffs.values()):
@@ -81,9 +87,9 @@ def classify_real(x, tol=1e-9):
         rep = OrbitReport(1, orbit, real_rank_positive=_RANK_POSITIVE[orbit], delta=d)
         if orbit != "degenerate" and x.scalar_kind() == "rational":
             rep.field_d = field_kx(x)
-        return rep
+        return rep, None
     if case == 2:
-        q = q_case2(x)
+        q = q_case2(x) if q is None else q
         kind = q.definiteness(tol=_cutoff(x, tol, 3) if is_float else None)
         delta, _ = _delta_from_q(q, x.scalar_kind())
         if kind == "degenerate":
@@ -92,13 +98,13 @@ def classify_real(x, tol=1e-9):
             orbit = "case2_nonsplit"
         else:
             orbit = "case2_split"
-        return OrbitReport(2, orbit, real_rank_positive=_RANK_POSITIVE[orbit], delta=delta)
+        return OrbitReport(2, orbit, real_rank_positive=_RANK_POSITIVE[orbit], delta=delta), q
     pf = pfaffian(x)
     if (pf == 0) if not is_float else (abs(_finite(pf)) <= _cutoff(x, tol, x.dim // 2)):
         orbit = "degenerate"
     else:
         orbit = "case3_nondegenerate"
-    return OrbitReport(3, orbit, real_rank_positive=_RANK_POSITIVE[orbit], delta=pf)
+    return OrbitReport(3, orbit, real_rank_positive=_RANK_POSITIVE[orbit], delta=pf), None
 
 
 def _cutoff(x, tol, degree):
@@ -283,10 +289,14 @@ def irrationality_report(x, max_den=1000, tol=1e-9):
         rep.flags["Gr"] = grassmann_rationality(gr, max_den, tol)
         return rep
     if case == 2:
-        q = q_case2(x)
-        vec = [q.gram[i][j] for i in range(7) for j in range(i, 7)]
-        rep.flags["Q"] = point_rationality(vec, max_den, tol)
+        rep.flags["Q"] = _q_rationality(q_case2(x), max_den, tol)
         return rep
     vec = [x.coeffs.get(k, 0) for k in itertools.combinations(range(1, x.dim + 1), 2)]
     rep.flags["x"] = point_rationality(vec, max_den, tol)
     return rep
+
+
+def _q_rationality(q, max_den, tol):
+    """The "Q" flag of irrationality_report from a built Q_x: its projective image."""
+    vec = [q.gram[i][j] for i in range(7) for j in range(i, 7)]
+    return point_rationality(vec, max_den, tol)

@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .invariants import delta_case1_explicit, delta_case2, pfaffian, q_case2
+from .invariants import delta_case1_explicit, pfaffian, q_case2
 from .multilinear import AlternatingForm, all_keys, sort_sign
-from .orbits import classify_real
+from .orbits import _classify_real, classify_real
 
 GROWTH_CAP = 2.0 ** 64
 
@@ -273,10 +273,9 @@ def extend_case2(y, eps):
             f1v = float(q.gram[0][0])
             f2v = float(q.gram[6][6])
             if f1v > 0 and f2v < 0 and 3.0 * t * abs(f3) > 2.0 * (abs(f4) + 1e-12):
-                rep = classify_real(form)
+                rep, _ = _classify_real(form, q=q)
                 if rep.real_orbit == "case2_split":
-                    delta, _ = delta_case2(form)
-                    return form, {"f1": f1v, "f2": f2v, "f3": f3, "delta": delta}, rep
+                    return form, {"f1": f1v, "f2": f2v, "f3": f3, "delta": rep.delta}, rep
             t *= 2.0
         return None, None, None
 

@@ -162,7 +162,9 @@ class QuadExt:
         return self._B == 0
 
     def __float__(self):
-        if self.d < 0 and self._B != 0:
+        if self._B == 0:
+            return self._A / self._D  # rational: no sqrt(d), which has no float for d < 0
+        if self.d < 0:
             raise ValueError("imaginary quadratic value has no float image")
         return self._A / self._D + self._B / self._D * math.sqrt(self.d)
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .invariants import case_of
 from .multilinear import sort_sign
-from .orbits import classify_real, irrationality_report
+from .orbits import _classify_real, _q_rationality, classify_real, irrationality_report
 from .perturb import PartialTarget, constrained_keys
 
 _REQUIRED_FLAGS = {
@@ -156,78 +156,114 @@ def approximate(x, y, config=None):
     on the large plateaus the sparse representatives produce; the word order
     remains the final tie-break, so runs with one seed agree bit for bit.
 
-    A depth expands the beam as one array, keeps the first copy of each child and scores it
-    from its parent's exact minors det h[K, I], updated by the move, with the float operations
-    of _batch_objective; hash and word are computed only for ties reaching into the beam.
+    A depth builds no array of children.  Each child is named by (parent, move) and gets a
+    64-bit key, sum K[a, b] h[a, b] mod 2^64, which is linear in h: a move adds to its parent's
+    key a sum of n products of K and h.  The first child of each key is kept, in expansion
+    order; every other child is compared entry by entry with it, and children that differ
+    from it (true key collisions) are deduped among themselves by content.  A kept child
+    is scored from its parent's exact minors det h[K, I], updated by the move on the target
+    columns the move changes, with the float operations of _batch_objective; the other columns
+    keep the parent's values.  Child matrices are built only for the duplicate check, the ties
+    reaching into the beam (hash and word) and the new beam.
     """
     import hashlib  # lazily: it loads OpenSSL, which commands without a search do not need
     config = config or SearchConfig()
     n, deg, both = x.dim, x.degree, config.both_sides
     items, targets = _x_items(x), _targets(x, y)
-    sets, mi, mj, ms, csrc, ccoef, rsrc, rcoef = _move_tables(n, deg, both)
-    nm, nc, nr = len(csrc), len(sets), len(mi)
+    sets, dst, src, sign, csrc, ccoef, rsrc, rcoef = _move_tables(n, deg, both)
+    nm, nc = len(csrc), len(sets)
+    nr = nm // 2 if both else nm
     kpos = [sets.index(tuple(k)) for k, _ in items]
     krows = kpos if both else range(len(items))
     tcols = np.array([sets.index(tuple(k)) for k, _ in targets], dtype=np.intp)
     tvals = np.array([v for _, v in targets])
-    # per move, the target columns it may change, padded with ones it leaves alone
+    # per move, the target columns it may change (left moves: all)
     changed = (ccoef[:, tcols] != 0) | (np.arange(nm) >= nr)[:, None]
-    chg = np.argsort(~changed, axis=1, kind="stable")[:, :changed.sum(1).max()]
-    ccols = tcols[chg]
-    csrc_c, ccoef_c = np.take_along_axis(csrc, ccols, 1), np.take_along_axis(ccoef, ccols, 1)
+    mult = _key_multipliers(n).ravel()
     salt = int(config.seed).to_bytes(8, "little", signed=True)
+
+    def children(H, p, m):
+        """The child matrices of parents p under moves m."""
+        out, k = H[p].reshape(len(p), n * n), np.arange(len(p))[:, None]
+        out[k, dst[m]] += sign[m, None] * out[k, src[m]]
+        return out.reshape(-1, n, n)
 
     # minors[r, b, c] = det h_b[row set r, sets[c]]; vals[b, t] = x(h_b) on target t
     minors = np.eye(nc, dtype=np.int64)[list(range(nc)) if both else kpos][:, None, :]
     vals = sum((c * minors[r][:, tcols] for r, (_, c) in zip(krows, items)),
                np.zeros((1, len(tcols))))
     H, words = np.eye(n, dtype=np.int64)[None], [()]
+    beam_keys = H.reshape(1, n * n) @ mult
     trace = [float(np.abs(vals - tvals).max())]
     best = BasisCandidate(H[0].copy(), (), trace[0])
 
     for depth in range(1, config.max_depth + 1):
-        kids = np.repeat(H[:, None], nm, axis=1)
-        kids[:, np.arange(nr), :, mj] += ms[:, None, None] * H[:, :, mi].transpose(2, 0, 1)
+        # max |child entry|: a move adds one row (column) entry to another of the same row (column)
+        hmax = np.sort(np.abs(H), axis=2)[:, :, -2:].sum(2).max()
         if both:
-            kids[:, nr + np.arange(nr), mi, :] += ms[None, :, None] * H[:, mj, :]
-        if math.factorial(deg) * int(np.abs(kids).max()) ** deg >= 2 ** 53:
+            hmax = max(hmax, np.sort(np.abs(H), axis=1)[:, -2:, :].sum(1).max())
+        if math.factorial(deg) * int(hmax) ** deg >= 2 ** 53:
             raise ArithmeticError("basis entries too large for exact float minors")
-        # int32 keys halve the dedupe's copies; the guard keeps entries below 2^31
-        packed = kids.reshape(-1, n * n).astype(np.int32).view(f"V{4 * n * n}")
-        first = np.unique(packed, return_index=True)[1]
-        p, m = np.divmod(np.sort(first), nm)
-        i1, i2, a2 = p[:, None] * nc + ccols[m], p[:, None] * nc + csrc_c[m], ccoef_c[m]
-        part = np.zeros(i1.shape)
+        # a move adds sign * sum K[dst] h[src] to the key: s (H^T K)[i, j] for a right move
+        # E_ij(s), s (H K^T)[j, i] for a left one
+        gain = (H.reshape(len(H), n * n)[:, src] * mult[dst]).sum(2)
+        child_keys = (beam_keys[:, None] + sign * gain).ravel()
+        _, first, inv = np.unique(child_keys, return_index=True, return_inverse=True)
+        dup = np.delete(np.arange(len(child_keys)), first)
+        # each later child of a key against the kept one, entry by entry
+        rows = children(H, *np.divmod(np.concatenate([dup, first[inv[dup]]]), nm))
+        rows = rows.reshape(2, len(dup), n * n)
+        clash = (rows[0] != rows[1]).any(axis=1)
+        unique = {}  # children that only share a key with the kept one: dedupe by content
+        for k, h in zip(dup[clash].tolist(), rows[0][clash]):
+            unique.setdefault(h.tobytes(), k)
+        kept = np.sort(np.concatenate([first, np.fromiter(unique.values(), np.intp, len(unique))]))
+        p, m = np.divmod(kept, nm)
+
+        # one item per (kept child, target column its move changes)
+        ck, ct = np.nonzero(changed[m])
+        mk, tc, base = m[ck], tcols[ct], p[ck] * nc
+        i1, i2, a2 = base + tc, base + csrc[mk, tc], ccoef[mk, tc].astype(float)
+        # the minors and every child's minor are integers below 2^53 (the guard), so these
+        # float sums are the exact integer ones
+        fm = minors.reshape(len(minors), len(H) * nc).astype(float)
+        part = np.zeros(len(ck))
         for r, (_, c) in zip(krows, items):
-            v = minors[r].ravel()[i1] + a2 * minors[r].ravel()[i2]
+            v = fm[r].take(i1)
+            v += a2 * fm[r].take(i2)
             if both:
-                v += rcoef[m, r][:, None] * minors.reshape(nc, -1)[rsrc[m, r][:, None], i1]
-            part += c * v
+                v += rcoef[mk, r] * fm[rsrc[mk, r], i1]
+            v *= c
+            part += v
         vals = vals[p]
-        np.put_along_axis(vals, chg[m], part, axis=1)
-        del i1, i2, a2, part  # before the objective's temporaries: peak memory
+        vals[ck, ct] = part
+        del i1, i2, a2, fm, part  # before the objective's temporaries: peak memory
         objs = np.abs(vals - tvals).max(axis=1)
 
         order = np.argsort(objs, kind="stable")
         ranked = objs[order]
         cut = min(config.beam_width, len(order))
         end = int(np.searchsorted(ranked, ranked[cut - 1], side="right"))
+        order = order[:end]
+        top = children(H, p[order], m[order])  # every child reaching into the beam, in order
         for a, size in zip(*np.unique(ranked[:end], return_index=True, return_counts=True)[1:]):
             if size > 1:
                 # (hash, parent word, move) sorts as (hash, word): words share a length
                 tie, nb = order[a:a + size], 8 * n * n
-                raw = kids[p[tie], m[tie]].tobytes()
+                raw = top[a:a + size].tobytes()
                 keys = [(hashlib.blake2b(salt + raw[k * nb:(k + 1) * nb], digest_size=8)
                          .digest(), words[pk], mk)
                         for k, (pk, mk) in enumerate(zip(p[tie].tolist(), m[tie].tolist()))]
-                order[a:a + size] = tie[sorted(range(size), key=keys.__getitem__)]
+                idx = a + np.array(sorted(range(size), key=keys.__getitem__))
+                order[a:a + size], top[a:a + size] = order[idx], top[idx]
         sel = order[:cut]
 
         ps, mm = p[sel], m[sel]
         new = minors[:, ps, :] + ccoef[mm] * minors[:, ps[:, None], csrc[mm]]
         if both:
             new += rcoef[mm].T[:, :, None] * minors[rsrc[mm].T, ps[None, :], :]
-        minors, H, vals = np.ascontiguousarray(new), kids[ps, mm], vals[sel]
+        minors, H, vals = np.ascontiguousarray(new), top[:cut], vals[sel]
+        beam_keys = child_keys[kept[sel]]
         words = [words[i] + (k,) for i, k in zip(ps.tolist(), mm.tolist())]
         if objs[sel[0]] < best.objective:
             best = BasisCandidate(H[0].copy(), words[0], float(objs[sel[0]]))
@@ -242,11 +278,23 @@ def approximate(x, y, config=None):
 
 
 @functools.lru_cache(maxsize=None)
+def _key_multipliers(n):
+    """Fixed odd int64 multipliers K (n x n) of the dedupe key: splitmix64 of the entry index."""
+    z = np.arange(1, n * n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, mul in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mul)
+    mult = ((z ^ (z >> np.uint64(31))) | np.uint64(1)).view(np.int64).reshape(n, n)
+    mult.setflags(write=False)  # shared by every search of this n
+    return mult
+
+
+@functools.lru_cache(maxsize=None)
 def _move_tables(n, deg, both_sides):
-    """Index sets of size deg and the action of each move on the minors: a right
-    move E_ij(s) (column j += s column i) adds ccoef * det h[K, csrc] to det
-    h[K, I] (csrc: I with j -> i; ccoef: s times the reordering sign, 0 unless
-    j in I, i not in I).  Left moves (row i += s row j) follow, on row sets."""
+    """The moves on h, and on its minors.  A move adds sign times the entries src of h
+    to its entries dst (flat indices): column j += s column i for a right move E_ij(s),
+    row i += s row j for a left one.  On the minors, over index sets of size deg, a right
+    move adds ccoef * det h[K, csrc] to det h[K, I] (csrc: I with j -> i; ccoef: s times
+    the reordering sign, 0 unless j in I, i not in I).  Left moves follow, on row sets."""
     sets = list(itertools.combinations(range(n), deg))
     mv = _move_list(n)
     ident = np.tile(np.arange(len(sets)), (len(mv), 1))
@@ -257,10 +305,13 @@ def _move_tables(n, deg, both_sides):
                 swapped, sign = sort_sign([i if c == j else c for c in I])
                 src[m, k], coef[m, k] = sets.index(swapped), s * sign
     mi, mj, ms = (np.array(col) for col in zip(*mv))
+    a, ri, rj = np.arange(n), mi[:, None], mj[:, None]
+    dst, esrc = a * n + rj, a * n + ri  # column j += s column i
     if not both_sides:
-        return sets, mi, mj, ms, src, coef, None, None
+        return sets, dst, esrc, ms, src, coef, None, None
     tr = [mv.index((j, i, s)) for i, j, s in mv]
-    return (sets, mi, mj, ms, np.concatenate([src, ident]), np.concatenate([coef, 0 * coef]),
+    return (sets, np.concatenate([dst, ri * n + a]), np.concatenate([esrc, rj * n + a]),
+            np.tile(ms, 2), np.concatenate([src, ident]), np.concatenate([coef, 0 * coef]),
             np.concatenate([ident, src[tr]]), np.concatenate([0 * coef, coef[tr]]))
 
 
@@ -270,7 +321,7 @@ def hypothesis_check(x, max_den=1000, tol=1e-9):
     Returns {"verdict": "pass"|"warn", "reasons": [...], "orbit": ...,
     "flags": {...}}; a warn lists every failing hypothesis.
     """
-    rep = classify_real(x, tol=tol)
+    rep, q = _classify_real(x, tol)  # q: Q_x of a dim-7 form, reused for its flag
     reasons = []
     flags = {}
     if rep.real_orbit == "degenerate":
@@ -278,11 +329,12 @@ def hypothesis_check(x, max_den=1000, tol=1e-9):
     else:
         if not rep.real_rank_positive:
             reasons.append("stabilizer real rank is zero on this orbit")
-        irr = irrationality_report(x, max_den=max_den, tol=tol)
-        flags = {k: {"rational": v.rational, "mode": v.mode} for k, v in irr.flags.items()}
+        irr = (irrationality_report(x, max_den=max_den, tol=tol).flags if q is None
+               else {"Q": _q_rationality(q, max_den, tol)})
+        flags = {k: {"rational": v.rational, "mode": v.mode} for k, v in irr.items()}
         for name in _REQUIRED_FLAGS.get(rep.real_orbit, ()):
-            if irr.flags[name].rational:
-                reasons.append(f"{name} is rational ({irr.flags[name].mode} mode)")
+            if irr[name].rational:
+                reasons.append(f"{name} is rational ({irr[name].mode} mode)")
     return {"verdict": "pass" if not reasons else "warn",
             "reasons": reasons,
             "orbit": rep.real_orbit,

@@ -395,3 +395,27 @@ def test_cli_classify_rejects_quadext_dim7(tmp_path, capsys):
     x = AlternatingForm(7, 3, {(1, 2, 5): r, (1, 2, 6): 2 * r, (1, 3, 6): r - 1, (3, 5, 6): r})
     code, out, _ = run(capsys, "classify", write_json(tmp_path, "deg.json", form_to_dict(x)))
     assert code == 0 and json.loads(out)["real_orbit"] == "degenerate"
+
+
+def test_cli_rational_values_of_an_imaginary_field(tmp_path, capsys):
+    # a rational value stored over Q(sqrt d), d < 0, has a float image: float() of it
+    # took sqrt(d) and failed with "math domain error"
+    from altforms.multilinear import gl_action
+    from altforms.representatives import g_alpha
+    from altforms.scalars import QuadExt
+    x = gl_action(g_alpha(-1), make_rep("case1_w"))
+    code, out, err = run(capsys, "classify", write_json(tmp_path, "a.json", form_to_dict(x)))
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["real_orbit"] == "case1_negative"
+    assert doc["delta"] == {"a": "-64", "b": "0", "d": -1}
+    w = make_rep("case2_w")
+    z = AlternatingForm(7, 3, {k: QuadExt(v, 0, -3) for k, v in w.coeffs.items()})
+    code, out, err = run(capsys, "invariant", write_json(tmp_path, "z.json", form_to_dict(z)))
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["case"] == 2 and doc["delta_exact"] is False
+    assert abs(doc["delta"] - 6) < 1e-9
+    assert float(QuadExt(-5, 0, -3)) == -5.0 and float(QuadExt(0, 0, -1)) == 0.0
+    with pytest.raises(ValueError, match="no float image"):
+        float(QuadExt(0, 1, -3))

@@ -127,7 +127,9 @@ class PairQuadExt:
         return self.b == 0
 
     def __float__(self):
-        if self.d < 0 and self.b != 0:
+        if self.b == 0:
+            return float(self.a)
+        if self.d < 0:
             raise ValueError("imaginary quadratic value has no float image")
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 

@@ -143,6 +143,30 @@ def test_hypothesis_check_verdicts():
     assert S.hypothesis_check(degenerate)["verdict"] == "warn"
 
 
+def test_dim7_float_paths_build_q_once(monkeypatch):
+    # hypothesis_check classifies and flags a dim-7 form from one S_x; perturb case2
+    # classifies its completion, and reads its delta, from the S_x it completed with
+    from altforms import invariants, perturb
+    from altforms.orbits import classify_real, irrationality_report
+    calls = []
+    s_case2 = invariants.s_case2
+    monkeypatch.setattr(invariants, "s_case2", lambda x: calls.append(x) or s_case2(x))
+    rng = random.Random(90)
+    x = AlternatingForm(7, 3, {k: rng.uniform(-1, 1) for k in constrained_keys(2)})
+    x = x + AlternatingForm(7, 3, {(1, 2, 7): 0.5, (3, 4, 7): 1.0, (5, 6, 7): -1.0})
+    check = S.hypothesis_check(x)
+    assert len(calls) == 1
+    rep, irr = classify_real(x), irrationality_report(x)
+    assert check["orbit"] == rep.real_orbit
+    assert check["flags"]["Q"]["rational"] is irr.flags["Q"].rational
+    calls.clear()
+    y = {k: rng.uniform(-1, 1) for k in constrained_keys(2)}
+    cert = perturb.extend_case2(y, 0.1)
+    assert len(calls) == 2  # the growth probe f4, and the completion
+    assert cert.auxiliaries["delta"] == invariants.delta_case2(cert.form)[0] == cert.orbit.delta
+    assert cert.orbit == classify_real(cert.form)
+
+
 def test_depth_improves_objective_for_random_targets():
     rng = random.Random(72)
     improved = 0

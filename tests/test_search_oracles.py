@@ -198,3 +198,88 @@ def test_overflow_guard():
     assert 2 * int(np.abs(res.candidate.h).max()) ** 2 >= 2 ** 50
     # up to the last depth that passes the guard the oracle agrees
     assert_same(IRRATIONAL_X4, y, S.SearchConfig(beam_width=1, max_depth=depth))
+
+
+@pytest.fixture(params=["zeros", "mod3"])
+def colliding_keys(request, monkeypatch):
+    # every child key collides (zeros) or most do (entries 0, 1, 2): the dedupe
+    # must then rest on its exact comparison of the children alone
+    if request.param == "zeros":
+        table = lambda n: np.zeros((n, n), dtype=np.int64)
+    else:
+        table = lambda n: (np.arange(n * n, dtype=np.int64) % 3).reshape(n, n)
+    monkeypatch.setattr(S, "_key_multipliers", table)
+
+
+def test_colliding_keys_dim4_beam256(colliding_keys):
+    rng = random.Random(85)
+    y = {k: rng.uniform(-1, 1) for k in constrained_keys(3, 2)}
+    assert_same(IRRATIONAL_X4, y,
+                S.SearchConfig(beam_width=256, max_depth=6, epsilon=1e-12, seed=4))
+
+
+def test_colliding_keys_dense_dim7_and_both_sides(colliding_keys):
+    rng = random.Random(86)
+    x = AlternatingForm(7, 3, {k: rng.uniform(-1, 1) for k in all_keys(7, 3)})
+    y = {k: rng.uniform(-1, 1) for k in constrained_keys(2)}
+    assert_same(x, y, S.SearchConfig(beam_width=64, max_depth=3, epsilon=1e-12, seed=2))
+    assert_same(x, y, S.SearchConfig(beam_width=16, max_depth=3, both_sides=True, seed=6))
+    w = make_rep("case1_w").as_float()
+    assert_same(w, planted(w, (16, 53), 1),
+                S.SearchConfig(beam_width=64, max_depth=4, both_sides=True))
+
+
+def test_colliding_keys_sparse_form_and_plateau(colliding_keys):
+    rng = random.Random(87)
+    x = AlternatingForm(6, 3, {k: rng.uniform(-1, 1) for k in all_keys(6, 3)
+                               if rng.random() < 0.4})
+    y = {k: rng.uniform(-1, 1) for k in constrained_keys(1)}
+    assert_same(x, y, S.SearchConfig(beam_width=64, max_depth=4, seed=11))
+    w = make_rep("case1_w").as_float()
+    res = assert_same(w, planted(w, (16, 53, 11, 13), 1),
+                      S.SearchConfig(beam_width=64, max_depth=4, seed=7))
+    assert res.trace == [1.0] * 5
+
+
+def test_dim10_two_form():
+    # 100 basis entries: the key needs a multiplier per entry
+    rng = random.Random(88)
+    x = AlternatingForm(10, 2, {k: rng.uniform(-1, 1) for k in all_keys(10, 2)})
+    y = {k: rng.uniform(-1, 1) for k in constrained_keys(3, 5)}
+    assert S._key_multipliers(5).shape == (5, 5) and S._key_multipliers(10).shape == (10, 10)
+    assert_same(x, y, S.SearchConfig(beam_width=16, max_depth=3, epsilon=1e-12, seed=9))
+
+
+def test_dim8_two_form():
+    rng = random.Random(89)
+    x = AlternatingForm(8, 2, {k: rng.uniform(-1, 1) for k in all_keys(8, 2)})
+    y = {k: rng.uniform(-1, 1) for k in constrained_keys(3, 4)}
+    assert_same(x, y, S.SearchConfig(beam_width=32, max_depth=4, epsilon=1e-12, seed=10))
+    assert_same(x, y, S.SearchConfig(beam_width=8, max_depth=3, both_sides=True, seed=10))
+
+
+@pytest.mark.parametrize("both_sides, y", [
+    (False, {(1, 2): 1e16, (1, 3): 1e16, (2, 3): 1e16}),
+    (True, {(1, 2): 0.0, (1, 3): 0.0, (2, 3): 1e16}),  # a left child (a column sum) trips it
+])
+def test_overflow_guard_trips_at_the_first_child_past_the_bound(both_sides, y):
+    # the guard reads max |child entry| off the beam; it must trip at the first depth whose
+    # beam has a child with 2 * max|h|^2 >= 2^53, found here by a walk with explicit
+    # children and the oracle's ranking (a beam of one keeps the first child of the order)
+    items, targets = S._x_items(IRRATIONAL_X4), S._targets(IRRATIONAL_X4, y)
+    moves = S.generator_moves(4)
+    salt = (0).to_bytes(8, "little", signed=True)
+    h, depth = np.eye(4, dtype=np.int64), 0
+    while True:
+        kids = [h @ g for g in moves] + ([g @ h for g in moves] if both_sides else [])
+        if 2 * max(int(np.abs(k).max()) for k in kids) ** 2 >= 2 ** 53:
+            break
+        objs = batch_objective(items, targets, np.stack(kids))
+        best = min(range(len(kids)), key=lambda i: (
+            objs[i], hashlib.blake2b(salt + kids[i].tobytes(), digest_size=8).digest(), i))
+        h, depth = kids[best], depth + 1
+    config = S.SearchConfig(beam_width=1, max_depth=depth, both_sides=both_sides)
+    S.approximate(IRRATIONAL_X4, y, config)
+    config.max_depth = depth + 1
+    with pytest.raises(ArithmeticError, match="too large for exact float minors"):
+        S.approximate(IRRATIONAL_X4, y, config)
