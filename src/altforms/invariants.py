@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from . import linalg
 from .multilinear import d3, integral_multiple, sort_sign
-from .scalars import cube_root_rational
+from .scalars import clear_denominators, cube_root_rational
 
 # det gram(Q_x) = QCASE2_DET_RATIO * delta(x)^3, pinned at x = w.
 QCASE2_DET_RATIO = Fraction(81, 4)
@@ -141,15 +141,23 @@ def delta_case1(x, tol=None):
 
 
 def _delta_from_s(S, tol=None):
-    """delta with S^2 = delta * I for a built S_x; ArithmeticError otherwise."""
-    S2 = linalg.mat_mul(S, S)
+    """delta with S^2 = delta * I for a built S_x; ArithmeticError otherwise.
+    A rational S is squared as the ints D * S over its nonzero entries and
+    checked exactly; delta is then one Fraction, over D^2."""
+    cleared = clear_denominators(v for row in S for v in row)
+    if cleared is None:
+        S2, D = linalg.mat_mul(S, S), None
+    else:
+        (D, ints), n, tol = cleared, len(S), None
+        rows = [{j: v for j, v in enumerate(ints[i * n:i * n + n]) if v} for i in range(n)]
+        S2 = [[sum(a * rows[j].get(k, 0) for j, a in row.items()) for k in range(n)] for row in rows]
     d = S2[0][0]
     for i, row in enumerate(S2):
         for j, v in enumerate(row):
             want = d if i == j else 0
             if not (v == want if tol is None else abs(float(v) - float(want)) <= tol):
                 raise ArithmeticError("S_x^2 is not a scalar matrix (internal bug)")
-    return d
+    return d if D is None else Fraction(d, D * D)
 
 
 def _block_matrices(z):

@@ -1,12 +1,13 @@
 """Exact linear algebra over field scalars (Fraction, QuadExt).
 
 Matrices are lists of lists.  Determinant, inverse, solve, RREF, rank and
-nullspace run on one sparse Gauss-Jordan kernel over the nonzero entries
-of each row, so its cost follows the nonzeros, not the shape.  Rational
-matrices (ints and Fractions alike) are eliminated on integers with one
-common denominator per row, and their results are Fractions; other scalars
-divide exactly, so results are exact for any scalar type with exact
-``+ - * /``.  The float paths of the package use numpy instead.
+nullspace run on one sparse Gauss-Jordan loop, ``sparse_rref``, over the
+nonzero entries of each row, so its cost follows the nonzeros, not the
+shape.  Rational matrices (ints and Fractions alike) are scaled to ints
+with one common denominator per row and reduced fraction-free; only their
+outputs become Fractions.  Integer systems (stabilizers) call
+``sparse_rref`` and ``int_nullspace`` on int rows directly.  Other scalars
+divide by each pivot.  The float paths of the package use numpy instead.
 """
 
 from __future__ import annotations
@@ -62,88 +63,107 @@ def mat_eq(A, B):
 def _gauss_jordan(M, ncols):
     """Reduce M in place to reduced row echelon form on its first ncols columns.
 
-    Sparse Gauss-Jordan on rows held as {column: value}, taken in decreasing
-    order of their leading column.  A row is reduced at the stored pivot
-    columns where it is nonzero (stored rows are zero at each other's
-    pivots), takes its first nonzero column below ncols as its pivot, and
-    that column is cleared from the stored rows.  Columns past ncols are
-    carried along: [A | B] -> [I | A^-1 B].  Returns (pivot columns, det):
-    det is the product of the pivots times the sign of the permutation from
-    row to pivot column, the determinant of a square M with a pivot in every
-    column.  M is written back as the pivot rows in column order, then the
-    others.
-
-    A matrix of ints and Fractions runs on Python ints: each row is scaled
-    by its common denominator once, combined fraction-free (Bareiss 1968) as
-    p * row - f * pivot row, and divided by the gcd of its entries, which
-    keeps its entries as small as those of the reduced rational row.  Row i
-    stands for rows[i] * num / den, and only the output entries become
-    Fractions, entry / pivot.  Other scalars (Q(sqrt d), float) divide each
-    new row by its pivot instead, and write zeros back as 0 * an entry, so
-    Q(sqrt d) rows stay Q(sqrt d).
+    Columns past ncols are carried along: [A | B] -> [I | A^-1 B].  Returns
+    (pivot columns, det): det is the product of the pivots times the sign of
+    the permutation from row to pivot column, the determinant of a square M
+    with a pivot in every column.  M is written back as the pivot rows in
+    column order, then the others.  A rational M is reduced on ints, and
+    only the output entries become Fractions, entry / pivot (the other rows
+    as the int rows left).  Other scalars write zeros back as 0 * an entry,
+    so Q(sqrt d) rows stay Q(sqrt d).
     """
     width = len(M[0]) if M else 0
+    rows, pivots, det, rational = _reduce(M, ncols)
+    out = []
+    for c, i in pivots:
+        row, zero = rows[i], _ZERO if rational else 0 * rows[i][c]
+        out.append([(Fraction(row[j], row[c]) if rational else row[j]) if j in row else zero
+                    for j in range(width)])
+    for i in sorted(set(range(len(M))) - {i for _, i in pivots}):
+        if rational:
+            out.append([Fraction(rows[i].get(j, 0)) for j in range(width)])
+        else:
+            nz = next((v for v in M[i] if v != 0), None)
+            out.append(M[i] if nz is None else [rows[i].get(j, 0 * nz) for j in range(width)])
+    M[:] = out
+    return [c for c, _ in pivots], det
+
+
+_ZERO = Fraction(0)
+
+
+def _reduce(M, ncols):
+    """(rows, pivots, det, rational): sparse_rref of the rows of M, each row
+    times its common denominator when M is rational (det one Fraction then)."""
     cleared = [clear_denominators(row) for row in M]
-    exact = None not in cleared
-    if exact:
-        rows = [{j: v for j, v in enumerate(ints) if v} for _, ints in cleared]
-        scale = [[1, D] for D, _ in cleared]  # row i is rows[i] * num / den
-    else:
-        rows = [{j: v for j, v in enumerate(row) if v != 0} for row in M]
-    stored, det = {}, Fraction(1)  # pivot column -> (row index, reduced row)
-    for i in sorted(range(len(M)), key=lambda i: min(rows[i], default=width), reverse=True):
+    rational = None not in cleared
+    rows = ([{j: v for j, v in enumerate(ints) if v} for _, ints in cleared] if rational
+            else [{j: v for j, v in enumerate(row) if v != 0} for row in M])
+    pivots, (num, den) = sparse_rref(rows, ncols, rational)
+    det = Fraction(num, den * math.prod(D for D, _ in cleared)) if rational else num
+    return rows, pivots, det, rational
+
+
+def sparse_rref(rows, ncols, ints=True):
+    """Sparse Gauss-Jordan on rows {column: value}, in place, on their first
+    ncols columns (the others are carried along).  Rows are taken in
+    decreasing order of their leading column, reduced at the stored pivots
+    where they are nonzero; a row's first nonzero column below ncols becomes
+    its pivot and is cleared from the stored rows.  Int rows run fraction-free
+    (Bareiss 1968), as p * row - f * pivot row divided by the gcd of its
+    entries; other scalars (ints=False) divide each pivot row by its pivot.
+
+    Returns (pivots, (num, den)): (c, i) in column order, rows[i] having its
+    pivot at c (primitive with its own pivot entry for ints, 1 otherwise) and
+    zero at the other pivots; the other rows vanish on the first ncols
+    columns.  num / den is the determinant of a square system of full rank.
+    """
+    stored, num, den = {}, 1 if ints else Fraction(1), 1  # pivot column -> (row index, row)
+    for i in sorted(range(len(rows)), key=lambda i: min(rows[i], default=ncols), reverse=True):
         row = rows[i]
         hits = [c for c in row if c in stored]
-        if exact:
+        if ints:
             p = math.lcm(*(stored[c][1][c] for c in hits))
             _eliminate(row, [(row[c] * p // stored[c][1][c], stored[c][1]) for c in hits], p)
-            scale[i][0] *= _primitive(row)
-            scale[i][1] *= p
+            g = _primitive(row)
         else:
             _eliminate(row, [(row[c], stored[c][1]) for c in hits])
         c = min((j for j in row if j < ncols), default=None)
         if c is None:
             continue
         pv = row[c]
-        if exact:
-            det *= Fraction(pv * scale[i][0], scale[i][1])
+        if ints:
+            num, den = num * pv * g, den * p
         else:
-            det, row = det * pv, {j: v / pv for j, v in row.items()}
+            num, row = num * pv, {j: v / pv for j, v in row.items()}
+            rows[i] = row
         for _, other in stored.values():
             if c in other:
-                if exact:
-                    g = math.gcd(pv, other[c])
-                    _eliminate(other, [(other[c] // g, row)], pv // g)
+                if ints:
+                    h = math.gcd(pv, other[c])
+                    _eliminate(other, [(other[c] // h, row)], pv // h)
                     _primitive(other)
                 else:
                     _eliminate(other, [(other[c], row)])
         stored[c] = (i, row)
-    pivots = sorted(stored)
-    order = [stored[c][0] for c in pivots]
-    if sum(b < a for k, a in enumerate(order) for b in order[k + 1:]) % 2:
-        det = -det
-    out = []
-    for c in pivots:
-        row = stored[c][1]
-        if exact:
-            out.append([Fraction(row[j], row[c]) if j in row else _ZERO for j in range(width)])
-        else:
-            zero = 0 * row[c]
-            out.append([row.get(j, zero) for j in range(width)])
-    for i in sorted(set(range(len(M))) - set(order)):
-        row = rows[i]
-        if exact:
-            num, den = scale[i]
-            out.append([Fraction(row[j] * num, den) if j in row else _ZERO
-                        for j in range(width)])
-        else:
-            nz = next((v for v in M[i] if v != 0), None)
-            out.append(M[i] if nz is None else [row.get(j, 0 * nz) for j in range(width)])
-    M[:] = out
-    return pivots, det
+    pivots = [(c, stored[c][0]) for c in sorted(stored)]
+    odd = sum(b < a for k, (_, a) in enumerate(pivots) for _, b in pivots[k + 1:]) % 2
+    return pivots, (-num if odd else num, den)
 
 
-_ZERO = Fraction(0)
+def int_nullspace(rows, ncols):
+    """Basis of {x : A x = 0} for int rows {column: int}, reduced in place: a
+    (free column, vector) pair per free column, in order, the vector {column:
+    int} the canonical one (1 there, 0 at the other free columns) made primitive."""
+    pivots, _ = sparse_rref(rows, ncols)
+    basis = []
+    for fc in sorted(set(range(ncols)) - {c for c, _ in pivots}):
+        terms = [(c, rows[i]) for c, i in pivots if fc in rows[i]]
+        m = math.lcm(*(r[c] for c, r in terms))
+        v = {fc: m, **{c: -r[fc] * (m // r[c]) for c, r in terms}}
+        _primitive(v)
+        basis.append((fc, v))
+    return basis
 
 
 def _eliminate(row, terms, p=1):
@@ -172,9 +192,8 @@ def _primitive(row):
 
 def mat_det(A):
     """Exact determinant: the signed product of the elimination pivots."""
-    M = [list(row) for row in A]
-    pivots, det = _gauss_jordan(M, len(M))
-    return det if len(pivots) == len(M) else 0 * det
+    _, pivots, det, _ = _reduce(A, len(A))
+    return det if len(pivots) == len(A) else 0 * det
 
 
 def _solve_block(A, B):

@@ -56,6 +56,9 @@ class QuadExt:
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild from the ints, past __setattr__
+        return _new, (self._A, self._B, self._D, self.d)
+
     @property
     def a(self):
         return Fraction(self._A, self._D)

@@ -76,8 +76,7 @@ def _move_list(n):
 
 
 def _unimodular_check(h):
-    from fractions import Fraction
-    det = linalg.mat_det([[Fraction(int(v)) for v in row] for row in h])
+    det = linalg.mat_det(np.asarray(h, dtype=np.int64).tolist())
     if det != 1:
         raise ValueError(f"matrix is not unimodular (det {det})")
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .multilinear import AlternatingForm, all_keys, sort_sign
+from .multilinear import AlternatingForm, all_keys, integral_multiple, sort_sign
 from .scalars import clear_denominators
 
 
@@ -50,36 +50,43 @@ def sl_basis(n):
 def stab_lie_algebra(x, label=""):
     """Annihilator of x in sl(dim): all traceless X with lie_action(X, x) = 0.
 
-    Exact nullspace over the rationals for exact coefficients; float forms
-    use a numpy SVD nullspace with a relative cutoff.
+    Exact nullspace for exact coefficients, of the system scaled to ints by
+    linalg.int_nullspace for a rational x (a Fraction only per nonzero basis
+    coefficient).  Float forms use a numpy SVD nullspace with a relative cutoff.
     """
-    n = x.dim
+    n, m = x.dim, x.dim * x.dim - 1
+    multiple = integral_multiple(x)
+    if multiple is not None:
+        basis = [_sl_matrix([Fraction(v[b], v[fc]) if b in v else 0 for b in range(m)], n)
+                 for fc, v in linalg.int_nullspace(stab_system(multiple[1]), m)]
+        return LieSubalgebra(n, basis, label or "stab")
     rows = stab_system(x)
+    dense = [[_ZERO] * m for _ in rows]  # keys x basis
+    for t, row in enumerate(rows):
+        for b, v in row.items():  # an int among other scalars: linalg divides no two ints
+            dense[t][b] = Fraction(v) if type(v) is int else v
     if x.scalar_kind() == "float":
         import numpy as np
-        A = np.array(rows, dtype=float)  # keys x basis
+        A = np.array(dense, dtype=float)
         u, s, vh = np.linalg.svd(A)
         tol = max(A.shape) * (s[0] if len(s) else 0.0) * 1e-12
         null = vh[int((s > tol).sum()):]
         return LieSubalgebra(n, [_sl_matrix(c.tolist(), n) for c in null],
                              label or "stab(float)")
-    combos = linalg.nullspace(rows, n * n - 1)
-    return LieSubalgebra(n, [_sl_matrix(c, n) for c in combos], label or "stab")
+    return LieSubalgebra(n, [_sl_matrix(c, n) for c in linalg.nullspace(dense, m)],
+                         label or "stab")
 
 
 def stab_system(x):
-    """The keys x sl_basis system whose nullspace is stab(x): entry (K, b) is
-    the coefficient of e_K in lie_action(sl_basis(dim)[b], x).
+    """The keys x sl_basis system whose nullspace is stab(x), as sparse rows
+    {b: value}, value the coefficient of e_K in lie_action(sl_basis(dim)[b], x).
 
     Read off the signed index maps of the units, with no products: each
-    entry is one coefficient of x or its negative (a Fraction for an int),
-    and the others are Fraction(0).
+    value is one coefficient of x or its negative, as it is (ints stay ints).
     """
-    rows = [[_ZERO] * (x.dim * x.dim - 1) for _ in range(math.comb(x.dim, x.degree))]
+    rows = [{} for _ in range(math.comb(x.dim, x.degree))]
     moves = _unit_moves(x.dim, x.degree)
     for K, v in x.coeffs.items():
-        if type(v) is int:
-            v = Fraction(v)
         signed = (None, v, -v)  # indexed by the sign +1 or -1
         for t, b, sign in moves[K]:
             rows[t][b] = signed[sign]
@@ -149,11 +156,12 @@ def fixed_space(L, shape):
     order reversed, so the basis depends on the kernel alone, not on the
     order in which it was cut down.
 
-    A rational basis acts on ints: each X and each kernel vector is scaled
-    to integers, which changes no kernel, and the systems handed to linalg
-    hold the integer images as Fractions.  A Q(sqrt d) basis acts as it is.
-    Float bases are rejected: they are approximate, so an exact kernel of
-    them is not the fixed space.
+    A rational basis runs on ints: each X is scaled to integers, which
+    changes no kernel, the kernel vectors are primitive int vectors, their
+    images ints, and each system is reduced by linalg.int_nullspace; only
+    the final linalg.rref makes Fractions.  A Q(sqrt d) basis acts as it is,
+    through linalg.nullspace.  Float bases are rejected: they are
+    approximate, so an exact kernel of them is not the fixed space.
     """
     dim, degree = shape
     if L.ambient_dim != dim:
@@ -165,21 +173,24 @@ def fixed_space(L, shape):
     rational = None not in cleared
     if rational:
         ops = [ints for _, ints in cleared]
-    # what linalg gets keeps the parent's types: Fractions, or Q(sqrt d) entries as they are
-    entry = Fraction if rational else (lambda v: v)
     kernel = [{k: 1} for k in keys]
     for X in ops:
         images = _images(X, kernel, dim, degree)
         hit = sorted({k for img in images for k in img})
         if not hit:
             continue
-        rows = [[entry(img.get(k, _ZERO)) for img in images] for k in hit]
-        kernel = [_combine_forms(c, kernel) for c in linalg.nullspace(rows, len(kernel))]
         if rational:
-            kernel = [_integral_vector(f) for f in kernel]
+            rows = [{i: img[k] for i, img in enumerate(images) if k in img} for k in hit]
+            null = linalg.int_nullspace(rows, len(kernel))
+            kernel = [_combine_forms((c, kernel[i]) for i, c in v.items()) for _, v in null]
+            for f in kernel:
+                linalg._primitive(f)
+        else:
+            rows = [[img.get(k, _ZERO) for img in images] for k in hit]
+            kernel = [_combine_forms(zip(c, kernel)) for c in linalg.nullspace(rows, len(kernel))]
         if not kernel:
             return []
-    flipped = [[entry(f.get(k, _ZERO)) for k in reversed(keys)] for f in kernel]
+    flipped = [[f.get(k, _ZERO) for k in reversed(keys)] for f in kernel]
     rows, _ = linalg.rref(flipped)
     return [AlternatingForm(dim, degree, dict(zip(reversed(keys), r))) for r in reversed(rows)]
 
@@ -208,21 +219,15 @@ def _images(X, forms, dim, degree):
     return out
 
 
-def _integral_vector(f):
-    """The primitive integer multiple of a rational vector {key: value}."""
-    _, ints = clear_denominators(f.values())
-    g = math.gcd(*ints)
-    return {k: v // g for k, v in zip(f, ints)}
-
-
 def _require_exact(L, what):
     if any(isinstance(v, float) for M in L.basis for row in M for v in row):
         raise ValueError(f"{what} needs an exact basis; float forms are not supported")
 
 
-def _combine_forms(coeffs, forms):
+def _combine_forms(terms):
+    """The sum of c * f over the (c, f) pairs, forms as {key: value}, without zeros."""
     out = {}
-    for c, f in zip(coeffs, forms):
+    for c, f in terms:
         if c != 0:
             for k, v in f.items():
                 out[k] = out.get(k, 0) + c * v
@@ -233,10 +238,28 @@ def _entries(M):
     """Nonzero entries of a matrix as rows {i: {j: c}}."""
     out = {}
     for i, row in enumerate(M):
-        nz = {j: v for j, v in enumerate(row) if v != 0}
+        nz = {j: v for j, v in enumerate(row) if v}
         if nz:
             out[i] = nz
     return out
+
+
+def _span(basis, n):
+    """(mats, echelon) of n x n matrices: mats holds their nonzero entries as
+    rows {i: {j: c}}, as ints for a rational basis (each matrix times the lcm
+    of its denominators, which changes no span and no zero test); echelon
+    maps each pivot (i, j) of the span, reduced once by linalg.sparse_rref,
+    to (p, pivot row {(i, j): value}), p its pivot entry (1 unless ints)."""
+    mats = [_entries(M) for M in basis]
+    cleared = [clear_denominators(v for r in X.values() for v in r.values()) for X in mats]
+    ints = None not in cleared
+    if ints:
+        values = [iter(vs) for _, vs in cleared]
+        mats = [{i: {j: next(it) for j in r} for i, r in X.items()} for X, it in zip(mats, values)]
+    flat = [{i * n + j: v for i, r in X.items() for j, v in r.items()} for X in mats]
+    pivots, _ = linalg.sparse_rref(flat, n * n, ints)
+    return mats, {divmod(c, n): (flat[i][c] if ints else 1,
+                                 {divmod(t, n): v for t, v in flat[i].items()}) for c, i in pivots}
 
 
 def _commutator(X, Y):
@@ -263,44 +286,31 @@ def bracket(X, Y):
 def subalgebra_closed(L):
     """(True, None) if [L, L] lies in span(L); else (False, witness pair).
 
-    The span is row-reduced once.  Each bracket is formed from the nonzero
-    entries of the pair and reduced sparsely: in RREF the multiple of the
-    pivot row of column c is the bracket's own entry at c, so the residual
-    is B - sum_c B[c] * row_c over the bracket's nonzero pivot entries.
-    Pairs are taken in basis order (a <= b); the first one with a nonzero
+    The span is row-reduced once (_span: on ints for a rational basis).  Each
+    bracket B is formed from the nonzero entries of the pair and reduced
+    sparsely: the residual is P * B - sum_c (P * B[c] / p_c) * row_c over the
+    pivots c that B hits, p_c the pivot entry of row_c and P their lcm.
+    Pairs are taken in basis order (a < b); the first one with a nonzero
     residual is the witness.  Float bases are rejected: exact zero tests on
     them call closed algebras open.
     """
     _require_exact(L, "subalgebra_closed")
-    n = L.ambient_dim
-    flat = [[M[i][j] for i in range(n) for j in range(n)] for M in L.basis]
-    if not flat:
-        return True, None
-    rows, pivots = linalg.rref(flat)
-    echelon = {divmod(c, n): {divmod(t, n): v for t, v in enumerate(r) if v != 0}
-               for r, c in zip(rows, pivots)}
-    sparse = [_entries(M) for M in L.basis]
+    sparse, echelon = _span(L.basis, L.ambient_dim)
     for a, X in enumerate(sparse):
         for b in range(a + 1, len(sparse)):
-            B = _commutator(X, sparse[b])
-            residual = dict(B)
-            for c, f in B.items():
-                for t, v in echelon.get(c, {}).items():
-                    residual[t] = residual.get(t, 0) - f * v
-            if any(v != 0 for v in residual.values()):
+            B = _commutator(X, sparse[b])  # reduced in place to its residual
+            hits = [c for c in B if c in echelon]
+            P = math.lcm(*(echelon[c][0] for c in hits))
+            linalg._eliminate(B, [(B[c] * (P // echelon[c][0]), echelon[c][1]) for c in hits], P)
+            if B:
                 return False, (L.basis[a], L.basis[b])
     return True, None
 
 
 def span_dim(subalgebras):
     """Dimension of the sum of the given subspaces (exact rank)."""
-    rows = []
-    n = None
-    for L in subalgebras:
-        n = L.ambient_dim
-        for M in L.basis:
-            rows.append([M[i][j] for i in range(n) for j in range(n)])
-    return linalg.rank(rows) if rows else 0
+    mats = [M for L in subalgebras for M in L.basis]
+    return len(_span(mats, subalgebras[-1].ambient_dim)[1]) if mats else 0
 
 
 # Named pieces of the dim-6 picture: block algebras inside sl(6).

@@ -22,7 +22,7 @@ from altforms.multilinear import AlternatingForm, all_keys, gl_action, lie_actio
 from altforms.representatives import g_alpha, make_rep
 from altforms.scalars import QuadExt
 from altforms.serialize import form_to_dict
-from altforms.stabilizers import fixed_space, sl_basis, stab_lie_algebra
+from altforms.stabilizers import LieSubalgebra, fixed_space, sl_basis, stab_lie_algebra
 from test_linalg_oracles import rand_matrix, rand_scalar
 
 
@@ -256,11 +256,44 @@ def test_stab_systems(name, x):
     same(linalg.nullspace(rows, len(rows[0])), dense_nullspace(rows, len(rows[0])))
 
 
+def dense_stab_and_fixed(x):
+    """stab(x) and its fixed space by their Fraction definitions on the dense
+    oracle: the nullspace of the lie_action system, each vector summed over
+    the sl_basis units, and the nullspace of the lie_action systems of the
+    whole basis stacked."""
+    n, keys = x.dim, all_keys(x.dim, x.degree)
+    units = sl_basis(n)
+    basis = []
+    for c in dense_nullspace(stab_system(x), n * n - 1):
+        basis.append([[sum((cb * B[i][j] for cb, B in zip(c, units)), Fraction(0))
+                       for j in range(n)] for i in range(n)])
+    rows = []
+    for X in basis:
+        cols = [lie_action(X, AlternatingForm(n, x.degree, {k: Fraction(1)})) for k in keys]
+        rows += [[c.coeffs.get(k, Fraction(0)) for c in cols] for k in keys]
+    fixed = [AlternatingForm(n, x.degree, dict(zip(keys, v)))
+             for v in dense_nullspace(rows, len(keys))]
+    return basis, fixed
+
+
 @pytest.mark.parametrize("name,x", STAB_FORMS[-2:], ids=[n for n, _ in STAB_FORMS[-2:]])
 def test_stab_and_fixed_json_with_either_kernel(name, x, monkeypatch):
     L = stab_lie_algebra(x)
     fixed = [form_to_dict(f) for f in fixed_space(L, (x.dim, x.degree))]
-    monkeypatch.setattr(linalg, "_gauss_jordan", dense_gauss_jordan)
-    L0 = stab_lie_algebra(x)
-    same(L.basis, L0.basis)
-    assert fixed == [form_to_dict(f) for f in fixed_space(L0, (x.dim, x.degree))]
+    if x.scalar_kind() == "rational":
+        # the systems of a rational form go to linalg.int_nullspace, not to
+        # _gauss_jordan: the dense oracle decides through the Fraction definitions
+        basis0, fixed0 = dense_stab_and_fixed(x)
+    else:
+        calls = []
+
+        def oracle(M, ncols):
+            calls.append(ncols)
+            return dense_gauss_jordan(M, ncols)
+
+        monkeypatch.setattr(linalg, "_gauss_jordan", oracle)
+        basis0 = stab_lie_algebra(x).basis
+        fixed0 = fixed_space(LieSubalgebra(x.dim, basis0), (x.dim, x.degree))
+        assert calls  # the Q(sqrt d) path ran on the oracle
+    same(L.basis, basis0)
+    assert fixed == [form_to_dict(f) for f in fixed0]

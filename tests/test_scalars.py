@@ -231,3 +231,20 @@ def test_scalar_and_signature_guards_run_under_python_O():
         "raised ArithmeticError ill-conditioned product solve",
         "raised ValueError plucker needs 3 rows of length 6",
         "raised ArithmeticError stabilizer witness is not rational (internal bug)"]
+
+
+@pytest.mark.parametrize("q", [QuadExt(Fraction(3, 4), Fraction(-5, 6), -3),
+                               QuadExt(-7, Fraction(2, 9), 2),
+                               QuadExt(Fraction(11, 5), 0, 5)],
+                         ids=["d<0", "d>0", "B=0"])
+def test_quadext_copy_and_pickle_round_trip(q):
+    import copy
+    import pickle
+    for f in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        r = f(q)
+        assert type(r) is QuadExt
+        assert (r.a, r.b, r.d) == (q.a, q.b, q.d)
+        assert r == q and hash(r) == hash(q)
+        assert r * r == q * q and r - q == 0  # a working value, not a shell
+    with pytest.raises(AttributeError, match="immutable"):
+        copy.copy(q).d = 7

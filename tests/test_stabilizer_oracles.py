@@ -185,7 +185,16 @@ SYSTEM_FORMS = list(_system_forms())
 
 @pytest.mark.parametrize("name,x", SYSTEM_FORMS, ids=[n for n, _ in SYSTEM_FORMS])
 def test_index_map_stab_system_matches_lie_action(name, x):
-    same(stabilizers.stab_system(x), stab_system(x))
+    # sparse rows {b: value}, each value a coefficient of x or its negative, of its
+    # own type: densified with Fraction zeros and an int taken as its Fraction,
+    # they are the lie_action system by value and by type
+    rows = stabilizers.stab_system(x)
+    kinds = {type(v) for v in x.coeffs.values()}
+    assert all(v != 0 and type(v) in kinds for row in rows for v in row.values())
+    width = x.dim * x.dim - 1
+    dense = [[Fraction(row[b]) if type(row.get(b)) is int else row.get(b, Fraction(0))
+              for b in range(width)] for row in rows]
+    same(dense, stab_system(x))
 
 
 @pytest.mark.parametrize("name,x", SYSTEM_FORMS, ids=[n for n, _ in SYSTEM_FORMS])
