@@ -3,11 +3,12 @@
 Matrices are lists of lists.  Determinant, inverse, solve, RREF, rank and
 nullspace run on one sparse Gauss-Jordan loop, ``sparse_rref``, over the
 nonzero entries of each row, so its cost follows the nonzeros, not the
-shape.  Rational matrices (ints and Fractions alike) are scaled to ints
-with one common denominator per row and reduced fraction-free; only their
-outputs become Fractions.  Integer systems (stabilizers) call
-``sparse_rref`` and ``int_nullspace`` on int rows directly.  Other scalars
-divide by each pivot.  The float paths of the package use numpy instead.
+shape.  Each row is scaled by its common denominator, rational rows (ints
+and Fractions alike) to ints and rows with a Q(sqrt d) entry to ints and
+QuadExts over Z[sqrt d], and reduced fraction-free; only the outputs are
+divided through, into Fractions and QuadExts.  The stabilizer systems
+call ``sparse_rref`` and ``int_nullspace`` on their scaled rows directly.
+The float paths of the package use numpy instead.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import QuadExt, clear_denominators, demote
+from .scalars import QuadExt, _new, clear_denominators, demote
 
 
 def identity(n):
@@ -67,88 +68,101 @@ def _gauss_jordan(M, ncols):
     (pivot columns, det): det is the product of the pivots times the sign of
     the permutation from row to pivot column, the determinant of a square M
     with a pivot in every column.  M is written back as the pivot rows in
-    column order, then the others.  A rational M is reduced on ints, and
-    only the output entries become Fractions, entry / pivot (the other rows
-    as the int rows left).  Other scalars write zeros back as 0 * an entry,
-    so Q(sqrt d) rows stay Q(sqrt d).
+    column order, then the others as zero rows.  An output entry is entry /
+    pivot of its reduced row (_over); a zero is 0 * the pivot, or in a zero
+    row 0 * its first nonzero input entry (each input entry if it has none).
     """
     width = len(M[0]) if M else 0
-    rows, pivots, det, rational = _reduce(M, ncols)
+    rows, pivots, det = _reduce(M, ncols)
     out = []
     for c, i in pivots:
-        row, zero = rows[i], _ZERO if rational else 0 * rows[i][c]
-        out.append([(Fraction(row[j], row[c]) if rational else row[j]) if j in row else zero
-                    for j in range(width)])
+        row, p = rows[i], _pivot(rows[i][c])
+        zero = _over(0 * row[c])
+        out.append([_over(row[j], p) if j in row else zero for j in range(width)])
     for i in sorted(set(range(len(M))) - {i for _, i in pivots}):
-        if rational:
-            out.append([Fraction(rows[i].get(j, 0)) for j in range(width)])
-        else:
-            nz = next((v for v in M[i] if v != 0), None)
-            out.append(M[i] if nz is None else [rows[i].get(j, 0 * nz) for j in range(width)])
+        nz = next((v for v in M[i] if v != 0), None)
+        out.append([_over(v) for v in M[i]] if nz is None else [_over(0 * nz)] * width)
     M[:] = out
     return [c for c, _ in pivots], det
 
 
-_ZERO = Fraction(0)
+def _over(v, n=1):
+    """v / n for an int n != 0, as dividing through gives it: a Fraction for an
+    int v, a QuadExt for a QuadExt."""
+    return Fraction(v, n) if type(v) is int else v / n
 
 
 def _reduce(M, ncols):
-    """(rows, pivots, det, rational): sparse_rref of the rows of M, each row
-    times its common denominator when M is rational (det one Fraction then)."""
-    cleared = [clear_denominators(row) for row in M]
-    rational = None not in cleared
-    rows = ([{j: v for j, v in enumerate(ints) if v} for _, ints in cleared] if rational
-            else [{j: v for j, v in enumerate(row) if v != 0} for row in M])
-    pivots, (num, den) = sparse_rref(rows, ncols, rational)
-    det = Fraction(num, den * math.prod(D for D, _ in cleared)) if rational else num
-    return rows, pivots, det, rational
+    """(rows, pivots, det): sparse_rref of the rows of M, each row times its
+    common denominator (_integral)."""
+    cleared = [_integral(row) for row in M]
+    rows = [{j: v for j, v in enumerate(values) if v} for _, values in cleared]
+    pivots, (num, den) = sparse_rref(rows, ncols)
+    return rows, pivots, _over(num, den * math.prod(D for D, _ in cleared))
 
 
-def sparse_rref(rows, ncols, ints=True):
-    """Sparse Gauss-Jordan on rows {column: value}, in place, on their first
-    ncols columns (the others are carried along).  Rows are taken in
-    decreasing order of their leading column, reduced at the stored pivots
-    where they are nonzero; a row's first nonzero column below ncols becomes
-    its pivot and is cleared from the stored rows.  Int rows run fraction-free
-    (Bareiss 1968), as p * row - f * pivot row divided by the gcd of its
-    entries; other scalars (ints=False) divide each pivot row by its pivot.
+def _integral(values):
+    """(D, [D * v for v in values]), D the lcm of the denominators: ints for
+    rational values (clear_denominators), else ints and QuadExts over Z[sqrt d]
+    (D = 1).  A float counts as its exact binary value."""
+    cleared = clear_denominators(values)
+    if cleared is None:
+        values = [Fraction(v) if type(v) is float else v for v in values]
+        D = math.lcm(*(v._D if type(v) is QuadExt else v.denominator for v in values))
+        cleared = D, [v * D if type(v) is QuadExt else v.numerator * (D // v.denominator)
+                      for v in values]
+    return cleared
+
+
+def sparse_rref(rows, ncols):
+    """Sparse Gauss-Jordan on rows {column: value} over Z or Z[sqrt d] (ints and
+    QuadExts with D = 1), in place, on their first ncols columns (the others
+    are carried along).  Rows are taken in decreasing order of their leading
+    column, reduced at the stored pivots where they are nonzero; a row's first
+    nonzero column below ncols becomes its pivot and is cleared from the
+    stored rows.  Rows run fraction-free (Bareiss 1968), as p * row - f *
+    pivot row divided by the gcd of its integer parts.  A QuadExt pivot has
+    its row multiplied by its conjugate, so every stored pivot is a rational
+    integer (held as a QuadExt with B = 0 in such a row, _pivot reads it).
 
     Returns (pivots, (num, den)): (c, i) in column order, rows[i] having its
-    pivot at c (primitive with its own pivot entry for ints, 1 otherwise) and
-    zero at the other pivots; the other rows vanish on the first ncols
-    columns.  num / den is the determinant of a square system of full rank.
+    pivot at c (primitive with its own pivot entry) and zero at the other
+    pivots; the other rows vanish on the first ncols columns.  num / den is
+    the determinant of a square system of full rank.
     """
-    stored, num, den = {}, 1 if ints else Fraction(1), 1  # pivot column -> (row index, row)
+    stored, num, den = {}, 1, 1  # pivot column -> (row index, row)
     for i in sorted(range(len(rows)), key=lambda i: min(rows[i], default=ncols), reverse=True):
         row = rows[i]
-        hits = [c for c in row if c in stored]
-        if ints:
-            p = math.lcm(*(stored[c][1][c] for c in hits))
-            _eliminate(row, [(row[c] * p // stored[c][1][c], stored[c][1]) for c in hits], p)
-            g = _primitive(row)
-        else:
-            _eliminate(row, [(row[c], stored[c][1]) for c in hits])
+        hits = [(c, _pivot(stored[c][1][c])) for c in row if c in stored]
+        p = math.lcm(*(q for _, q in hits))
+        _eliminate(row, [(row[c] * (p // q), stored[c][1]) for c, q in hits], p)
+        g = _primitive(row)
         c = min((j for j in row if j < ncols), default=None)
         if c is None:
             continue
         pv = row[c]
-        if ints:
-            num, den = num * pv * g, den * p
-        else:
-            num, row = num * pv, {j: v / pv for j, v in row.items()}
-            rows[i] = row
+        num, den = num * pv * g, den * p
+        if type(pv) is QuadExt:  # even for B = 0: the row turns QuadExt, as dividing would
+            conj = pv.conjugate()
+            for j in row:
+                row[j] *= conj
+            _primitive(row)
+            pv = _pivot(row[c])
         for _, other in stored.values():
             if c in other:
-                if ints:
-                    h = math.gcd(pv, other[c])
-                    _eliminate(other, [(other[c] // h, row)], pv // h)
-                    _primitive(other)
-                else:
-                    _eliminate(other, [(other[c], row)])
+                f = other[c]
+                h = math.gcd(pv, f) if type(f) is int else math.gcd(pv, f._A, f._B)
+                _eliminate(other, [(_divexact(f, h), row)], pv // h)
+                _primitive(other)
         stored[c] = (i, row)
     pivots = [(c, stored[c][0]) for c in sorted(stored)]
     odd = sum(b < a for k, (_, a) in enumerate(pivots) for _, b in pivots[k + 1:]) % 2
     return pivots, (-num if odd else num, den)
+
+
+def _pivot(v):
+    """A stored pivot as an int: an int, or a QuadExt with B = 0 and D = 1."""
+    return v if type(v) is int else v._A
 
 
 def int_nullspace(rows, ncols):
@@ -182,17 +196,26 @@ def _eliminate(row, terms, p=1):
 
 
 def _primitive(row):
-    """Divide an int row by the gcd of its entries; returns that gcd (1 for an empty row)."""
-    g = math.gcd(*row.values())
+    """Divide a row over Z or Z[sqrt d] by the gcd of the integer parts of its
+    entries; returns that gcd (1 for an empty row)."""
+    try:
+        g = math.gcd(*row.values())
+    except TypeError:  # a QuadExt entry: the gcd of the ints and of every A and B
+        g = math.gcd(*(n for v in row.values() for n in ((v,) if type(v) is int else (v._A, v._B))))
     if g > 1:
-        for j in row:
-            row[j] //= g
+        for j, v in row.items():
+            row[j] = _divexact(v, g)
     return g or 1
+
+
+def _divexact(v, g):
+    """v / g for an int or a QuadExt with D = 1 whose integer parts g divides."""
+    return v // g if type(v) is int else _new(v._A // g, v._B // g, 1, v.d)
 
 
 def mat_det(A):
     """Exact determinant: the signed product of the elimination pivots."""
-    _, pivots, det, _ = _reduce(A, len(A))
+    _, pivots, det = _reduce(A, len(A))
     return det if len(pivots) == len(A) else 0 * det
 
 

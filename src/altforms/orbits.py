@@ -145,19 +145,12 @@ def eigenspaces(x, tol=1e-9):
     bases = []
     for sign in (1, -1):
         lam = sign * root
-        rows = [[_to_common(S[i][j], root) - (lam if i == j else 0) for j in range(6)]
-                for i in range(6)]
+        rows = [[S[i][j] - (lam if i == j else 0) for j in range(6)] for i in range(6)]
         ns = linalg.nullspace(rows, 6)
         if len(ns) != 3:
             raise ArithmeticError("eigenspace dimension must be 3 (internal bug)")
         bases.append([[demote(c) for c in v] for v in ns])
     return GrassmannPoint(bases[0], bases[1])
-
-
-def _to_common(v, root):
-    if isinstance(root, QuadExt) and not isinstance(v, QuadExt):
-        return QuadExt(v, 0, root.d)
-    return v
 
 
 def _eigenspaces_float(x, tol):

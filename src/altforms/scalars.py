@@ -2,7 +2,7 @@
 
 Three scalar realizations are used throughout the package:
 
-* ``fractions.Fraction`` for exact rational work (aliased ``Rational``),
+* ``fractions.Fraction`` for exact rational work,
 * ``QuadExt`` for a single quadratic extension Q(sqrt(d)) at a time,
 * plain ``float`` for the numeric search and perturbation paths.
 
@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-Rational = Fraction
 
 
 @lru_cache(maxsize=None)
@@ -217,8 +215,8 @@ def _new(A, B, D, d):
 
 
 def _reduced(A, B, D, d):
-    """(A + B sqrt(d)) / D in lowest terms, for D > 0."""
-    g = math.gcd(A, B, D)
+    """(A + B sqrt(d)) / D in lowest terms, for D > 0 (D first: the gcd stops at D = 1)."""
+    g = math.gcd(D, A, B)
     if g != 1:
         A, B, D = A // g, B // g, D // g
     return _new(A, B, D, d)

@@ -61,10 +61,7 @@ def stab_lie_algebra(x, label=""):
                  for fc, v in linalg.int_nullspace(stab_system(multiple[1]), m)]
         return LieSubalgebra(n, basis, label or "stab")
     rows = stab_system(x)
-    dense = [[_ZERO] * m for _ in rows]  # keys x basis
-    for t, row in enumerate(rows):
-        for b, v in row.items():  # an int among other scalars: linalg divides no two ints
-            dense[t][b] = Fraction(v) if type(v) is int else v
+    dense = [[row.get(b, _ZERO) for b in range(m)] for row in rows]  # keys x basis
     if x.scalar_kind() == "float":
         import numpy as np
         A = np.array(dense, dtype=float)
@@ -246,19 +243,17 @@ def _entries(M):
 
 def _span(basis, n):
     """(mats, echelon) of n x n matrices: mats holds their nonzero entries as
-    rows {i: {j: c}}, as ints for a rational basis (each matrix times the lcm
-    of its denominators, which changes no span and no zero test); echelon
-    maps each pivot (i, j) of the span, reduced once by linalg.sparse_rref,
-    to (p, pivot row {(i, j): value}), p its pivot entry (1 unless ints)."""
+    rows {i: {j: c}}, each matrix times the lcm of its denominators, which
+    changes no span and no zero test (linalg._integral: ints, or values over
+    Z[sqrt d]); echelon maps each pivot (i, j) of the span, reduced once by
+    linalg.sparse_rref, to (p, pivot row {(i, j): value}), p its int pivot."""
     mats = [_entries(M) for M in basis]
-    cleared = [clear_denominators(v for r in X.values() for v in r.values()) for X in mats]
-    ints = None not in cleared
-    if ints:
-        values = [iter(vs) for _, vs in cleared]
-        mats = [{i: {j: next(it) for j in r} for i, r in X.items()} for X, it in zip(mats, values)]
+    cleared = [linalg._integral([v for r in X.values() for v in r.values()]) for X in mats]
+    values = [iter(vs) for _, vs in cleared]
+    mats = [{i: {j: next(it) for j in r} for i, r in X.items()} for X, it in zip(mats, values)]
     flat = [{i * n + j: v for i, r in X.items() for j, v in r.items()} for X in mats]
-    pivots, _ = linalg.sparse_rref(flat, n * n, ints)
-    return mats, {divmod(c, n): (flat[i][c] if ints else 1,
+    pivots, _ = linalg.sparse_rref(flat, n * n)
+    return mats, {divmod(c, n): (linalg._pivot(flat[i][c]),
                                  {divmod(t, n): v for t, v in flat[i].items()}) for c, i in pivots}
 
 
@@ -286,7 +281,7 @@ def bracket(X, Y):
 def subalgebra_closed(L):
     """(True, None) if [L, L] lies in span(L); else (False, witness pair).
 
-    The span is row-reduced once (_span: on ints for a rational basis).  Each
+    The span is row-reduced once (_span: over Z or Z[sqrt d]).  Each
     bracket B is formed from the nonzero entries of the pair and reduced
     sparsely: the residual is P * B - sum_c (P * B[c] / p_c) * row_c over the
     pivots c that B hits, p_c the pivot entry of row_c and P their lcm.

@@ -22,7 +22,8 @@ from altforms.multilinear import AlternatingForm, all_keys, gl_action, lie_actio
 from altforms.representatives import g_alpha, make_rep
 from altforms.scalars import QuadExt
 from altforms.serialize import form_to_dict
-from altforms.stabilizers import LieSubalgebra, fixed_space, sl_basis, stab_lie_algebra
+from altforms.stabilizers import (LieSubalgebra, fixed_space, sl_basis, span_dim,
+                                  stab_lie_algebra, subalgebra_closed)
 from test_linalg_oracles import rand_matrix, rand_scalar
 
 
@@ -297,3 +298,88 @@ def test_stab_and_fixed_json_with_either_kernel(name, x, monkeypatch):
         assert calls  # the Q(sqrt d) path ran on the oracle
     same(L.basis, basis0)
     assert fixed == [form_to_dict(f) for f in fixed0]
+
+
+# ------------------------------------------- rows of mixed scalar types ----
+
+def lift(A, d):
+    """A with every entry a QuadExt of Q(sqrt d), v as QuadExt(v, 0, d)."""
+    return [[v if type(v) is QuadExt else QuadExt(v, 0, d) for v in row] for row in A]
+
+
+def exact(x):
+    """Every scalar of a nested output is a Fraction or a QuadExt (no float, no int)."""
+    return all(exact(v) for v in x) if isinstance(x, list) else type(x) in (Fraction, QuadExt)
+
+
+def check_like_lifted(A, d):
+    """rref, nullspace, and for square A det, inverse and solve, give the
+    values of the same call on the all-QuadExt copy of A, every entry exact."""
+    Q = lift(A, d)
+    got, want = linalg.rref(A), linalg.rref(Q)
+    assert got == want and exact(got[0])
+    got, want = linalg.nullspace(A), linalg.nullspace(Q)
+    assert got == want and exact(got)
+    if len(A) != len(A[0]):
+        return
+    got, want = linalg.mat_det(A), linalg.mat_det(Q)
+    assert got == want and exact(got)
+    b = [row[0] + row[-1] for row in A]
+    if want == 0:
+        for f, args in ((linalg.mat_inv, (A,)), (linalg.solve, (A, b))):
+            with pytest.raises(ZeroDivisionError, match="singular matrix"):
+                f(*args)
+        return
+    got, want = linalg.mat_inv(A), linalg.mat_inv(Q)
+    assert got == want and exact(got)
+    got, want = linalg.solve(A, b), linalg.solve(Q, lift([b], d)[0])
+    assert got == want and exact(got)
+
+
+def mixed_matrix(rng, m, n, d):
+    """Rows of ints, of Fractions, of Q(sqrt d) values, or of all three mixed."""
+    draws = {"int": lambda: rng.randint(-4, 4),
+             "fraction": lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+             "quad": lambda: rand_scalar(rng, d)}
+    A = []
+    for _ in range(m):
+        kinds = rng.choice((["int"], ["fraction"], ["quad"], list(draws)))
+        A.append([draws[rng.choice(kinds)]() if rng.random() < 0.7 else 0 for _ in range(n)])
+    return A
+
+
+@pytest.mark.parametrize("d", (2, -3))
+def test_int_and_fraction_rows_among_quadext_rows(d):
+    r = QuadExt(0, 1, d)
+    M, pivots = linalg.rref([[2, 1], [r, 1]])
+    assert M == [[1, 0], [0, 1]] and pivots == [0, 1]
+    for A in ([[2, 1], [r, 1]], [[r, 1], [2, 1]], [[1, 2], [2, 4 * r]], [[r, 2], [1, 0]],
+              [[Fraction(1, 2), 3], [r, 1]], [[0, 0], [r, 1]], [[2, 4], [1, 2], [r, r]]):
+        check_like_lifted(A, d)
+    rng = random.Random(f"mixed:{d}")
+    for trial in range(40):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        if trial % 2 == 0:
+            n = m
+        A = mixed_matrix(rng, m, n, d)
+        if m >= 3 and trial % 3 == 1:  # a dependent row
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            A[0] = [a * u + b * v for u, v in zip(A[1], A[2])]
+        check_like_lifted(A, d)
+
+
+def test_mixed_basis_closure_and_span():
+    h = QuadExt(1, 1, 2)
+    E12, E21, H = [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[h, 0], [0, -h]]
+    L = LieSubalgebra(2, [E12, E21, H])
+    assert subalgebra_closed(L) == (True, None)
+    assert span_dim([L]) == 3
+
+
+def test_stab_of_a_form_with_int_and_quadext_coefficients():
+    rng = random.Random(5)
+    coeffs = {k: rng.choice((rng.randint(-3, 3), rand_scalar(rng, -3))) for k in all_keys(6, 3)}
+    x = AlternatingForm(6, 3, coeffs)
+    lifted = AlternatingForm(6, 3, {k: QuadExt(v, 0, -3) if type(v) is int else v
+                                    for k, v in coeffs.items()})
+    assert stab_lie_algebra(x).basis == stab_lie_algebra(lifted).basis
