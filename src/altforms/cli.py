@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from . import cayley_dickson as cd
 from . import linalg, perturb, search, serialize, stabilizers
-from .invariants import delta_case1, delta_case2, invariant_report, q_case2, s_case1
+from .invariants import _delta_from_q, delta_case1, delta_case2, invariant_report, q_case2, s_case1
 from .multilinear import AlternatingForm, gl_action
 from .orbits import classify_real, irrationality_report
 from .representatives import g_alpha, make_rep
@@ -222,20 +222,20 @@ def _verify_rows():
         gl_action(g_alpha(2), w1).map_coeffs(demote), make_rep("case1_walpha", d=2))
 
     w2 = make_rep("case2_w")
-    gram = q_case2(w2).gram
+    q = q_case2(w2)
     expected = [[Fraction(0)] * 7 for _ in range(7)]
     expected[0][0] = Fraction(-6)
     for (i, j) in ((1, 4), (2, 5), (3, 6)):
         expected[i][j] = expected[j][i] = Fraction(3)
-    row("case2 Q_w = 6(-e1^2+e2e5+e3e6+e4e7)", [list(r) for r in gram], expected)
+    row("case2 Q_w = 6(-e1^2+e2e5+e3e6+e4e7)", [list(r) for r in q.gram], expected)
     wp = make_rep("case2_wprime")
-    gramp = q_case2(wp).gram
+    qp = q_case2(wp)
     expectedp = [[Fraction(0)] * 7 for _ in range(7)]
     expectedp[0][3] = expectedp[3][0] = Fraction(-3)
     expectedp[1][2] = expectedp[2][1] = Fraction(3)
-    row("case2 Q_w' = 6(-e1e4+e2e3)", [list(r) for r in gramp], expectedp)
-    row("case2 delta(w) = 6", delta_case2(w2)[0], Fraction(6))
-    row("case2 delta(w') = 0", delta_case2(wp)[0], Fraction(0))
+    row("case2 Q_w' = 6(-e1e4+e2e3)", [list(r) for r in qp.gram], expectedp)
+    row("case2 delta(w) = 6", _delta_from_q(q, "rational")[0], Fraction(6))
+    row("case2 delta(w') = 0", _delta_from_q(qp, "rational")[0], Fraction(0))
     row("case2 delta(w1) = 2^9*6", delta_case2(make_rep("case2_w1"))[0], Fraction(2 ** 9 * 6))
 
     split = cd.split_octonions()

@@ -131,7 +131,8 @@ def eigenspaces(x, tol=1e-9):
     """The two rank-3 eigenspaces of S_x for the eigenvalues +/- sqrt(delta).
 
     Exact over Q(sqrt(d)) for rational input (basis1 belongs to +sqrt(delta));
-    float input uses complex numpy arithmetic.
+    float input uses complex numpy arithmetic.  ValueError when sqrt(delta) lies
+    outside Q and the field of S_x (a field tower).
     """
     if x.scalar_kind() == "float":
         return _eigenspaces_float(x, tol)
@@ -139,9 +140,10 @@ def eigenspaces(x, tol=1e-9):
     delta = demote(_delta_from_s(S))
     if delta == 0:
         raise ValueError("not semistable")
-    if isinstance(delta, QuadExt):
+    fields = {v.d for row in S for v in row if isinstance(v, QuadExt)}  # Q(sqrt d) of S_x
+    root = None if isinstance(delta, QuadExt) else rational_sqrt(delta)
+    if root is None or isinstance(root, QuadExt) and fields - {root.d}:
         raise ValueError("eigenspaces need a rational invariant (no field towers)")
-    root = rational_sqrt(delta)
     bases = []
     for sign in (1, -1):
         lam = sign * root

@@ -153,26 +153,26 @@ def fixed_space(L, shape):
     order reversed, so the basis depends on the kernel alone, not on the
     order in which it was cut down.
 
-    A rational basis runs on ints: each X is scaled to integers, which
+    Each X acts through its nonzero entries alone (_nonzeros, _images).  A
+    rational basis runs on ints: those entries are scaled to integers, which
     changes no kernel, the kernel vectors are primitive int vectors, their
     images ints, and each system is reduced by linalg.int_nullspace; only
     the final linalg.rref makes Fractions.  A Q(sqrt d) basis acts as it is,
-    through linalg.nullspace.  Float bases are rejected: they are
-    approximate, so an exact kernel of them is not the fixed space.
+    through linalg.nullspace.  Float bases are rejected as they are read:
+    they are approximate, so an exact kernel of them is not the fixed space.
     """
     dim, degree = shape
     if L.ambient_dim != dim:
         raise ValueError("ambient dimension mismatch")
-    _require_exact(L, "fixed_space")
     keys = all_keys(dim, degree)
-    ops = [[v for row in X for v in row] for X in L.basis]  # row-major entries
-    cleared = [clear_denominators(X) for X in ops]
+    sparse = [_nonzeros(X, "fixed_space") for X in L.basis]
+    cleared = [clear_denominators(nz.values()) for nz in sparse]
     rational = None not in cleared
     if rational:
-        ops = [ints for _, ints in cleared]
+        sparse = [dict(zip(nz, ints)) for nz, (_, ints) in zip(sparse, cleared)]
     kernel = [{k: 1} for k in keys]
-    for X in ops:
-        images = _images(X, kernel, dim, degree)
+    for nz in sparse:
+        images = _images([nz.get(e, 0) for e in range(dim * dim)], kernel, dim, degree)
         hit = sorted({k for img in images for k in img})
         if not hit:
             continue
@@ -192,33 +192,52 @@ def fixed_space(L, shape):
     return [AlternatingForm(dim, degree, dict(zip(reversed(keys), r))) for r in reversed(rows)]
 
 
+@lru_cache(maxsize=None)
+def _entry_moves(dim, degree):
+    """The moves of _unit_moves by row-major entry e = i * dim + j: the (K, T, sign)
+    with E_ij e_K = sign * e_T; a diagonal entry keeps each e_K with i + 1 in K."""
+    keys = all_keys(dim, degree)
+    off = [i * dim + j for i in range(dim) for j in range(dim) if i != j]
+    out = [[] for _ in range(dim * dim)]
+    for K, moves in _unit_moves(dim, degree).items():
+        for k in K:
+            out[(k - 1) * (dim + 1)].append((K, K, 1))
+        for t, b, sign in moves:
+            if b < len(off):
+                out[off[b]].append((K, keys[t], sign))
+    return tuple(map(tuple, out))
+
+
 def _images(X, forms, dim, degree):
     """lie_action(X, f).coeffs for each f in forms, X given by its row-major
-    entries, read off the signed index maps.  X sends e_K to X_kk e_K for each
-    k in K and to s X_ij e_T along each move (T, s) of E_ij; the image of f
-    sums those terms times f_K, the terms lie_action sums, so values and types
-    are the same."""
-    keys = all_keys(dim, degree)
-    off = [X[i * dim + j] for i in range(dim) for j in range(dim) if i != j]
+    entries.  Only X's nonzero entries are read: each X_ij sends e_K to
+    s X_ij e_T along its moves (K, T, s) in _entry_moves.  The image of f
+    sums those terms times f_K, the terms lie_action sums, so values and
+    types are the same."""
     columns = {}
-    for K, moves in _unit_moves(dim, degree).items():
-        col = [(K, X[(k - 1) * (dim + 1)]) for k in K if X[(k - 1) * (dim + 1)] != 0]
-        col += [(keys[t], sign * off[b]) for t, b, sign in moves
-                if b < len(off) and off[b] != 0]
-        columns[K] = col
+    for x, moves in zip(X, _entry_moves(dim, degree)):
+        if x:
+            for K, T, sign in moves:
+                columns.setdefault(K, []).append((T, sign * x))
     out = []
     for f in forms:
         img = {}
         for K, v in f.items():
-            for T, c in columns[K]:
+            for T, c in columns.get(K, ()):
                 img[T] = img.get(T, 0) + c * v
         out.append({T: v for T, v in img.items() if v != 0})
     return out
 
 
-def _require_exact(L, what):
-    if any(isinstance(v, float) for M in L.basis for row in M for v in row):
-        raise ValueError(f"{what} needs an exact basis; float forms are not supported")
+def _nonzeros(M, exact=""):
+    """The nonzero entries of a matrix as {row-major index: value}.  With
+    `exact` naming the caller, a float entry, 0.0 included, raises ValueError
+    in the same pass: exact zero tests on approximate values mislead."""
+    out = {e: v for e, v in enumerate(v for row in M for v in row)
+           if v or exact and isinstance(v, float)}
+    if exact and any(isinstance(v, float) for v in out.values()):
+        raise ValueError(f"{exact} needs an exact basis; float forms are not supported")
+    return out
 
 
 def _combine_forms(terms):
@@ -231,34 +250,29 @@ def _combine_forms(terms):
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _entries(M):
-    """Nonzero entries of a matrix as rows {i: {j: c}}."""
-    out = {}
-    for i, row in enumerate(M):
-        nz = {j: v for j, v in enumerate(row) if v}
-        if nz:
-            out[i] = nz
-    return out
-
-
-def _span(basis, n):
-    """(mats, echelon) of n x n matrices: mats holds their nonzero entries as
-    rows {i: {j: c}}, each matrix times the lcm of its denominators, which
-    changes no span and no zero test (linalg._integral: ints, or values over
-    Z[sqrt d]); echelon maps each pivot (i, j) of the span, reduced once by
-    linalg.sparse_rref, to (p, pivot row {(i, j): value}), p its int pivot."""
-    mats = [_entries(M) for M in basis]
-    cleared = [linalg._integral([v for r in X.values() for v in r.values()]) for X in mats]
-    values = [iter(vs) for _, vs in cleared]
-    mats = [{i: {j: next(it) for j in r} for i, r in X.items()} for X, it in zip(mats, values)]
-    flat = [{i * n + j: v for i, r in X.items() for j, v in r.items()} for X in mats]
+def _span(sparse, n):
+    """(mats, echelon) of n x n matrices given by _nonzeros: mats holds them as
+    rows {i: {j: c}}, each times the lcm of its denominators, which changes no
+    span and no zero test (linalg._integral: ints, or values over Z[sqrt d]);
+    echelon maps each pivot (i, j) of the span, reduced once by sparse_rref,
+    to (p, pivot row {(i, j): value}), p its int pivot."""
+    flat = [dict(zip(nz, linalg._integral(list(nz.values()))[1])) for nz in sparse]
+    mats = [_rows(F, n) for F in flat]  # before sparse_rref reduces flat in place
     pivots, _ = linalg.sparse_rref(flat, n * n)
     return mats, {divmod(c, n): (linalg._pivot(flat[i][c]),
                                  {divmod(t, n): v for t, v in flat[i].items()}) for c, i in pivots}
 
 
+def _rows(flat, n):
+    """An n x n matrix given by _nonzeros as rows {i: {j: c}}."""
+    out = {}
+    for e, v in flat.items():
+        out.setdefault(e // n, {})[e % n] = v
+    return out
+
+
 def _commutator(X, Y):
-    """Nonzero entries {(i, j): c} of XY - YX, for X, Y given by _entries."""
+    """Nonzero entries {(i, j): c} of XY - YX, for X, Y given by _rows."""
     out = {}
     for P, Q, sign in ((X, Y, 1), (Y, X, -1)):
         for i, prow in P.items():
@@ -273,7 +287,7 @@ def bracket(X, Y):
     if len(X) != len(Y):
         raise ValueError("dimension mismatch")
     B = linalg.zeros(len(X), len(X))
-    for (i, j), v in _commutator(_entries(X), _entries(Y)).items():
+    for (i, j), v in _commutator(*(_rows(_nonzeros(M), len(X)) for M in (X, Y))).items():
         B[i][j] = v
     return B
 
@@ -281,19 +295,23 @@ def bracket(X, Y):
 def subalgebra_closed(L):
     """(True, None) if [L, L] lies in span(L); else (False, witness pair).
 
-    The span is row-reduced once (_span: over Z or Z[sqrt d]).  Each
-    bracket B is formed from the nonzero entries of the pair and reduced
-    sparsely: the residual is P * B - sum_c (P * B[c] / p_c) * row_c over the
-    pivots c that B hits, p_c the pivot entry of row_c and P their lcm.
-    Pairs are taken in basis order (a < b); the first one with a nonzero
-    residual is the witness.  Float bases are rejected: exact zero tests on
-    them call closed algebras open.
+    The span is row-reduced once (_span: over Z or Z[sqrt d]).  A pair
+    (X, Y) commutes unless the bit masks of nonzero columns of X and rows of
+    Y meet, or those of Y and X.  Other brackets are formed from the
+    nonzero entries of the pair and, when nonzero, reduced matsly: the
+    residual is P * B - sum_c (P * B[c] / p_c) * row_c over the pivots c
+    that B hits, p_c the pivot entry of row_c and P their lcm.  Pairs are
+    taken in basis order (a < b); the first one with a nonzero residual is
+    the witness.  Float bases are rejected: exact zero tests on them call
+    closed algebras open.
     """
-    _require_exact(L, "subalgebra_closed")
-    sparse, echelon = _span(L.basis, L.ambient_dim)
-    for a, X in enumerate(sparse):
-        for b in range(a + 1, len(sparse)):
-            B = _commutator(X, sparse[b])  # reduced in place to its residual
+    mats, echelon = _span([_nonzeros(M, "subalgebra_closed") for M in L.basis], L.ambient_dim)
+    masks = [(sum(1 << i for i in X), sum({1 << j for r in X.values() for j in r})) for X in mats]
+    for a, (X, (rx, cx)) in enumerate(zip(mats, masks)):
+        for b in [b for b in range(a + 1, len(mats)) if cx & masks[b][0] or masks[b][1] & rx]:
+            B = _commutator(X, mats[b])  # reduced in place to its residual
+            if not B:
+                continue
             hits = [c for c in B if c in echelon]
             P = math.lcm(*(echelon[c][0] for c in hits))
             linalg._eliminate(B, [(B[c] * (P // echelon[c][0]), echelon[c][1]) for c in hits], P)
@@ -304,7 +322,7 @@ def subalgebra_closed(L):
 
 def span_dim(subalgebras):
     """Dimension of the sum of the given subspaces (exact rank)."""
-    mats = [M for L in subalgebras for M in L.basis]
+    mats = [_nonzeros(M) for L in subalgebras for M in L.basis]
     return len(_span(mats, subalgebras[-1].ambient_dim)[1]) if mats else 0
 
 

@@ -419,3 +419,14 @@ def test_cli_rational_values_of_an_imaginary_field(tmp_path, capsys):
     assert float(QuadExt(-5, 0, -3)) == -5.0 and float(QuadExt(0, 0, -1)) == 0.0
     with pytest.raises(ValueError, match="no float image"):
         float(QuadExt(0, 1, -3))
+
+
+def test_cli_classify_of_a_field_tower_is_an_error(tmp_path, capsys):
+    # sqrt(delta) of this Q(sqrt 2) form lies in Q(sqrt -2): classify printed
+    # "error: mixing sqrt(2) with sqrt(-2)" from inside the eigenspace solve
+    from altforms.multilinear import gl_action
+    from altforms.representatives import g_alpha
+    x = gl_action(g_alpha(2), make_rep("case1_w1"))
+    code, out, err = run(capsys, "classify", write_json(tmp_path, "t.json", form_to_dict(x)))
+    assert code == 1 and out == ""
+    assert err == "error: eigenspaces need a rational invariant (no field towers)\n"

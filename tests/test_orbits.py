@@ -245,3 +245,17 @@ def test_classify_real_rejects_non_finite_coefficients(bad):
         x = AlternatingForm(*shape, {keys[0]: bad, keys[1]: 1.0})
         with pytest.raises(ValueError, match="finite"):
             classify_real(x)
+
+
+def test_eigenspaces_refuse_a_field_tower():
+    # g_alpha(2) has det -8 sqrt(2): moved by it, w1 lives over Q(sqrt 2) and its
+    # delta -64 * 128 is rational, but sqrt(delta) lies in Q(sqrt -2), a tower over
+    # the field of S_x (the eigenspaces mixed sqrt(2) with sqrt(-2))
+    from altforms.representatives import g_alpha
+    x = gl_action(g_alpha(2), make_rep("case1_w1"))
+    assert delta_case1(x) == -8192
+    with pytest.raises(ValueError, match="no field towers"):
+        eigenspaces(x)
+    # delta 128 of w moved the same way has its root 8 sqrt(2) in that field
+    gr = eigenspaces(gl_action(g_alpha(2), make_rep("case1_w")))
+    assert len(gr.basis1) == len(gr.basis2) == 3

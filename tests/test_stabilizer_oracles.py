@@ -24,6 +24,7 @@ from sympy.polys.matrices import DomainMatrix
 from altforms import linalg, stabilizers
 from altforms.multilinear import AlternatingForm, all_keys, lie_action
 from altforms.representatives import make_rep
+from altforms.scalars import QuadExt
 from altforms.serialize import form_to_dict
 from altforms.stabilizers import (LieSubalgebra, fixed_space, h1_case1, join, sl_basis,
                                   stab_lie_algebra, subalgebra_closed, t_case1,
@@ -227,3 +228,104 @@ def test_fixed_space_images_match_lie_action(name, x):
         assert got == want
         assert [{k: type(v) for k, v in g.items()} for g in got] == \
             [{k: type(v) for k, v in w.items()} for w in want]
+
+
+# ------------------------------- images and closures on the nonzero entries ----
+
+def _image_cases(rng):
+    n = 6
+    yield "units", [stabilizers._unit(n, (i, j, 1)) for i in range(n) for j in range(n)]
+    yield "diagonal", [stabilizers._unit(n, *((i, i, rng.randint(-3, 3)) for i in range(n)))]
+    pieces = [M for L in (h1_case1(), u1_case1(), u2_case1(), t_case1()) for M in L.basis]
+    yield "golden pieces", pieces
+    r = QuadExt(Fraction(1, 2), -1, 2)
+    mixed = [[0 if (i + j) % 3 else rng.choice((r, 2 * r, Fraction(3, 4), -1)) for j in range(n)]
+             for i in range(n)]
+    yield "Q(sqrt 2) entries", [mixed, [[r if i == j else 0 for j in range(n)] for i in range(n)]]
+
+
+@pytest.mark.parametrize("name", ["units", "diagonal", "golden pieces", "Q(sqrt 2) entries"])
+def test_images_from_nonzero_entries_match_lie_action(name):
+    # each X acts on e_K through the moves of its nonzero entries only; a diagonal
+    # entry keeps e_K, and the images agree with lie_action by value and by type
+    rng = random.Random(f"images:{name}")
+    mats = dict(_image_cases(rng))[name]
+    keys = all_keys(6, 3)
+    values = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) or Fraction(1) for _ in range(4)]
+    values += [QuadExt(rng.randint(-3, 3), rng.randint(1, 3), 2)] if "sqrt" in name else [1, -2]
+    forms = [{k: rng.choice(values) for k in rng.sample(keys, rng.randint(1, len(keys)))}
+             for _ in range(4)] + [{k: Fraction(1)} for k in keys[:3]]
+    for X in mats:
+        got = stabilizers._images([v for row in X for v in row], forms, 6, 3)
+        want = [lie_action(X, AlternatingForm(6, 3, f)).coeffs for f in forms]
+        assert got == want
+        assert [{k: type(v) for k, v in g.items()} for g in got] == \
+            [{k: type(v) for k, v in w.items()} for w in want]
+
+
+def _sparse_matrix(rng, n, entries):
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for _ in range(entries):
+        i, j = rng.randrange(n), rng.randrange(n)
+        M[i][j] = rng.choice((Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
+                              Fraction(-3, 4)))
+    return M
+
+
+def _borel(rng, n):
+    """Upper-triangular units and diagonal units of size n, shuffled: a closed algebra."""
+    basis = [stabilizers._unit(n, (i, j, 1)) for i in range(n) for j in range(i, n)]
+    rng.shuffle(basis)
+    return basis
+
+
+def _sparse_bases():
+    rng = random.Random(13)
+    for trial in range(20):
+        n = rng.randint(3, 8)
+        yield f"seeded {trial}", [_sparse_matrix(rng, n, rng.randint(1, 4))
+                                  for _ in range(rng.randint(2, 12))]
+    # a closed algebra with one sparse matrix put in at a random place: most pairs
+    # commute or close, and the witness, if any, pairs with the stranger
+    for trial in range(20):
+        n = rng.randint(3, 6)
+        basis = _borel(rng, n)
+        basis.insert(rng.randrange(len(basis) + 1), _sparse_matrix(rng, n, rng.randint(1, 4)))
+        yield f"seeded borel {trial}", basis
+    yield "borel", _borel(rng, 5)
+    # units of disjoint blocks commute by their masks, those of one block close in the
+    # span but for the last pair, which fails
+    E = stabilizers._unit
+    yield "late witness", [E(6, (0, 1, 1)), E(6, (2, 3, 3)), E(6, (1, 0, -1)), E(6, (3, 2, 2)),
+                           E(6, (0, 0, 1), (1, 1, -1)), E(6, (2, 2, 1), (3, 3, -1)),
+                           E(6, (4, 5, 1)), E(6, (5, 4, 1))]
+    # masks that overlap on brackets that cancel: two diagonals, a block identity
+    # beside a block swap and its double; the witness is the last pair
+    yield "cancelling", [E(6, (2, 2, 1), (3, 3, 2)), E(6, (2, 2, 3), (3, 3, -1), (4, 4, 5)),
+                         E(6, (0, 0, 1), (1, 1, 1)), E(6, (0, 1, 1), (1, 0, 1)),
+                         E(6, (0, 1, 2), (1, 0, 2)), E(6, (4, 5, 1)), E(6, (5, 4, 1))]
+
+
+SPARSE_BASES = list(_sparse_bases())
+
+
+@pytest.mark.parametrize("name,basis", SPARSE_BASES, ids=[n for n, _ in SPARSE_BASES])
+def test_closure_on_sparse_bases_matches_dense_check(name, basis):
+    L = LieSubalgebra(len(basis[0]), basis)
+    got = subalgebra_closed(L)
+    assert _same(got, dense_closed(L))
+    if name == "borel":
+        assert got == (True, None)
+    if name in ("late witness", "cancelling"):
+        assert got[1][0] is basis[-2] and got[1][1] is basis[-1]
+
+
+def test_float_zero_entries_are_rejected():
+    # a basis whose only float entries are 0.0 is still a float basis
+    X = stabilizers._unit(3, (0, 1, 1))
+    X[2][2] = 0.0
+    L = LieSubalgebra(3, [X, stabilizers._unit(3, (1, 0, 1))])
+    with pytest.raises(ValueError, match="exact basis"):
+        fixed_space(L, (3, 2))
+    with pytest.raises(ValueError, match="exact basis"):
+        subalgebra_closed(L)
