@@ -195,17 +195,10 @@ class AlgElement:
         return self.inner(one) / one.norm()
 
     def im(self):
-        out = list(self.coords)
-        r = self.re()
-        one = self.algebra.basis_element(0)
-        return AlgElement(self.algebra,
-                          tuple(c - r * o for c, o in zip(out, one.coords)))
+        return self - self.re() * self.algebra.one
 
     def conj(self):
-        r = self.re()
-        return AlgElement(self.algebra,
-                          tuple(2 * r * o - c for c, o in
-                                zip(self.coords, self.algebra.basis_element(0).coords)))
+        return 2 * self.re() * self.algebra.one - self
 
     def associator(self, y, z):
         return (self * y) * z - self * (y * z)
@@ -226,17 +219,11 @@ def cd_double(A, sign=+1):
     def conj_vec(v):
         return A.element(v).conj().coords
 
+    halves = [(e[:n], e[n:]) for e in
+              (tuple(Fraction(int(m == i)) for m in range(N)) for i in range(N))]
     table = [[None] * N for _ in range(N)]
-    for i in range(N):
-        a = tuple(Fraction(1) if m == i else Fraction(0) for m in range(n)) if i < n \
-            else (Fraction(0),) * n
-        b = (Fraction(0),) * n if i < n \
-            else tuple(Fraction(1) if m == i - n else Fraction(0) for m in range(n))
-        for j in range(N):
-            c = tuple(Fraction(1) if m == j else Fraction(0) for m in range(n)) if j < n \
-                else (Fraction(0),) * n
-            d = (Fraction(0),) * n if j < n \
-                else tuple(Fraction(1) if m == j - n else Fraction(0) for m in range(n))
+    for i, (a, b) in enumerate(halves):
+        for j, (c, d) in enumerate(halves):
             ac = A.mul_coords(a, c)
             db = A.mul_coords(conj_vec(d), b)
             da = A.mul_coords(d, a)
@@ -249,8 +236,7 @@ def cd_double(A, sign=+1):
         for j in range(n):
             gram[i][j] = A.gram[i][j]
             gram[i + n][j + n] = sign * A.gram[i][j]
-    sign_tag = "+" if sign == 1 else "-"
-    return AlgebraStructure(N, table, gram, f"{A.label}({sign_tag})")
+    return AlgebraStructure(N, table, gram, f"{A.label}({'+' if sign == 1 else '-'})")
 
 
 def complex_type():
@@ -371,13 +357,14 @@ def c_form(A):
     return AlternatingForm(7, 3, {k: v for k, v in vals.items() if not (v == 0)})
 
 
-def octonion_from_form(x):
+def octonion_from_form(x, q=None):
     """Octonion algebra on k + W* reconstructed from a nondegenerate trivector.
 
     The imaginary product u.v solves gram(Q) * (u.v) = 3 x(., u, v); the real
-    part is -Q(u, v)/delta and the norm of v is Q(v)/delta.  Raises
-    ValueError("not semistable") when Q is degenerate, and ValueError on
-    Q(sqrt d) coefficients, whose delta is only computed as a float.
+    part is -Q(u, v)/delta and the norm of v is Q(v)/delta.  A caller that has
+    built Q = q_case2(x) passes it as q.  Raises ValueError("not semistable")
+    when Q is degenerate, and ValueError on Q(sqrt d) coefficients, whose
+    delta is only computed as a float.
     """
     if x.dim != 7 or x.degree != 3:
         raise ValueError("octonion_from_form needs dim 7, degree 3")
@@ -385,7 +372,7 @@ def octonion_from_form(x):
     if kind == "quadext":
         raise ValueError("octonion_from_form supports rational or float coefficients, "
                          "not Q(sqrt d)")
-    Q = q_case2(x)
+    Q = q_case2(x) if q is None else q
     is_float = kind == "float"
     delta, _ = _delta_from_q(Q, kind)
     if (not is_float and delta == 0) or (is_float and abs(delta) < 1e-12 * max(1.0, x.max_abs()) ** 7):

@@ -245,7 +245,7 @@ def _verify_rows():
                                         (1, 3, 6): half, (1, 4, 7): half})
     row("split octonion trilinear form (35 coefficients)", cf, expected_c)
     row("reconstructed algebra of case2 w equals the split table",
-        cd.octonion_from_form(w2) == split, True)
+        cd.octonion_from_form(w2, q) == split, True)
 
     dims = []
     fixed_dims = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .invariants import (_delta_from_q, _delta_from_s, _finite, case_of, delta_case1,
                          delta_case1_explicit, pfaffian, q_case2, s_case1)
-from .scalars import (QuadExt, demote, rational_reconstruct, rational_sqrt,
+from .scalars import (QuadExt, demote, rational_reconstruct, rational_sqrt, real_sign,
                       squarefree_part)
 
 REAL_ORBITS = ("case1_positive", "case1_negative", "case2_split", "case2_nonsplit",
@@ -80,7 +80,7 @@ def _classify_real(x, tol=1e-9, q=None):
         d = delta_case1_explicit(x)
         if (d == 0) if not is_float else (abs(_finite(d)) <= _cutoff(x, tol, 4)):
             orbit = "degenerate"
-        elif float(d) > 0:
+        elif real_sign(d) > 0:
             orbit = "case1_positive"
         else:
             orbit = "case1_negative"

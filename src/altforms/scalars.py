@@ -234,6 +234,18 @@ def _divided(A, B, D, y):
     return _reduced((A * A2 - d * B * B2) * D2, (B * A2 - A * B2) * D2, D * N, d)
 
 
+def real_sign(x):
+    """The sign, -1, 0 or 1, of a real scalar; exact for a QuadExt (A + B
+    sqrt(d)) / D with d > 0, in the embedding sqrt(d) > 0 that float() takes:
+    the sign of A if A^2 > d B^2, else that of B (never equal, d being no
+    square).  An irrational value with d < 0 raises ValueError."""
+    if type(x) is QuadExt:
+        if x._B and x.d < 0:
+            raise ValueError("imaginary quadratic value has no real sign")
+        x = x._A if x._A * x._A > x.d * x._B * x._B else x._B
+    return (x > 0) - (x < 0)
+
+
 def demote(x):
     """Collapse a QuadExt with zero irrational part back to a Fraction."""
     if isinstance(x, QuadExt) and x.is_rational:

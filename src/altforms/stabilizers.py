@@ -8,26 +8,43 @@ does, and annihilators are exact nullspace computations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg
 from .multilinear import AlternatingForm, all_keys, integral_multiple, sort_sign
 from .scalars import clear_denominators
 
 
-@dataclass
 class LieSubalgebra:
-    """A subspace of matrices given by a basis; label is a human tag."""
+    """A subspace of n x n matrices given by a basis; label is a human tag.
 
-    ambient_dim: int
-    basis: list
-    label: str = ""
+    Held as `entries`, {row-major index i * n + j: value} of the nonzero
+    entries of each basis matrix, which the checks read.  Dense matrices
+    given are read once and kept as `.basis`; else `.basis` is made on first
+    read, its zeros of the type 0 + 0 * v for an entry v not a Fraction, if
+    any.  `inexact` marks a float entry, 0.0 included.
+    """
 
-    @property
-    def dim(self):
-        return len(self.basis)
+    def __init__(self, ambient_dim, basis, label="", entries=None, inexact=False):
+        self.ambient_dim, self.label = ambient_dim, label
+        if entries is None:
+            self.basis, flat = basis, [[v for row in M for v in row] for M in basis]
+            entries = [{e: v for e, v in enumerate(f) if v} for f in flat]
+            inexact = any(isinstance(v, float) for f in flat for v in f)
+        self.entries, self.inexact = entries, inexact
+
+    dim = property(lambda self: len(self.entries))
+
+    @cached_property
+    def basis(self):
+        out, n = [], self.ambient_dim
+        for nz in self.entries:
+            zero = _ZERO + 0 * next((v for v in nz.values() if type(v) is not Fraction), 0)
+            out.append([[zero] * n for _ in range(n)])
+            for e, v in nz.items():
+                out[-1][e // n][e % n] = v
+        return out
 
 
 def _unit(n, *entries):
@@ -38,7 +55,7 @@ def _unit(n, *entries):
     return M
 
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def sl_basis(n):
@@ -53,25 +70,26 @@ def stab_lie_algebra(x, label=""):
     Exact nullspace for exact coefficients, of the system scaled to ints by
     linalg.int_nullspace for a rational x (a Fraction only per nonzero basis
     coefficient).  Float forms use a numpy SVD nullspace with a relative cutoff.
+    Each nullspace vector is placed straight into the entries of its matrix.
     """
-    n, m = x.dim, x.dim * x.dim - 1
+    n, m, kind = x.dim, x.dim * x.dim - 1, x.scalar_kind()
     multiple = integral_multiple(x)
     if multiple is not None:
-        basis = [_sl_matrix([Fraction(v[b], v[fc]) if b in v else 0 for b in range(m)], n)
-                 for fc, v in linalg.int_nullspace(stab_system(multiple[1]), m)]
-        return LieSubalgebra(n, basis, label or "stab")
-    rows = stab_system(x)
-    dense = [[row.get(b, _ZERO) for b in range(m)] for row in rows]  # keys x basis
-    if x.scalar_kind() == "float":
-        import numpy as np
-        A = np.array(dense, dtype=float)
-        u, s, vh = np.linalg.svd(A)
-        tol = max(A.shape) * (s[0] if len(s) else 0.0) * 1e-12
-        null = vh[int((s > tol).sum()):]
-        return LieSubalgebra(n, [_sl_matrix(c.tolist(), n) for c in null],
-                             label or "stab(float)")
-    return LieSubalgebra(n, [_sl_matrix(c, n) for c in linalg.nullspace(dense, m)],
-                         label or "stab")
+        null = [[(b, Fraction(c, v[fc])) for b, c in v.items()]
+                for fc, v in linalg.int_nullspace(stab_system(multiple[1]), m)]
+    else:
+        dense = [[row.get(b, _ZERO) for b in range(m)] for row in stab_system(x)]  # keys x basis
+        if kind == "float":
+            import numpy as np
+            A = np.array(dense, dtype=float)
+            u, s, vh = np.linalg.svd(A)
+            tol = max(A.shape) * (s[0] if len(s) else 0.0) * 1e-12
+            null = [enumerate(c.tolist()) for c in vh[int((s > tol).sum()):]]
+        else:
+            null = [enumerate(c) for c in linalg.nullspace(dense, m)]
+    label = label or ("stab(float)" if kind == "float" else "stab")
+    return LieSubalgebra(n, None, label, [_sl_entries(c, n) for c in null],
+                         kind == "float" and len(null) > 0)
 
 
 def stab_system(x):
@@ -117,27 +135,24 @@ def _unit_moves(dim, degree):
     return moves
 
 
-def _sl_matrix(coeffs, n):
-    """sum of c_b * sl_basis(n)[b], placed directly: the off-diagonal entries
-    are the c_b of their units, and the diagonal accumulates c_b at (0, 0) and
-    -c_b at (i, i) in basis order.  Every entry has the type of zero, 0 + 0 * c
-    for a nonzero c of the widest type (QuadExt or float when any c is), and a
-    Fraction c among QuadExt ones is added to zero."""
-    zero = _ZERO + 0 * next((c for c in coeffs if type(c) is not Fraction and c != 0), 0)
-    kind = type(zero)
-    M = [[zero] * n for _ in range(n)]
-    units = iter(coeffs)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                c = next(units)
-                if c != 0:
-                    M[i][j] = c if type(c) is kind else zero + c
-    for i, c in enumerate(units, 1):
-        if c != 0:
-            M[0][0] = M[0][0] + c
-            M[i][i] = -c if type(c) is kind else zero - c
-    return M
+def _sl_entries(coeffs, n):
+    """The entries of sum c_b * sl_basis(n)[b] over the (b, c_b) pairs in basis
+    order: an off-diagonal c_b is its unit's entry; E_11 - E_ii adds c_b at (0,
+    0) and puts -c_b at (i, i).  Entries take the type of zero = 0 + 0 * c, c
+    the first nonzero one not a Fraction (if any); another c is added to zero."""
+    coeffs = [(b, c) for b, c in coeffs if c != 0]
+    zero = _ZERO + 0 * next((c for _, c in coeffs if type(c) is not Fraction), 0)
+    kind, off, corner, out = type(zero), n * (n - 1), zero, {}
+    for b, c in coeffs:
+        c = c if type(c) is kind else zero + c
+        if b < off:
+            i, j = divmod(b, n - 1)
+            out[i * n + j + (j >= i)] = c
+        else:
+            corner = corner + c
+            out[(b - off + 1) * (n + 1)] = -c
+    out[0] = corner
+    return {e: v for e, v in sorted(out.items()) if v}
 
 
 def fixed_space(L, shape):
@@ -146,33 +161,30 @@ def fixed_space(L, shape):
     The kernels of lie_action(X, .) are intersected one basis element X at a
     time: X acts only on the current kernel basis, and the nullspace of that
     #keys x k system shrinks the kernel.  The result is the canonical basis
-    of the common kernel, the one the nullspace of the stacked system of all
-    the operators gives: one vector per free column (a column where some
-    kernel vector has its last nonzero entry), with a 1 there and 0 at every
-    other free column.  That is the RREF of the kernel rows with the column
-    order reversed, so the basis depends on the kernel alone, not on the
-    order in which it was cut down.
+    of the common kernel that the stacked system of all the operators gives
+    (1 at one free column, 0 at the others): the RREF of the kernel rows
+    with the column order reversed, whatever order cut the kernel down.
 
-    Each X acts through its nonzero entries alone (_nonzeros, _images).  A
-    rational basis runs on ints: those entries are scaled to integers, which
-    changes no kernel, the kernel vectors are primitive int vectors, their
-    images ints, and each system is reduced by linalg.int_nullspace; only
-    the final linalg.rref makes Fractions.  A Q(sqrt d) basis acts as it is,
-    through linalg.nullspace.  Float bases are rejected as they are read:
-    they are approximate, so an exact kernel of them is not the fixed space.
+    Each X acts through its entries, L.entries, alone (_images).  A rational
+    basis runs on ints: its entries are scaled to integers (no kernel
+    changes), the kernel vectors are primitive int vectors, and each system
+    is reduced by linalg.int_nullspace; only the final linalg.rref makes
+    Fractions.  A Q(sqrt d) basis acts as it is, through linalg.nullspace.
+    Float bases are rejected (_exact): an exact kernel of them is not the
+    fixed space.
     """
     dim, degree = shape
     if L.ambient_dim != dim:
         raise ValueError("ambient dimension mismatch")
     keys = all_keys(dim, degree)
-    sparse = [_nonzeros(X, "fixed_space") for X in L.basis]
+    sparse = _exact(L, "fixed_space")
     cleared = [clear_denominators(nz.values()) for nz in sparse]
     rational = None not in cleared
     if rational:
         sparse = [dict(zip(nz, ints)) for nz, (_, ints) in zip(sparse, cleared)]
     kernel = [{k: 1} for k in keys]
     for nz in sparse:
-        images = _images([nz.get(e, 0) for e in range(dim * dim)], kernel, dim, degree)
+        images = _images(nz, kernel, dim, degree)
         hit = sorted({k for img in images for k in img})
         if not hit:
             continue
@@ -210,14 +222,14 @@ def _entry_moves(dim, degree):
 
 def _images(X, forms, dim, degree):
     """lie_action(X, f).coeffs for each f in forms, X given by its row-major
-    entries.  Only X's nonzero entries are read: each X_ij sends e_K to
-    s X_ij e_T along its moves (K, T, s) in _entry_moves.  The image of f
-    sums those terms times f_K, the terms lie_action sums, so values and
-    types are the same."""
-    columns = {}
-    for x, moves in zip(X, _entry_moves(dim, degree)):
+    entries (a list, or {index: value}).  Only X's nonzero entries are read:
+    each X_ij sends e_K to s X_ij e_T along its moves (K, T, s) in
+    _entry_moves.  The image of f sums those terms times f_K, the terms
+    lie_action sums, so values and types are the same."""
+    columns, moves = {}, _entry_moves(dim, degree)
+    for e, x in X.items() if isinstance(X, dict) else enumerate(X):
         if x:
-            for K, T, sign in moves:
+            for K, T, sign in moves[e]:
                 columns.setdefault(K, []).append((T, sign * x))
     out = []
     for f in forms:
@@ -229,15 +241,11 @@ def _images(X, forms, dim, degree):
     return out
 
 
-def _nonzeros(M, exact=""):
-    """The nonzero entries of a matrix as {row-major index: value}.  With
-    `exact` naming the caller, a float entry, 0.0 included, raises ValueError
-    in the same pass: exact zero tests on approximate values mislead."""
-    out = {e: v for e, v in enumerate(v for row in M for v in row)
-           if v or exact and isinstance(v, float)}
-    if exact and any(isinstance(v, float) for v in out.values()):
-        raise ValueError(f"{exact} needs an exact basis; float forms are not supported")
-    return out
+def _exact(L, caller):
+    """L.entries; ValueError if L.inexact: exact zero tests on floats mislead."""
+    if L.inexact:
+        raise ValueError(f"{caller} needs an exact basis; float forms are not supported")
+    return L.entries
 
 
 def _combine_forms(terms):
@@ -251,28 +259,23 @@ def _combine_forms(terms):
 
 
 def _span(sparse, n):
-    """(mats, echelon) of n x n matrices given by _nonzeros: mats holds them as
+    """(mats, echelon) of n x n matrices given by their entries: mats holds them as
     rows {i: {j: c}}, each times the lcm of its denominators, which changes no
     span and no zero test (linalg._integral: ints, or values over Z[sqrt d]);
     echelon maps each pivot (i, j) of the span, reduced once by sparse_rref,
     to (p, pivot row {(i, j): value}), p its int pivot."""
     flat = [dict(zip(nz, linalg._integral(list(nz.values()))[1])) for nz in sparse]
-    mats = [_rows(F, n) for F in flat]  # before sparse_rref reduces flat in place
+    mats = [{} for _ in flat]  # filled before sparse_rref reduces flat in place
+    for M, F in zip(mats, flat):
+        for e, v in F.items():
+            M.setdefault(e // n, {})[e % n] = v
     pivots, _ = linalg.sparse_rref(flat, n * n)
     return mats, {divmod(c, n): (linalg._pivot(flat[i][c]),
                                  {divmod(t, n): v for t, v in flat[i].items()}) for c, i in pivots}
 
 
-def _rows(flat, n):
-    """An n x n matrix given by _nonzeros as rows {i: {j: c}}."""
-    out = {}
-    for e, v in flat.items():
-        out.setdefault(e // n, {})[e % n] = v
-    return out
-
-
 def _commutator(X, Y):
-    """Nonzero entries {(i, j): c} of XY - YX, for X, Y given by _rows."""
+    """Nonzero entries {(i, j): c} of XY - YX, for X, Y as rows {i: {j: c}}."""
     out = {}
     for P, Q, sign in ((X, Y, 1), (Y, X, -1)):
         for i, prow in P.items():
@@ -286,26 +289,23 @@ def bracket(X, Y):
     """Commutator X Y - Y X."""
     if len(X) != len(Y):
         raise ValueError("dimension mismatch")
-    B = linalg.zeros(len(X), len(X))
-    for (i, j), v in _commutator(*(_rows(_nonzeros(M), len(X)) for M in (X, Y))).items():
-        B[i][j] = v
-    return B
+    B = _commutator(*({i: {j: v for j, v in enumerate(r) if v} for i, r in enumerate(M)}
+                      for M in (X, Y)))
+    return [[B.get((i, j), _ZERO) for j in range(len(X))] for i in range(len(X))]
 
 
 def subalgebra_closed(L):
     """(True, None) if [L, L] lies in span(L); else (False, witness pair).
 
-    The span is row-reduced once (_span: over Z or Z[sqrt d]).  A pair
-    (X, Y) commutes unless the bit masks of nonzero columns of X and rows of
-    Y meet, or those of Y and X.  Other brackets are formed from the
-    nonzero entries of the pair and, when nonzero, reduced matsly: the
-    residual is P * B - sum_c (P * B[c] / p_c) * row_c over the pivots c
-    that B hits, p_c the pivot entry of row_c and P their lcm.  Pairs are
-    taken in basis order (a < b); the first one with a nonzero residual is
-    the witness.  Float bases are rejected: exact zero tests on them call
-    closed algebras open.
+    The span is row-reduced once (_span: over Z or Z[sqrt d]).  A pair is
+    bracketed only when the bit masks of the nonzero rows and columns of its
+    matrices let XY or YX be nonzero; a nonzero bracket B is reduced to P * B
+    - sum_c (P * B[c] / p_c) * row_c over the pivots c that B hits (p_c the
+    pivot of row_c, P their lcm).  The witness is the first pair in basis
+    order (a < b) with a nonzero residual.  Float bases are rejected: exact
+    zero tests on them call closed algebras open.
     """
-    mats, echelon = _span([_nonzeros(M, "subalgebra_closed") for M in L.basis], L.ambient_dim)
+    mats, echelon = _span(_exact(L, "subalgebra_closed"), L.ambient_dim)
     masks = [(sum(1 << i for i in X), sum({1 << j for r in X.values() for j in r})) for X in mats]
     for a, (X, (rx, cx)) in enumerate(zip(mats, masks)):
         for b in [b for b in range(a + 1, len(mats)) if cx & masks[b][0] or masks[b][1] & rx]:
@@ -322,38 +322,39 @@ def subalgebra_closed(L):
 
 def span_dim(subalgebras):
     """Dimension of the sum of the given subspaces (exact rank)."""
-    mats = [_nonzeros(M) for L in subalgebras for M in L.basis]
+    mats = [nz for L in subalgebras for nz in L.entries]
     return len(_span(mats, subalgebras[-1].ambient_dim)[1]) if mats else 0
 
 
-# Named pieces of the dim-6 picture: block algebras inside sl(6).
+# Named pieces of the dim-6 picture: block algebras inside sl(6), by entries.
 
 def h1_case1():
     """Pairs of traceless 3x3 blocks on the diagonal (dimension 16)."""
-    basis = []
-    for b in (0, 3):
-        basis += [_unit(6, (b + i, b + j, 1)) for i in range(3) for j in range(3) if i != j]
-        basis += [_unit(6, (b, b, 1), (b + i, b + i, -1)) for i in range(1, 3)]
-    return LieSubalgebra(6, basis, "h1")
+    entries = [d for b in (0, 3) for d in
+               [{(b + i) * 6 + b + j: _ONE} for i in range(3) for j in range(3) if i != j]
+               + [{b * 7: _ONE, (b + i) * 7: -_ONE} for i in (1, 2)]]
+    return LieSubalgebra(6, None, "h1", entries)
 
 
 def u1_case1():
     """Strictly upper-right 3x3 block (dimension 9)."""
-    return LieSubalgebra(6, [_unit(6, (i, j + 3, 1)) for i in range(3) for j in range(3)], "u1")
+    return LieSubalgebra(6, None, "u1", [{i * 6 + j: _ONE} for i in range(3) for j in range(3, 6)])
 
 
 def u2_case1():
     """Strictly lower-left 3x3 block (dimension 9)."""
-    return LieSubalgebra(6, [_unit(6, (i + 3, j, 1)) for i in range(3) for j in range(3)], "u2")
+    return LieSubalgebra(6, None, "u2", [{i * 6 + j: _ONE} for i in range(3, 6) for j in range(3)])
 
 
 def t_case1():
     """The line through diag(I3, -I3)."""
-    M = _unit(6, *((i, i, 1) for i in range(3)), *((i, i, -1) for i in range(3, 6)))
-    return LieSubalgebra(6, [M], "t")
+    return LieSubalgebra(6, None, "t", [{i * 7: _ONE if i < 3 else -_ONE for i in range(6)}])
 
 
 def join(*subs):
-    label = "+".join(s.label for s in subs)
-    basis = [M for s in subs for M in s.basis]
-    return LieSubalgebra(subs[0].ambient_dim, basis, label)
+    """The subalgebras' bases in order; kept dense if every one is dense already."""
+    L = LieSubalgebra(subs[0].ambient_dim, None, "+".join(s.label for s in subs),
+                      [nz for s in subs for nz in s.entries], any(s.inexact for s in subs))
+    if all("basis" in vars(s) for s in subs):
+        L.basis = [M for s in subs for M in s.basis]
+    return L

@@ -430,3 +430,15 @@ def test_cli_classify_of_a_field_tower_is_an_error(tmp_path, capsys):
     code, out, err = run(capsys, "classify", write_json(tmp_path, "t.json", form_to_dict(x)))
     assert code == 1 and out == ""
     assert err == "error: eigenspaces need a rational invariant (no field towers)\n"
+
+
+def test_verify_builds_each_q_once(monkeypatch, capsys):
+    # the gram rows build Q_w and Q_w', delta(w1) builds its own, and the
+    # octonion row reads the Q_w of the gram row: three S_x per verify
+    from altforms import invariants
+    calls = []
+    s_case2 = invariants.s_case2
+    monkeypatch.setattr(invariants, "s_case2", lambda x: calls.append(x) or s_case2(x))
+    code, out, _ = run(capsys, "verify")
+    assert code == 0 and json.loads(out)["all_pass"] is True
+    assert len(calls) == 3

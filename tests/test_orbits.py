@@ -259,3 +259,31 @@ def test_eigenspaces_refuse_a_field_tower():
     # delta 128 of w moved the same way has its root 8 sqrt(2) in that field
     gr = eigenspaces(gl_action(g_alpha(2), make_rep("case1_w")))
     assert len(gr.basis1) == len(gr.basis2) == 3
+
+
+def test_case1_sign_is_exact_when_float_cancels():
+    # x_t = (1 - t)(e123 + e456) + t(e123 - e156 + e246 - e345) has delta
+    # 1 - 2t + t^2 - 4t^3; with t = a + 10^12 sqrt(2), a rational within 1e-70 of
+    # r - 10^12 sqrt(2) for the real root r, delta is exact and nonzero but its
+    # float is 0.0 on either side of r
+    import mpmath
+    from altforms.invariants import delta_case1_explicit
+    mpmath.mp.dps = 120
+    r = mpmath.findroot(lambda t: 4 * t ** 3 - t ** 2 + 2 * t - 1, 0.5)
+    N = 10 ** 70
+    lo = int(mpmath.floor((r - 10 ** 12 * mpmath.sqrt(2)) * N))
+    orbits = []
+    for a in (Fraction(lo, N), Fraction(lo + 1, N)):
+        t = QuadExt(a, 10 ** 12, 2)
+        x = AlternatingForm(6, 3, {(1, 2, 3): 1, (4, 5, 6): 1 - t, (1, 5, 6): -t,
+                                   (2, 4, 6): t, (3, 4, 5): -t})
+        d = delta_case1_explicit(x)
+        mpmath.mp.dps = 400
+        true = mpmath.mpf(d.a.numerator) / d.a.denominator \
+            + mpmath.mpf(d.b.numerator) / d.b.denominator * mpmath.sqrt(2)
+        assert d != 0 and abs(true) < 1e-60
+        rep = classify_real(x)
+        assert rep.real_orbit == ("case1_positive" if true > 0 else "case1_negative")
+        assert rep.delta == d
+        orbits.append(rep.real_orbit)
+    assert orbits == ["case1_positive", "case1_negative"]  # delta changes sign at r

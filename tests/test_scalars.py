@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from altforms.scalars import (QuadExt, cube_root_rational, demote, finite_float,
-                              rational_reconstruct, rational_sqrt,
+                              rational_reconstruct, rational_sqrt, real_sign,
                               scalar_from_json, scalar_to_json, squarefree_part)
 
 
@@ -248,3 +248,38 @@ def test_quadext_copy_and_pickle_round_trip(q):
         assert r * r == q * q and r - q == 0  # a working value, not a shell
     with pytest.raises(AttributeError, match="immutable"):
         copy.copy(q).d = 7
+
+
+def _pell_pairs(d, unit, limit=10 ** 25):
+    """(p, q) with p + q sqrt(d) the powers of a unit of Z[sqrt d], up to p = limit."""
+    p, q = 1, 0
+    while p <= limit:
+        p, q = p * unit[0] + d * q * unit[1], p * unit[1] + q * unit[0]
+        yield p, q
+
+
+@pytest.mark.parametrize("d,unit", [(2, (1, 1)), (3, (2, 1)), (5, (2, 1))])
+def test_real_sign_on_pell_pairs(d, unit):
+    # p - q sqrt(d) for p^2 - d q^2 = +-1 cancels to about 1/p, which float()
+    # loses past p ~ 1e8; the exact rule: for p, q > 0 the sign of p - q sqrt(d)
+    # is that of p^2 - d q^2, and scaling by a rational c multiplies the sign
+    norms = set()
+    for p, q in _pell_pairs(d, unit):
+        want = 1 if p * p > d * q * q else -1
+        norms.add(p * p - d * q * q)
+        for c in (1, -1, Fraction(3, 7), Fraction(-5, 2)):
+            v = QuadExt(p, -q, d) * c
+            assert real_sign(v) == want * real_sign(c)
+            assert real_sign(-v) == -real_sign(v)
+            assert real_sign(QuadExt(p, q, d) * c) == real_sign(c)
+    assert len(norms) == (2 if d != 3 else 1)  # both signs where -1 is a norm
+    assert real_sign(QuadExt(0, 0, d)) == 0
+
+
+def test_real_sign_of_rationals_floats_and_imaginary_values():
+    assert [real_sign(v) for v in (0, -3, Fraction(1, 9), Fraction(-2, 3), 0.0, -1e-300)] \
+        == [0, -1, 1, -1, 0, -1]
+    assert real_sign(QuadExt(-5, 0, -3)) == -1 and real_sign(QuadExt(0, 0, -1)) == 0
+    assert real_sign(QuadExt(Fraction(-1, 2), 1, 2)) == 1
+    with pytest.raises(ValueError, match="no real sign"):
+        real_sign(QuadExt(1, 1, -3))

@@ -14,6 +14,7 @@ test_elimination_oracles) and ``lie_action`` itself by value and by the
 matrices, the oracle of the matrices built from each nullspace vector.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -22,14 +23,15 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from altforms import linalg, stabilizers
-from altforms.multilinear import AlternatingForm, all_keys, lie_action
+from altforms.cli import main
+from altforms.multilinear import AlternatingForm, all_keys, integral_multiple, lie_action
 from altforms.representatives import make_rep
-from altforms.scalars import QuadExt
+from altforms.scalars import QuadExt, scalar_to_json
 from altforms.serialize import form_to_dict
 from altforms.stabilizers import (LieSubalgebra, fixed_space, h1_case1, join, sl_basis,
-                                  stab_lie_algebra, subalgebra_closed, t_case1,
+                                  span_dim, stab_lie_algebra, subalgebra_closed, t_case1,
                                   u1_case1, u2_case1)
-from test_elimination_oracles import STAB_FORMS, same, stab_system
+from test_elimination_oracles import STAB_FORMS, quad_form, same, stab_system
 
 
 def dense_closed(L):
@@ -329,3 +331,165 @@ def test_float_zero_entries_are_rejected():
         fixed_space(L, (3, 2))
     with pytest.raises(ValueError, match="exact basis"):
         subalgebra_closed(L)
+
+
+# ------------------------------------------ algebras held by their entries ----
+#
+# Test-local copies of the dense path the entries replaced: each nullspace
+# vector placed into a dense matrix (old_sl_matrix), and the checks reading
+# each matrix back through its nonzero entries (old_nonzeros).
+
+def old_sl_matrix(coeffs, n):
+    zero = Fraction(0) + 0 * next((c for c in coeffs if type(c) is not Fraction and c != 0), 0)
+    kind = type(zero)
+    M = [[zero] * n for _ in range(n)]
+    units = iter(coeffs)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                c = next(units)
+                if c != 0:
+                    M[i][j] = c if type(c) is kind else zero + c
+    for i, c in enumerate(units, 1):
+        if c != 0:
+            M[0][0] = M[0][0] + c
+            M[i][i] = -c if type(c) is kind else zero - c
+    return M
+
+
+def old_nonzeros(M):
+    return {e: v for e, v in enumerate(v for row in M for v in row) if v}
+
+
+def old_stab_basis(x):
+    n, m = x.dim, x.dim * x.dim - 1
+    multiple = integral_multiple(x)
+    if multiple is not None:
+        return [old_sl_matrix([Fraction(v[b], v[fc]) if b in v else 0 for b in range(m)], n)
+                for fc, v in linalg.int_nullspace(stabilizers.stab_system(multiple[1]), m)]
+    dense = [[row.get(b, Fraction(0)) for b in range(m)] for row in stabilizers.stab_system(x)]
+    if x.scalar_kind() == "float":
+        import numpy as np
+        A = np.array(dense, dtype=float)
+        _, s, vh = np.linalg.svd(A)
+        tol = max(A.shape) * s[0] * 1e-12
+        return [old_sl_matrix(c.tolist(), n) for c in vh[int((s > tol).sum()):]]
+    return [old_sl_matrix(c, n) for c in linalg.nullspace(dense, m)]
+
+
+def _entry_forms():
+    yield from FORMS
+    rng = random.Random(41)
+    yield "Q(sqrt 2) dim-6", quad_form(rng, 2)
+    yield "Q(sqrt -3) dim-6", quad_form(rng, -3)
+    yield "float dim-6", AlternatingForm(6, 3, {k: rng.uniform(-2, 2) for k in all_keys(6, 3)})
+    yield "float dim-7", AlternatingForm(7, 3, {k: rng.uniform(-2, 2) for k in all_keys(7, 3)})
+
+
+ENTRY_FORMS = list(_entry_forms())
+EXACT_ENTRY_FORMS = [(n, x) for n, x in ENTRY_FORMS if x.scalar_kind() != "float"]
+
+
+def _typed(entries):
+    return [{e: (v, type(v)) for e, v in nz.items()} for nz in entries]
+
+
+@pytest.mark.parametrize("name,x", ENTRY_FORMS, ids=[n for n, _ in ENTRY_FORMS])
+def test_stab_entries_and_basis_match_the_dense_placement(name, x):
+    # the entries are the nonzero entries of the old dense matrices, and the
+    # basis made from them is those matrices, zeros of the widest type included
+    L, old = stab_lie_algebra(x), old_stab_basis(x)
+    assert L.dim == len(old) and L.inexact is (x.scalar_kind() == "float")
+    assert _typed(L.entries) == _typed([old_nonzeros(M) for M in old])
+    assert "basis" not in vars(L)  # made on first read only
+    same(L.basis, old)
+    assert L.basis is L.basis
+
+
+def _three_ways(x, extra=()):
+    """The stabilizer of x, plus the matrices in extra, built from entries, from
+    the old dense matrices, and by joining an entries half to a dense half."""
+    n, old = x.dim, old_stab_basis(x)
+    entries = stab_lie_algebra(x).entries + [old_nonzeros(M) for M in extra]
+    dense = old + list(extra)
+    k = len(dense) // 2
+    return {"entries": LieSubalgebra(n, None, "e", entries),
+            "dense": LieSubalgebra(n, dense, "d"),
+            "join": join(LieSubalgebra(n, None, "a", entries[:k]), LieSubalgebra(n, dense[k:]))}
+
+
+def _index(L, pair):
+    return tuple(next(i for i, M in enumerate(L.basis) if M is W) for W in pair)
+
+
+@pytest.mark.parametrize("name,x", EXACT_ENTRY_FORMS, ids=[n for n, _ in EXACT_ENTRY_FORMS])
+def test_checks_agree_on_entries_dense_and_joined_algebras(name, x):
+    shape = (x.dim, x.degree)
+    algebras = _three_ways(x)
+    fixed = {w: [form_to_dict(f) for f in fixed_space(L, shape)] for w, L in algebras.items()}
+    assert fixed["entries"] == fixed["dense"] == fixed["join"]
+    if x.scalar_kind() == "rational":
+        assert fixed["dense"] == [form_to_dict(f) for f in stacked_fixed_space(
+            algebras["dense"], shape)]
+    rank = linalg.rank([[v for row in M for v in row] for M in algebras["dense"].basis])
+    assert {w: span_dim([L]) for w, L in algebras.items()} == dict.fromkeys(algebras, rank)
+    if x.dim == 6 and x.degree == 3:
+        # a stranger unit matrix put in: the witness is found by identity in
+        # L.basis, at the same place whichever way the algebra was built
+        algebras = _three_ways(x, [sl_basis(6)[7]])
+        got = {w: subalgebra_closed(L) for w, L in algebras.items()}
+        for w, L in algebras.items():
+            assert _same(got[w], dense_closed(L)), w
+        assert not got["entries"][0]
+        assert len({_index(L, got[w][1]) for w, L in algebras.items()}) == 1
+    else:
+        assert all(subalgebra_closed(L) == (True, None) for L in algebras.values())
+
+
+def test_block_pieces_are_their_dense_units():
+    # the dense _unit matrices the pieces were built from before
+    E = stabilizers._unit
+    want = {"h1": [M for b in (0, 3) for M in
+                   [E(6, (b + i, b + j, 1)) for i in range(3) for j in range(3) if i != j]
+                   + [E(6, (b, b, 1), (b + i, b + i, -1)) for i in range(1, 3)]],
+            "u1": [E(6, (i, j + 3, 1)) for i in range(3) for j in range(3)],
+            "u2": [E(6, (i + 3, j, 1)) for i in range(3) for j in range(3)],
+            "t": [E(6, *((i, i, 1) for i in range(3)), *((i, i, -1) for i in range(3, 6)))]}
+    for L in (h1_case1(), u1_case1(), u2_case1(), t_case1()):
+        same(L.basis, want[L.label])
+        assert _typed(L.entries) == _typed([old_nonzeros(M) for M in want[L.label]])
+    # a join of pieces whose dense bases exist keeps those very matrices
+    h1, u1 = h1_case1(), u1_case1()
+    J = join(h1, u1)
+    assert "basis" not in vars(J)
+    assert h1.basis and u1.basis
+    J = join(h1, u1)
+    assert all(a is b for a, b in zip(J.basis, h1.basis + u1.basis))
+
+
+def test_float_zero_entries_are_rejected_through_join():
+    # the 0.0 leaves no entry behind, but the algebra remembers it, and so
+    # does every join it is part of
+    X = stabilizers._unit(3, (0, 1, 1))
+    X[2][2] = 0.0
+    F = LieSubalgebra(3, [X])
+    assert F.entries == [{1: Fraction(1)}] and F.inexact
+    exact = LieSubalgebra(3, None, "e", [{3: Fraction(1)}])
+    assert not exact.inexact and not join(exact, exact).inexact
+    for L in (F, join(exact, F), join(F, exact)):
+        with pytest.raises(ValueError, match="exact basis"):
+            fixed_space(L, (3, 2))
+        with pytest.raises(ValueError, match="exact basis"):
+            subalgebra_closed(L)
+        assert span_dim([L]) == L.dim
+
+
+@pytest.mark.parametrize("name,x", ENTRY_FORMS[:3] + ENTRY_FORMS[-4:],
+                         ids=[n for n, _ in ENTRY_FORMS[:3] + ENTRY_FORMS[-4:]])
+def test_cli_stab_json_renders_the_dense_placement(name, x, tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(form_to_dict(x)))
+    assert main(["stab", str(path)]) == 0
+    old = old_stab_basis(x)
+    want = {"dim": len(old), "ambient": x.dim, "basis": scalar_to_json(old)}
+    assert capsys.readouterr().out == json.dumps(want, indent=2, default=str) + "\n"
