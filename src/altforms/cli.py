@@ -96,7 +96,7 @@ def cmd_classify(args):
     if rep.field_d is not None:
         out["field_d"] = rep.field_d
     if rep.real_orbit != "degenerate":
-        irr = irrationality_report(x, max_den=args.max_den, tol=args.tol)
+        irr = irrationality_report(x, max_den=args.max_den, tol=args.tol, q=rep.q)
         out["irrationality"] = {
             name: {"rational": v.rational, "mode": v.mode, "detail": v.detail}
             for name, v in irr.flags.items()}

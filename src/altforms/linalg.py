@@ -6,9 +6,10 @@ nonzero entries of each row, so its cost follows the nonzeros, not the
 shape.  Each row is scaled by its common denominator, rational rows (ints
 and Fractions alike) to ints and rows with a Q(sqrt d) entry to ints and
 QuadExts over Z[sqrt d], and reduced fraction-free; only the outputs are
-divided through, into Fractions and QuadExts.  The stabilizer systems
-call ``sparse_rref`` and ``int_nullspace`` on their scaled rows directly.
-The float paths of the package use numpy instead.
+divided through.  ``int_nullspace``, the kernel of the stabilizer systems,
+realifies a Z[sqrt d] system onto ints (a kernel is a Q-space too); the
+others keep native Z[sqrt d] rows, as det needs the Q(sqrt d) pivots (a
+realified determinant is only their norm).  Floats use numpy instead.
 """
 
 from __future__ import annotations
@@ -166,18 +167,46 @@ def _pivot(v):
 
 
 def int_nullspace(rows, ncols):
-    """Basis of {x : A x = 0} for int rows {column: int}, reduced in place: a
-    (free column, vector) pair per free column, in order, the vector {column:
-    int} the canonical one (1 there, 0 at the other free columns) made primitive."""
+    """Basis of {x : A x = 0} for rows {column: value} over Z or Z[sqrt d] (ints,
+    and QuadExts with D = 1): a (free column, vector) pair per free column, in
+    order, the vector primitive and the canonical one (1 there, 0 at the other
+    free columns) times its int entry there.  Int rows are reduced in place; a
+    Z[sqrt d] system is solved realified (_realify), on ints, and the entries
+    of its vectors off the free column are QuadExts."""
+    d = next((v.d for row in rows for v in row.values() if type(v) is QuadExt), None)
+    if d is not None:
+        rows, ncols = _realify(rows, d), 2 * ncols
     pivots, _ = sparse_rref(rows, ncols)
     basis = []
-    for fc in sorted(set(range(ncols)) - {c for c, _ in pivots}):
+    for fc in sorted(set(range(0, ncols, 1 if d is None else 2)) - {c for c, _ in pivots}):
         terms = [(c, rows[i]) for c, i in pivots if fc in rows[i]]
         m = math.lcm(*(r[c] for c, r in terms))
         v = {fc: m, **{c: -r[fc] * (m // r[c]) for c, r in terms}}
         _primitive(v)
+        if d is not None:  # entry b is v[2b] + v[2b + 1] sqrt(d), and v[2fc + 1] = 0
+            fc, v = fc // 2, {fc // 2: v[fc], **{b: _new(v.get(2 * b, 0), v.get(2 * b + 1, 0), 1, d)
+                                               for b in sorted({c // 2 for c in v} - {fc // 2})}}
         basis.append((fc, v))
     return basis
+
+
+def _realify(rows, d):
+    """Int rows on the columns (2c, 2c + 1) for rows over Z[sqrt d]: A + B sqrt(d) at
+    column c is the block [[A, d B], [B, A]] of multiplication by it in the basis
+    (1, sqrt(d)), rows "re" and "sqrt d" (d < 0 too); so pivots come in pairs."""
+    out = []
+    for row in rows:
+        re, im = {}, {}
+        for c, v in row.items():
+            A, B = (v, 0) if type(v) is int else (v._A, v._B)
+            if type(v) is QuadExt and v.d != d:
+                raise ValueError(f"mixing sqrt({d}) with sqrt({v.d})")
+            if A:
+                re[2 * c] = im[2 * c + 1] = A
+            if B:
+                re[2 * c + 1], im[2 * c] = d * B, B
+        out += (re, im)
+    return out
 
 
 def _eliminate(row, terms, p=1):
@@ -204,7 +233,7 @@ def _primitive(row):
         g = math.gcd(*(n for v in row.values() for n in ((v,) if type(v) is int else (v._A, v._B))))
     if g > 1:
         for j, v in row.items():
-            row[j] = _divexact(v, g)
+            row[j] = v // g if type(v) is int else _divexact(v, g)
     return g or 1
 
 

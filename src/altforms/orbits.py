@@ -41,6 +41,7 @@ class OrbitReport:
     field_d: int = None          # squarefree d with k(x) = Q(sqrt(d)); 1 means Q
     real_rank_positive: bool = False
     delta: object = None
+    q: object = field(default=None, repr=False, compare=False)  # Q_x of a dim-7 form
 
 
 @dataclass
@@ -59,19 +60,14 @@ class GrassmannPoint:
             self.plucker2 = plucker(self.basis2)
 
 
-def classify_real(x, tol=1e-9):
+def classify_real(x, tol=1e-9, q=None):
     """OrbitReport for a form of any of the three shapes.
 
     Exact coefficients give exact verdicts; float coefficients compare
     against tol scaled by the coefficient magnitude, and NaN/inf
-    coefficients or an overflowing float invariant raise ValueError.
+    coefficients or an overflowing float invariant raise ValueError.  A
+    dim-7 form is classified by its Q_x (q, if built), kept as report.q.
     """
-    return _classify_real(x, tol)[0]
-
-
-def _classify_real(x, tol=1e-9, q=None):
-    """classify_real(x, tol), and the Q_x = q_case2(x) it classified a dim-7 form by
-    (None for the other shapes); a caller that has built Q_x passes it as q."""
     case = case_of(x)
     is_float = x.scalar_kind() == "float"
     if is_float and not all(math.isfinite(v) for v in x.coeffs.values()):
@@ -86,8 +82,8 @@ def _classify_real(x, tol=1e-9, q=None):
             orbit = "case1_negative"
         rep = OrbitReport(1, orbit, real_rank_positive=_RANK_POSITIVE[orbit], delta=d)
         if orbit != "degenerate" and x.scalar_kind() == "rational":
-            rep.field_d = field_kx(x)
-        return rep, None
+            rep.field_d = squarefree_part(d)[0]  # field_kx(x), without building S_x
+        return rep
     if case == 2:
         q = q_case2(x) if q is None else q
         kind = q.definiteness(tol=_cutoff(x, tol, 3) if is_float else None)
@@ -98,13 +94,13 @@ def _classify_real(x, tol=1e-9, q=None):
             orbit = "case2_nonsplit"
         else:
             orbit = "case2_split"
-        return OrbitReport(2, orbit, real_rank_positive=_RANK_POSITIVE[orbit], delta=delta), q
+        return OrbitReport(2, orbit, real_rank_positive=_RANK_POSITIVE[orbit], delta=delta, q=q)
     pf = pfaffian(x)
     if (pf == 0) if not is_float else (abs(_finite(pf)) <= _cutoff(x, tol, x.dim // 2)):
         orbit = "degenerate"
     else:
         orbit = "case3_nondegenerate"
-    return OrbitReport(3, orbit, real_rank_positive=_RANK_POSITIVE[orbit], delta=pf), None
+    return OrbitReport(3, orbit, real_rank_positive=_RANK_POSITIVE[orbit], delta=pf)
 
 
 def _cutoff(x, tol, degree):
@@ -268,12 +264,12 @@ class IrrationalityReport:
         return all(not self.flags[n].rational for n in names)
 
 
-def irrationality_report(x, max_den=1000, tol=1e-9):
+def irrationality_report(x, max_den=1000, tol=1e-9, q=None):
     """Per-predicate rationality flags for the case of x.
 
     dim 6: the two eigenspace points and the unordered pair; dim 7: the
-    projective image of the quadratic covariant; degree 2: the projective
-    image of x itself.
+    projective image of the quadratic covariant (q, if the caller has built
+    Q_x); degree 2: the projective image of x itself.
     """
     case = case_of(x)
     rep = IrrationalityReport(case)
@@ -284,14 +280,11 @@ def irrationality_report(x, max_den=1000, tol=1e-9):
         rep.flags["Gr"] = grassmann_rationality(gr, max_den, tol)
         return rep
     if case == 2:
-        rep.flags["Q"] = _q_rationality(q_case2(x), max_den, tol)
+        gram = (q_case2(x) if q is None else q).gram
+        rep.flags["Q"] = point_rationality([gram[i][j] for i in range(7) for j in range(i, 7)],
+                                           max_den, tol)
         return rep
     vec = [x.coeffs.get(k, 0) for k in itertools.combinations(range(1, x.dim + 1), 2)]
     rep.flags["x"] = point_rationality(vec, max_den, tol)
     return rep
 
-
-def _q_rationality(q, max_den, tol):
-    """The "Q" flag of irrationality_report from a built Q_x: its projective image."""
-    vec = [q.gram[i][j] for i in range(7) for j in range(i, 7)]
-    return point_rationality(vec, max_den, tol)

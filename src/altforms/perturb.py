@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .invariants import delta_case1_explicit, pfaffian, q_case2
 from .multilinear import AlternatingForm, all_keys, sort_sign
-from .orbits import _classify_real, classify_real
+from .orbits import classify_real
 
 GROWTH_CAP = 2.0 ** 64
 
@@ -273,7 +273,7 @@ def extend_case2(y, eps):
             f1v = float(q.gram[0][0])
             f2v = float(q.gram[6][6])
             if f1v > 0 and f2v < 0 and 3.0 * t * abs(f3) > 2.0 * (abs(f4) + 1e-12):
-                rep, _ = _classify_real(form, q=q)
+                rep = classify_real(form, q=q)
                 if rep.real_orbit == "case2_split":
                     return form, {"f1": f1v, "f2": f2v, "f3": f3, "delta": rep.delta}, rep
             t *= 2.0

@@ -364,18 +364,25 @@ def scalar_kind(x):
 
 def scalar_to_json(x):
     """Serialize: rationals as 'p/q' strings, QuadExt as a dict, floats as numbers;
-    lists and tuples (vectors, matrices, tables) element by element."""
+    lists and tuples (vectors, matrices, tables) element by element.  A
+    QuadExt is written from its ints, one gcd per rational part."""
+    if type(x) is Fraction:
+        return str(x)
     if isinstance(x, (list, tuple)):
         return [scalar_to_json(v) for v in x]
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, QuadExt):
-        return {"a": scalar_to_json(x.a), "b": scalar_to_json(x.b), "d": x.d}
+        return {"a": _ratio_json(x._A, x._D), "b": _ratio_json(x._B, x._D), "d": x.d}
+    if isinstance(x, (int, Fraction)):
+        return str(Fraction(x))
     if isinstance(x, float):
         return x
     raise TypeError(f"unsupported scalar {type(x).__name__}")
+
+
+def _ratio_json(p, q):
+    """p / q in lowest terms, as str(Fraction(p, q)), for ints p and q > 0."""
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def scalar_from_json(v, kind, d=None):

@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .invariants import case_of
 from .multilinear import sort_sign
-from .orbits import _classify_real, _q_rationality, classify_real, irrationality_report
+from .orbits import classify_real, irrationality_report
 from .perturb import PartialTarget, constrained_keys
 
 _REQUIRED_FLAGS = {
@@ -320,7 +320,7 @@ def hypothesis_check(x, max_den=1000, tol=1e-9):
     Returns {"verdict": "pass"|"warn", "reasons": [...], "orbit": ...,
     "flags": {...}}; a warn lists every failing hypothesis.
     """
-    rep, q = _classify_real(x, tol)  # q: Q_x of a dim-7 form, reused for its flag
+    rep = classify_real(x, tol)  # rep.q: Q_x of a dim-7 form, reused for its flag
     reasons = []
     flags = {}
     if rep.real_orbit == "degenerate":
@@ -328,8 +328,7 @@ def hypothesis_check(x, max_den=1000, tol=1e-9):
     else:
         if not rep.real_rank_positive:
             reasons.append("stabilizer real rank is zero on this orbit")
-        irr = (irrationality_report(x, max_den=max_den, tol=tol).flags if q is None
-               else {"Q": _q_rationality(q, max_den, tol)})
+        irr = irrationality_report(x, max_den=max_den, tol=tol, q=rep.q).flags
         flags = {k: {"rational": v.rational, "mode": v.mode} for k, v in irr.items()}
         for name in _REQUIRED_FLAGS.get(rep.real_orbit, ()):
             if irr[name].rational:

@@ -12,8 +12,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import linalg
-from .multilinear import AlternatingForm, all_keys, integral_multiple, sort_sign
-from .scalars import clear_denominators
+from .multilinear import AlternatingForm, all_keys, sort_sign
 
 
 class LieSubalgebra:
@@ -22,8 +21,8 @@ class LieSubalgebra:
     Held as `entries`, {row-major index i * n + j: value} of the nonzero
     entries of each basis matrix, which the checks read.  Dense matrices
     given are read once and kept as `.basis`; else `.basis` is made on first
-    read, its zeros of the type 0 + 0 * v for an entry v not a Fraction, if
-    any.  `inexact` marks a float entry, 0.0 included.
+    read (`matrix` makes one), its zeros of the type 0 + 0 * v for an entry v
+    not a Fraction, if any.  `inexact` marks a float entry, 0.0 included.
     """
 
     def __init__(self, ambient_dim, basis, label="", entries=None, inexact=False):
@@ -38,21 +37,15 @@ class LieSubalgebra:
 
     @cached_property
     def basis(self):
-        out, n = [], self.ambient_dim
-        for nz in self.entries:
-            zero = _ZERO + 0 * next((v for v in nz.values() if type(v) is not Fraction), 0)
-            out.append([[zero] * n for _ in range(n)])
-            for e, v in nz.items():
-                out[-1][e // n][e % n] = v
-        return out
+        return [self.matrix(a) for a in range(self.dim)]
 
-
-def _unit(n, *entries):
-    """n x n matrix with the given (i, j, value) entries and zeros elsewhere."""
-    M = linalg.zeros(n, n)
-    for i, j, v in entries:
-        M[i][j] = Fraction(v)
-    return M
+    def matrix(self, a):
+        """Basis matrix a, as .basis holds it, without making the whole .basis."""
+        if "basis" in vars(self):
+            return self.basis[a]
+        nz, n = self.entries[a], self.ambient_dim
+        zero = _ZERO + 0 * next((v for v in nz.values() if type(v) is not Fraction), 0)
+        return [[nz.get(i * n + j, zero) for j in range(n)] for i in range(n)]
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -60,33 +53,30 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 def sl_basis(n):
     """Basis of trace-zero n x n matrices: off-diagonal units then E11 - Eii."""
-    return ([_unit(n, (i, j, 1)) for i in range(n) for j in range(n) if i != j]
-            + [_unit(n, (0, 0, 1), (i, i, -1)) for i in range(1, n)])
+    units = [_sl_entries([(b, _ONE)], n) for b in range(n * n - 1)]
+    return LieSubalgebra(n, None, "sl", units).basis
 
 
 def stab_lie_algebra(x, label=""):
     """Annihilator of x in sl(dim): all traceless X with lie_action(X, x) = 0.
 
-    Exact nullspace for exact coefficients, of the system scaled to ints by
-    linalg.int_nullspace for a rational x (a Fraction only per nonzero basis
-    coefficient).  Float forms use a numpy SVD nullspace with a relative cutoff.
-    Each nullspace vector is placed straight into the entries of its matrix.
+    An exact x is scaled to Z or Z[sqrt d] (linalg._integral), its system solved
+    by linalg.int_nullspace, and each vector divided by its free entry (a
+    Fraction or a QuadExt per nonzero coefficient).  Float forms use a numpy
+    SVD nullspace with a relative cutoff.  Each vector fills its entries.
     """
     n, m, kind = x.dim, x.dim * x.dim - 1, x.scalar_kind()
-    multiple = integral_multiple(x)
-    if multiple is not None:
-        null = [[(b, Fraction(c, v[fc])) for b, c in v.items()]
-                for fc, v in linalg.int_nullspace(stab_system(multiple[1]), m)]
+    if kind == "float":
+        import numpy as np
+        A = np.array([[row.get(b, 0.0) for b in range(m)] for row in stab_system(x)], dtype=float)
+        u, s, vh = np.linalg.svd(A)
+        tol = max(A.shape) * (s[0] if len(s) else 0.0) * 1e-12
+        null = [enumerate(c.tolist()) for c in vh[int((s > tol).sum()):]]
     else:
-        dense = [[row.get(b, _ZERO) for b in range(m)] for row in stab_system(x)]  # keys x basis
-        if kind == "float":
-            import numpy as np
-            A = np.array(dense, dtype=float)
-            u, s, vh = np.linalg.svd(A)
-            tol = max(A.shape) * (s[0] if len(s) else 0.0) * 1e-12
-            null = [enumerate(c.tolist()) for c in vh[int((s > tol).sum()):]]
-        else:
-            null = [enumerate(c) for c in linalg.nullspace(dense, m)]
+        _, values = linalg._integral(list(x.coeffs.values()))
+        rows = stab_system(AlternatingForm(n, x.degree, dict(zip(x.coeffs, values))))
+        null = [[(b, linalg._over(c, v[fc])) for b, c in v.items()]
+                for fc, v in linalg.int_nullspace(rows, m)]
     label = label or ("stab(float)" if kind == "float" else "stab")
     return LieSubalgebra(n, None, label, [_sl_entries(c, n) for c in null],
                          kind == "float" and len(null) > 0)
@@ -165,38 +155,29 @@ def fixed_space(L, shape):
     (1 at one free column, 0 at the others): the RREF of the kernel rows
     with the column order reversed, whatever order cut the kernel down.
 
-    Each X acts through its entries, L.entries, alone (_images).  A rational
-    basis runs on ints: its entries are scaled to integers (no kernel
-    changes), the kernel vectors are primitive int vectors, and each system
-    is reduced by linalg.int_nullspace; only the final linalg.rref makes
-    Fractions.  A Q(sqrt d) basis acts as it is, through linalg.nullspace.
-    Float bases are rejected (_exact): an exact kernel of them is not the
-    fixed space.
+    Each X acts through its entries, L.entries, alone (_images).  The basis
+    runs on Z or Z[sqrt d]: each matrix's entries are scaled by their common
+    denominator (linalg._integral; no kernel changes), the kernel vectors are
+    primitive, and each system is reduced by linalg.int_nullspace (a Z[sqrt d]
+    one realified onto ints); only the final linalg.rref divides.  Float
+    bases are rejected (_exact): an exact kernel of them is not the fixed
+    space.
     """
     dim, degree = shape
     if L.ambient_dim != dim:
         raise ValueError("ambient dimension mismatch")
     keys = all_keys(dim, degree)
-    sparse = _exact(L, "fixed_space")
-    cleared = [clear_denominators(nz.values()) for nz in sparse]
-    rational = None not in cleared
-    if rational:
-        sparse = [dict(zip(nz, ints)) for nz, (_, ints) in zip(sparse, cleared)]
     kernel = [{k: 1} for k in keys]
-    for nz in sparse:
-        images = _images(nz, kernel, dim, degree)
+    for nz in _exact(L, "fixed_space"):
+        images = _images(dict(zip(nz, linalg._integral(list(nz.values()))[1])), kernel, dim, degree)
         hit = sorted({k for img in images for k in img})
         if not hit:
             continue
-        if rational:
-            rows = [{i: img[k] for i, img in enumerate(images) if k in img} for k in hit]
-            null = linalg.int_nullspace(rows, len(kernel))
-            kernel = [_combine_forms((c, kernel[i]) for i, c in v.items()) for _, v in null]
-            for f in kernel:
-                linalg._primitive(f)
-        else:
-            rows = [[img.get(k, _ZERO) for img in images] for k in hit]
-            kernel = [_combine_forms(zip(c, kernel)) for c in linalg.nullspace(rows, len(kernel))]
+        rows = [{i: img[k] for i, img in enumerate(images) if k in img} for k in hit]
+        null = linalg.int_nullspace(rows, len(kernel))
+        kernel = [_combine_forms((c, kernel[i]) for i, c in v.items()) for _, v in null]
+        for f in kernel:
+            linalg._primitive(f)
         if not kernel:
             return []
     flipped = [[f.get(k, _ZERO) for k in reversed(keys)] for f in kernel]
@@ -316,7 +297,7 @@ def subalgebra_closed(L):
             P = math.lcm(*(echelon[c][0] for c in hits))
             linalg._eliminate(B, [(B[c] * (P // echelon[c][0]), echelon[c][1]) for c in hits], P)
             if B:
-                return False, (L.basis[a], L.basis[b])
+                return False, (L.matrix(a), L.matrix(b))
     return True, None
 
 

@@ -442,3 +442,60 @@ def test_verify_builds_each_q_once(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0 and json.loads(out)["all_pass"] is True
     assert len(calls) == 3
+
+
+def old_classify_doc(x, tol=1e-9, max_den=1000):
+    """The classify JSON as it was built: classify_real, the field through
+    field_kx (S_x and its S_x^2 check), and an irrationality_report that
+    builds its own covariant."""
+    from altforms.orbits import classify_real, field_kx, irrationality_report
+    from altforms.scalars import scalar_to_json
+    rep = classify_real(x, tol=tol)
+    out = {"case": rep.case, "real_orbit": rep.real_orbit,
+           "real_rank_positive": rep.real_rank_positive,
+           "delta": scalar_to_json(rep.delta) if rep.delta is not None else None}
+    if rep.case == 1 and rep.real_orbit != "degenerate" and x.scalar_kind() == "rational":
+        out["field_d"] = field_kx(x)
+    if rep.real_orbit != "degenerate":
+        out["irrationality"] = {
+            name: {"rational": v.rational, "mode": v.mode, "detail": v.detail}
+            for name, v in irrationality_report(x, max_den=max_den, tol=tol).flags.items()}
+    return out
+
+
+def _classify_forms():
+    import random
+    from altforms.multilinear import all_keys, gl_action
+    from altforms.representatives import g_alpha
+    rng = random.Random(7)
+    for dim in (6, 7):
+        for den in (1, 6):
+            yield AlternatingForm(dim, 3, {k: Fraction(rng.randint(-5, 5), rng.randint(1, den))
+                                           for k in all_keys(dim, 3)})
+    yield make_rep("case1_w")
+    yield make_rep("case2_w")
+    yield make_rep("case2_w1")
+    yield make_rep("case1_walpha", d=5)
+    yield gl_action(g_alpha(-3), make_rep("case1_w"))
+
+
+def test_classify_builds_its_covariant_once(monkeypatch, capsys, tmp_path):
+    # one S_x per dim-6 classify (in the eigenspaces; the field comes from the
+    # explicit quartic) and one Q_x per dim-7 classify (the Q flag reuses it)
+    from altforms import invariants, orbits
+    forms = [form_from_dict(form_to_dict(x)) for x in _classify_forms()]
+    want = [json.dumps(old_classify_doc(x), indent=2, default=str) + "\n" for x in forms]
+    calls = []
+    for name in ("s_case1", "s_case2"):
+        counted = (lambda f, name: lambda x: calls.append(name) or f(x))(
+            getattr(invariants, name), name)
+        for module in (invariants, orbits):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    for i, (x, doc) in enumerate(zip(forms, want)):
+        calls.clear()
+        code, out, err = run(capsys, "classify", write_json(tmp_path, f"f{i}.json",
+                                                            form_to_dict(x)))
+        assert (code, out, err) == (0, doc, "")
+        assert json.loads(out)["real_orbit"] != "degenerate"
+        assert calls == ["s_case1" if x.dim == 6 else "s_case2"]

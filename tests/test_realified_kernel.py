@@ -1,0 +1,173 @@
+"""The Z[sqrt d] kernel of linalg.int_nullspace, and the stabilizer paths on it.
+
+A system over Z[sqrt d] is solved realified: A + B sqrt(d) becomes the int
+block [[A, d B], [B, A]] of multiplication by it in the basis (1, sqrt d).
+Its kernel vectors are checked against ``linalg.nullspace`` on the same
+matrix by value.  ``old_stab`` and ``old_fixed_space`` are copies of the
+Q(sqrt d) branches that ``stab_lie_algebra`` and ``fixed_space`` had before
+(dense rows, ``linalg.nullspace``); the JSON of both commands must match
+them byte for byte, types included.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from altforms import linalg, stabilizers
+from altforms.multilinear import AlternatingForm, all_keys, gl_action
+from altforms.representatives import g_alpha, make_rep
+from altforms.scalars import QuadExt, scalar_to_json
+from altforms.serialize import form_to_dict
+from altforms.stabilizers import LieSubalgebra, fixed_space, stab_lie_algebra
+
+DS = (2, -3, 5, -1, 3, -7, 13)
+
+
+# ------------------------------------------------------ the kernel ----
+
+def zd(rng, d, span=4):
+    """0, an int, a QuadExt with B = 0, or A + B sqrt(d), all over Z[sqrt d]."""
+    kind = rng.choice(("zero", "int", "b0", "quad", "quad"))
+    if kind == "zero":
+        return 0
+    A, B = rng.randint(-span, span), rng.randint(-span, span) or 1
+    return {"int": A, "b0": QuadExt(A, 0, d), "quad": QuadExt(A, B, d)}[kind]
+
+
+def zd_matrices(rng, d):
+    """Full-rank, rank-deficient (a Z[sqrt d] combination of two rows), zero-row and
+    zero-column (a unit vector in the kernel) matrices."""
+    for trial in range(24):
+        m, n = rng.randint(1, 6), rng.randint(1, 8)
+        A = [[zd(rng, d) for _ in range(n)] for _ in range(m)]
+        if trial % 4 == 1 and m >= 3:
+            a, b = QuadExt(rng.randint(-2, 2), rng.randint(-2, 2), d), rng.randint(-2, 2)
+            A[0] = [a * u + b * v for u, v in zip(A[1], A[2])]
+        if trial % 4 == 2:
+            A.insert(rng.randrange(m + 1), [0] * n)
+        if trial % 4 == 3:
+            c = rng.randrange(n)
+            for row in A:
+                row[c] = 0
+        yield A
+    yield [[QuadExt(1, 1, d), QuadExt(1, -1, d)], [QuadExt(1 - d, 0, d), 0]]  # rank 1
+    yield [[0, 0, 0]]
+
+
+def as_rows(A):
+    """Sparse rows {column: value} with QuadExts of D = 1 as they are."""
+    return [{j: v for j, v in enumerate(row) if v} for row in A]
+
+
+@pytest.mark.parametrize("d", DS)
+def test_realified_kernel_matches_nullspace(d):
+    rng = random.Random(f"zd:{d}")
+    units = 0
+    for A in zd_matrices(rng, d):
+        n = len(A[0])
+        want = linalg.nullspace(A, n)
+        got = linalg.int_nullspace(as_rows(A), n)
+        assert [fc for fc, _ in got] == sorted(set(range(n)) - set(linalg.rref(A)[1]))
+        assert len(got) == len(want)
+        for (fc, v), w in zip(got, want):
+            assert type(v[fc]) is int and v[fc] > 0
+            assert all(type(c) is QuadExt and c._D == 1 for b, c in v.items() if b != fc)
+            assert [linalg._over(v.get(b, 0), v[fc]) for b in range(n)] == w
+            units += len(v) == 1
+    assert units  # kernels holding unit vectors were covered
+
+
+@pytest.mark.parametrize("d", (2, -3))
+def test_int_rows_with_a_quadext_row_realify_too(d):
+    # one QuadExt anywhere makes the system Z[sqrt d]: its int rows are blocks [[A, 0], [0, A]]
+    A = [[2, 1, 0], [QuadExt(0, 1, d), 1, 3]]
+    got = linalg.int_nullspace(as_rows(A), 3)
+    want = linalg.nullspace(A, 3)
+    assert [[linalg._over(v.get(b, 0), v[fc]) for b in range(3)] for fc, v in got] == want
+    with pytest.raises(ValueError, match="mixing"):
+        linalg.int_nullspace([{0: QuadExt(0, 1, d), 1: QuadExt(0, 1, 7)}], 2)
+
+
+# ----------------------------------------- stab and fixed, old branch ----
+
+def old_stab(x):
+    """stab_lie_algebra's Q(sqrt d) branch as it was: dense rows, linalg.nullspace."""
+    n, m = x.dim, x.dim * x.dim - 1
+    dense = [[row.get(b, Fraction(0)) for b in range(m)] for row in stabilizers.stab_system(x)]
+    null = [enumerate(c) for c in linalg.nullspace(dense, m)]
+    return LieSubalgebra(n, None, "stab", [stabilizers._sl_entries(c, n) for c in null])
+
+
+def old_fixed_space(L, shape):
+    """fixed_space's Q(sqrt d) branch as it was: each kernel cut by linalg.nullspace
+    of the dense images, the entries as they are, then the canonical RREF."""
+    dim, degree = shape
+    keys = all_keys(dim, degree)
+    kernel = [{k: 1} for k in keys]
+    for nz in L.entries:
+        images = stabilizers._images(nz, kernel, dim, degree)
+        hit = sorted({k for img in images for k in img})
+        if not hit:
+            continue
+        rows = [[img.get(k, Fraction(0)) for img in images] for k in hit]
+        kernel = [stabilizers._combine_forms(zip(c, kernel))
+                  for c in linalg.nullspace(rows, len(kernel))]
+        if not kernel:
+            return []
+    flipped = [[f.get(k, Fraction(0)) for k in reversed(keys)] for f in kernel]
+    rows, _ = linalg.rref(flipped)
+    return [AlternatingForm(dim, degree, dict(zip(reversed(keys), r))) for r in reversed(rows)]
+
+
+def quad_forms():
+    rng = random.Random(15)
+
+    def q(d, a=True, b=True):
+        A = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) if a else 0
+        B = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5))) if b else 0
+        return QuadExt(A, B, d)
+
+    for i, (dim, degree) in enumerate(((4, 2), (6, 3), (6, 3), (8, 2), (4, 2), (6, 3))):
+        d = DS[i % len(DS)]
+        keys = all_keys(dim, degree)
+        yield f"dense {dim}", AlternatingForm(dim, degree, {k: q(d) for k in keys})
+        yield f"sparse {dim}", AlternatingForm(dim, degree, {k: q(d) for k in keys
+                                                              if rng.random() < 0.3})
+        yield f"b = 0 {dim}", AlternatingForm(dim, degree, {k: q(d, b=False) for k in keys})
+        yield f"a = 0 {dim}", AlternatingForm(dim, degree, {k: q(d, a=False) for k in keys
+                                                             if rng.random() < 0.6})
+    for d in (2, -3, 5):
+        x = AlternatingForm(6, 3, {k: Fraction(rng.randint(-5, 5)) for k in all_keys(6, 3)})
+        yield f"g_alpha({d}) pushed", gl_action(g_alpha(d), x)
+    yield "case1_walpha(5)", make_rep("case1_walpha", d=5)
+
+
+QUAD_FORMS = list(quad_forms())
+
+
+def test_stab_and_fixed_json_match_the_old_quadext_branch():
+    mixed = 0
+    for name, x in QUAD_FORMS:
+        shape = (x.dim, x.degree)
+        L, L0 = stab_lie_algebra(x), old_stab(x)
+        assert scalar_to_json(L.basis) == scalar_to_json(L0.basis), name
+        kinds = {type(v) for nz in L.entries for v in nz.values()}
+        mixed += kinds == {Fraction, QuadExt}
+        got = [form_to_dict(f) for f in fixed_space(L, shape)]
+        assert got == [form_to_dict(f) for f in old_fixed_space(L0, shape)], name
+    # a unit kernel vector stays a Fraction matrix beside QuadExt ones
+    assert mixed
+
+
+def test_stab_of_a_quadext_form_reduces_only_ints(monkeypatch):
+    sparse_rref, seen = linalg.sparse_rref, []
+
+    def checked(rows, ncols):
+        seen.append(all(type(v) is int for row in rows for v in row.values()))
+        return sparse_rref(rows, ncols)
+
+    monkeypatch.setattr(linalg, "sparse_rref", checked)
+    for name, x in QUAD_FORMS[:8]:
+        stab_lie_algebra(x)
+    assert len(seen) == 8 and all(seen)

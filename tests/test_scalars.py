@@ -283,3 +283,51 @@ def test_real_sign_of_rationals_floats_and_imaginary_values():
     assert real_sign(QuadExt(Fraction(-1, 2), 1, 2)) == 1
     with pytest.raises(ValueError, match="no real sign"):
         real_sign(QuadExt(1, 1, -3))
+
+
+def old_scalar_to_json(x):
+    """scalar_to_json as it was: the isinstance chain, a QuadExt through the
+    Fractions .a and .b."""
+    if isinstance(x, (list, tuple)):
+        return [old_scalar_to_json(v) for v in x]
+    if isinstance(x, int):
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if isinstance(x, QuadExt):
+        return {"a": old_scalar_to_json(x.a), "b": old_scalar_to_json(x.b), "d": x.d}
+    if isinstance(x, float):
+        return x
+    raise TypeError(f"unsupported scalar {type(x).__name__}")
+
+
+def test_scalar_to_json_matches_the_old_chain():
+    rng = random.Random(15)
+
+    def draw(depth=0):
+        kind = rng.choice(("int", "fraction", "float", "quad", "list", "tuple", "bool")
+                          if depth < 2 else ("int", "fraction", "quad"))
+        if kind == "int":
+            return rng.randint(-10 ** 30, 10 ** 30)
+        if kind == "fraction":
+            return Fraction(rng.randint(-99, 99), rng.randint(1, 10 ** rng.randint(1, 25)))
+        if kind == "float":
+            return rng.uniform(-1e6, 1e6)
+        if kind == "bool":
+            return rng.random() < 0.5
+        if kind == "quad":  # d < 0 and d > 0, B = 0 and D > 1 among them
+            a, b = (Fraction(rng.randint(-50, 50), rng.choice((1, 1, 2, 6, 35, 10 ** 20)))
+                    for _ in range(2))
+            return QuadExt(a, b if rng.random() < 0.7 else 0, rng.choice((2, -3, 5, -1, 13)))
+        seq = [draw(depth + 1) for _ in range(rng.randint(0, 4))]
+        return seq if kind == "list" else tuple(seq)
+
+    values = [draw() for _ in range(400)]
+    quads = [v for v in values if type(v) is QuadExt]
+    assert {v.d < 0 for v in quads} == {True, False}
+    assert any(v._B == 0 for v in quads) and any(v._D > 1 for v in quads)
+    for v in values:
+        assert scalar_to_json(v) == old_scalar_to_json(v)
+    for bad in (None, "1/2", complex(1, 1)):
+        with pytest.raises(TypeError, match="unsupported scalar"):
+            scalar_to_json(bad)

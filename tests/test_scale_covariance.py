@@ -66,7 +66,7 @@ def witness(L):
     closed, pair = subalgebra_closed(L)
     if closed:
         return True, None
-    return False, tuple(next(i for i, M in enumerate(L.basis) if M is W) for W in pair)
+    return False, tuple(next(i for i, M in enumerate(L.basis) if M == W) for W in pair)
 
 
 # ----------------------------------------------------------- stab(c x) ----

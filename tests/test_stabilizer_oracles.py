@@ -31,7 +31,15 @@ from altforms.serialize import form_to_dict
 from altforms.stabilizers import (LieSubalgebra, fixed_space, h1_case1, join, sl_basis,
                                   span_dim, stab_lie_algebra, subalgebra_closed, t_case1,
                                   u1_case1, u2_case1)
-from test_elimination_oracles import STAB_FORMS, quad_form, same, stab_system
+from test_elimination_oracles import STAB_FORMS, quad_form, same, stab_system, types
+
+
+def unit(n, *entries):
+    """The n x n Fraction matrix with the given (i, j, value) entries, zeros elsewhere."""
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for i, j, v in entries:
+        M[i][j] = Fraction(v)
+    return M
 
 
 def dense_closed(L):
@@ -124,11 +132,13 @@ def test_fixed_space_of_empty_and_full_algebras():
 
 
 def _same(got, want):
+    """Equal verdicts, and witness pairs equal by value and by the type of each entry
+    (a failing closure makes its two matrices, not the whole .basis they are in)."""
     ok, witness = got
     ok0, witness0 = want
     if witness0 is None:
         return ok == ok0 and witness is None
-    return ok == ok0 and witness[0] is witness0[0] and witness[1] is witness0[1]
+    return ok == ok0 and witness == witness0 and types(witness) == types(witness0)
 
 
 @pytest.mark.parametrize("name,x", FORMS[:4], ids=[name for name, _ in FORMS[:4]])
@@ -142,6 +152,24 @@ def test_block_closures_and_witness_match_dense_check():
     for L in (join(h1, t), join(h1, u1, u2), t):
         assert _same(subalgebra_closed(L), dense_closed(L)), L.label
     assert not subalgebra_closed(join(h1, u1, u2))[0]
+
+
+def test_failing_closure_makes_only_its_witness():
+    # the witness of an algebra built from entries is made from its two entry
+    # dicts: the dense .basis stays unmade, and its matrices equal the witness
+    h1, u1, u2 = h1_case1(), u1_case1(), u2_case1()
+    x = quad_form(random.Random(3), -3)
+    algebras = [join(h1, u1, u2), join(u1, u2),
+                LieSubalgebra(6, None, "s", stab_lie_algebra(x).entries + u1.entries)]
+    for L in algebras:
+        closed, (X, Y) = subalgebra_closed(L)
+        assert not closed and "basis" not in vars(L)
+        a, b = (L.entries.index({i * 6 + j: v for i, row in enumerate(M)
+                                 for j, v in enumerate(row) if v}) for M in (X, Y))
+        assert a < b
+        assert (X, Y) == (L.basis[a], L.basis[b])
+        assert types((X, Y)) == types((L.basis[a], L.basis[b]))
+    assert {type(v) for row in algebras[-1].basis[0] for v in row} == {QuadExt}
 
 
 def test_witness_matches_on_spans_of_a_dense_stabilizer():
@@ -236,8 +264,8 @@ def test_fixed_space_images_match_lie_action(name, x):
 
 def _image_cases(rng):
     n = 6
-    yield "units", [stabilizers._unit(n, (i, j, 1)) for i in range(n) for j in range(n)]
-    yield "diagonal", [stabilizers._unit(n, *((i, i, rng.randint(-3, 3)) for i in range(n)))]
+    yield "units", [unit(n, (i, j, 1)) for i in range(n) for j in range(n)]
+    yield "diagonal", [unit(n, *((i, i, rng.randint(-3, 3)) for i in range(n)))]
     pieces = [M for L in (h1_case1(), u1_case1(), u2_case1(), t_case1()) for M in L.basis]
     yield "golden pieces", pieces
     r = QuadExt(Fraction(1, 2), -1, 2)
@@ -276,7 +304,7 @@ def _sparse_matrix(rng, n, entries):
 
 def _borel(rng, n):
     """Upper-triangular units and diagonal units of size n, shuffled: a closed algebra."""
-    basis = [stabilizers._unit(n, (i, j, 1)) for i in range(n) for j in range(i, n)]
+    basis = [unit(n, (i, j, 1)) for i in range(n) for j in range(i, n)]
     rng.shuffle(basis)
     return basis
 
@@ -297,7 +325,7 @@ def _sparse_bases():
     yield "borel", _borel(rng, 5)
     # units of disjoint blocks commute by their masks, those of one block close in the
     # span but for the last pair, which fails
-    E = stabilizers._unit
+    E = unit
     yield "late witness", [E(6, (0, 1, 1)), E(6, (2, 3, 3)), E(6, (1, 0, -1)), E(6, (3, 2, 2)),
                            E(6, (0, 0, 1), (1, 1, -1)), E(6, (2, 2, 1), (3, 3, -1)),
                            E(6, (4, 5, 1)), E(6, (5, 4, 1))]
@@ -324,9 +352,9 @@ def test_closure_on_sparse_bases_matches_dense_check(name, basis):
 
 def test_float_zero_entries_are_rejected():
     # a basis whose only float entries are 0.0 is still a float basis
-    X = stabilizers._unit(3, (0, 1, 1))
+    X = unit(3, (0, 1, 1))
     X[2][2] = 0.0
-    L = LieSubalgebra(3, [X, stabilizers._unit(3, (1, 0, 1))])
+    L = LieSubalgebra(3, [X, unit(3, (1, 0, 1))])
     with pytest.raises(ValueError, match="exact basis"):
         fixed_space(L, (3, 2))
     with pytest.raises(ValueError, match="exact basis"):
@@ -419,7 +447,7 @@ def _three_ways(x, extra=()):
 
 
 def _index(L, pair):
-    return tuple(next(i for i, M in enumerate(L.basis) if M is W) for W in pair)
+    return tuple(next(i for i, M in enumerate(L.basis) if M == W) for W in pair)
 
 
 @pytest.mark.parametrize("name,x", EXACT_ENTRY_FORMS, ids=[n for n, _ in EXACT_ENTRY_FORMS])
@@ -447,8 +475,8 @@ def test_checks_agree_on_entries_dense_and_joined_algebras(name, x):
 
 
 def test_block_pieces_are_their_dense_units():
-    # the dense _unit matrices the pieces were built from before
-    E = stabilizers._unit
+    # the dense unit matrices the pieces were built from before
+    E = unit
     want = {"h1": [M for b in (0, 3) for M in
                    [E(6, (b + i, b + j, 1)) for i in range(3) for j in range(3) if i != j]
                    + [E(6, (b, b, 1), (b + i, b + i, -1)) for i in range(1, 3)]],
@@ -470,7 +498,7 @@ def test_block_pieces_are_their_dense_units():
 def test_float_zero_entries_are_rejected_through_join():
     # the 0.0 leaves no entry behind, but the algebra remembers it, and so
     # does every join it is part of
-    X = stabilizers._unit(3, (0, 1, 1))
+    X = unit(3, (0, 1, 1))
     X[2][2] = 0.0
     F = LieSubalgebra(3, [X])
     assert F.entries == [{1: Fraction(1)}] and F.inexact
