@@ -9,8 +9,8 @@ The doubling A -> A(+/-) multiplies by
 
 with norm |a| +/- |b|; conjugation is conj(x) = 2 Re(x) 1 - x.
 
-The split octonion instance is built directly from pairs of 2x2 matrices so
-that its imaginary basis is, in order,
+The split octonions are the doubling M(2)(+) of the 2x2 matrices M(2) = k(+)(-)
+(norm: the determinant), re-based so that their imaginary basis is, in order,
 
     f1 = diag(1,-1), f2 = E12, f3 = E11 e, f4 = -E21 e,
     f5 = -E21,       f6 = E22 e, f7 = E12 e,
@@ -261,68 +261,38 @@ def matrix_2x2():
     return cd_double(complex_type(), -1)
 
 
-def _m(a, b, c, d):
-    return ((Fraction(a), Fraction(b)), (Fraction(c), Fraction(d)))
-
-
+# The pinned basis 1, f1..f7 as pairs (A, B) of 2x2 matrices [[p, q], [r, s]]
+# given as (p, q, r, s), in the order of the module docstring.
 _SPLIT_BASIS = (
-    (_m(1, 0, 0, 1), _m(0, 0, 0, 0)),   # 1
-    (_m(1, 0, 0, -1), _m(0, 0, 0, 0)),  # f1
-    (_m(0, 1, 0, 0), _m(0, 0, 0, 0)),   # f2
-    (_m(0, 0, 0, 0), _m(1, 0, 0, 0)),   # f3
-    (_m(0, 0, 0, 0), _m(0, 0, -1, 0)),  # f4
-    (_m(0, 0, -1, 0), _m(0, 0, 0, 0)),  # f5
-    (_m(0, 0, 0, 0), _m(0, 0, 0, 1)),   # f6
-    (_m(0, 0, 0, 0), _m(0, 1, 0, 0)),   # f7
+    ((1, 0, 0, 1), (0, 0, 0, 0)),   # 1
+    ((1, 0, 0, -1), (0, 0, 0, 0)),  # f1
+    ((0, 1, 0, 0), (0, 0, 0, 0)),   # f2
+    ((0, 0, 0, 0), (1, 0, 0, 0)),   # f3
+    ((0, 0, 0, 0), (0, 0, -1, 0)),  # f4
+    ((0, 0, -1, 0), (0, 0, 0, 0)),  # f5
+    ((0, 0, 0, 0), (0, 0, 0, 1)),   # f6
+    ((0, 0, 0, 0), (0, 1, 0, 0)),   # f7
 )
 
 
-def _mat_mul2(A, B):
-    return ((A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-            (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]))
-
-
-def _mat_conj2(A):
-    return ((A[1][1], -A[0][1]), (-A[1][0], A[0][0]))
-
-
-def _mat_add2(A, B):
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def _mat_det2(A):
-    return A[0][0] * A[1][1] - A[0][1] * A[1][0]
-
-
-def _pair_mul(x, y):
-    a, b = x
-    c, d = y
-    first = _mat_add2(_mat_mul2(a, c), tuple(tuple(-v for v in r)
-                                             for r in _mat_mul2(_mat_conj2(d), b)))
-    second = _mat_add2(_mat_mul2(d, a), _mat_mul2(b, _mat_conj2(c)))
-    return first, second
-
-
-def _pair_coords(x):
-    a, b = x
-    return (Fraction(a[0][0] + a[1][1], 2), Fraction(a[0][0] - a[1][1], 2),
-            a[0][1], b[0][0], -b[1][0], -a[1][0], b[1][1], b[0][1])
+def _m2_coords(p, q, r, s):
+    """Coordinates of [[p, q], [r, s]] on the basis 1, i, j, ij of matrix_2x2(), where
+    i = [[0, 1], [-1, 0]], j = diag(1, -1) and ij = [[0, -1], [-1, 0]]."""
+    return (Fraction(p + s, 2), Fraction(q - r, 2), Fraction(p - s, 2), Fraction(-(q + r), 2))
 
 
 @lru_cache(maxsize=None)
 def split_octonions():
-    """M(2,2)(+) in the pinned imaginary basis f1..f7 (see module docstring)."""
-    def norm(x):
-        return _mat_det2(x[0]) + _mat_det2(x[1])
+    """M(2,2)(+) in the pinned imaginary basis f1..f7 (see module docstring).
 
-    table = [[_pair_coords(_pair_mul(_SPLIT_BASIS[i], _SPLIT_BASIS[j]))
-              for j in range(8)] for i in range(8)]
-    gram = [[Fraction(0)] * 8 for _ in range(8)]
-    for i in range(8):
-        for j in range(8):
-            s = (_mat_add2(_SPLIT_BASIS[i][0], _SPLIT_BASIS[j][0]),
-                 _mat_add2(_SPLIT_BASIS[i][1], _SPLIT_BASIS[j][1]))
-            gram[i][j] = Fraction(norm(s) - norm(_SPLIT_BASIS[i]) - norm(_SPLIT_BASIS[j]), 2)
+    With the rows P_i of the pinned basis in the coordinates of
+    cd_double(matrix_2x2(), +1): table[i][j] = P^-T (P_i P_j), gram[i][j] = <P_i, P_j>.
+    """
+    D = cd_double(matrix_2x2(), +1)
+    P = [_m2_coords(*A) + _m2_coords(*B) for A, B in _SPLIT_BASIS]
+    inv_t = linalg.transpose(linalg.mat_inv(P))
+    table = [[tuple(linalg.mat_vec(inv_t, D.mul_coords(u, v))) for v in P] for u in P]
+    gram = [[D.inner_coords(u, v) for v in P] for u in P]
     return AlgebraStructure(8, table, gram, "split O")
 
 

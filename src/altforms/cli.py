@@ -175,7 +175,7 @@ def cmd_approximate(args):
         target, cert = search.project_target_via_orbit(x, target, args.epsilon / 2.0)
     config = search.SearchConfig(beam_width=args.beam, max_depth=args.depth,
                                  seed=args.seed, epsilon=args.epsilon,
-                                 both_sides=args.both_sides, threads=args.threads)
+                                 both_sides=args.both_sides)
     xf = x.as_float()
     result = search.approximate(xf, target, config)
     cand = result.candidate
@@ -348,7 +348,7 @@ def build_parser():
     sp.add_argument("--via-orbit", action="store_true", dest="via_orbit")
     sp.add_argument("--both-sides", action="store_true", dest="both_sides")
     sp.add_argument("--threads", type=int, default=0,
-                    help="accepted, like ALTFORMS_THREADS; the search runs serially")
+                    help="accepted and ignored; the search runs in one thread")
     common(sp)
     sp.set_defaults(func=cmd_approximate)
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .multilinear import d3, integral_multiple, sort_sign
+from .multilinear import _small_det, d3, integral_multiple, sort_sign
 from .scalars import clear_denominators, cube_root_rational
 
 # det gram(Q_x) = QCASE2_DET_RATIO * delta(x)^3, pinned at x = w.
@@ -172,12 +172,6 @@ def _block_matrices(z):
     return X, Y
 
 
-def _det3(M):
-    return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-            - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-            + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
-
-
 def _minor(M, i, j):
     r = [t for t in range(3) if t != i]
     c = [t for t in range(3) if t != j]
@@ -197,7 +191,7 @@ def delta_case1_explicit(z):
     b = z.coeff(4, 5, 6)
     tr = sum(X[i][k] * Y[k][i] for i in range(3) for k in range(3))
     mix = sum(_minor(X, i, j) * _minor(Y, j, i) for i in range(3) for j in range(3))
-    return (a * b - tr) ** 2 + 4 * a * _det3(Y) + 4 * b * _det3(X) - 4 * mix
+    return (a * b - tr) ** 2 + 4 * a * _small_det(Y) + 4 * b * _small_det(X) - 4 * mix
 
 
 def s_case2(x):

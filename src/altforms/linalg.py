@@ -32,18 +32,6 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(c, A):
-    return [[c * a for a in row] for row in A]
-
-
 def mat_mul(A, B):
     n, k, m = len(A), len(B), len(B[0])
     if len(A[0]) != k:

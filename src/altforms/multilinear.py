@@ -18,7 +18,6 @@ Sign and action conventions (all bookkeeping is confined to this module):
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import linalg
 from .scalars import clear_denominators, scalar_kind
@@ -159,7 +158,9 @@ def integral_multiple(x):
 
 
 def wedge(a, b):
-    """Graded-anticommutative product of two alternating forms on the same space."""
+    """Graded-anticommutative product of two alternating forms on the same space.
+
+    The reference definition the oracle tests compare against; no program path calls it."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     deg = a.degree + b.degree
@@ -221,7 +222,9 @@ def _wedge_cols(cols, key, dim):
 
 
 def lie_action(X, x):
-    """Derived action: sum over slots of X applied in one slot of the form."""
+    """Derived action: sum over slots of X applied in one slot of the form.
+
+    The reference definition the oracle tests compare against; no program path calls it."""
     n = x.dim
     if len(X) != n or any(len(row) != n for row in X):
         raise ValueError("matrix dimension mismatch")
@@ -274,7 +277,3 @@ def _small_det(rows):
 def all_keys(dim, degree):
     """All strictly increasing index tuples, in lexicographic order."""
     return list(itertools.combinations(range(1, dim + 1), degree))
-
-
-def basis_form(dim, degree, key):
-    return AlternatingForm(dim, degree, {tuple(key): Fraction(1)})

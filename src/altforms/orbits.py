@@ -16,11 +16,9 @@ from dataclasses import dataclass, field
 from . import linalg
 from .invariants import (_delta_from_q, _delta_from_s, _finite, case_of, delta_case1,
                          delta_case1_explicit, pfaffian, q_case2, s_case1)
+from .multilinear import _small_det, all_keys
 from .scalars import (QuadExt, demote, rational_reconstruct, rational_sqrt, real_sign,
                       squarefree_part)
-
-REAL_ORBITS = ("case1_positive", "case1_negative", "case2_split", "case2_nonsplit",
-               "case3_nondegenerate", "degenerate")
 
 # Real rank of the identity component of the special stabilizer is positive
 # on every orbit except the definite dim-7 one; table-driven by design.
@@ -175,10 +173,7 @@ def plucker(basis):
         raise ValueError("plucker needs 3 rows of length 6")
     out = []
     for cols in itertools.combinations(range(6), 3):
-        m = [[basis[r][c] for c in cols] for r in range(3)]
-        out.append(m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                   - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                   + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+        out.append(_small_det([[basis[r][c] for c in cols] for r in range(3)]))
     return out
 
 
@@ -284,7 +279,7 @@ def irrationality_report(x, max_den=1000, tol=1e-9, q=None):
         rep.flags["Q"] = point_rationality([gram[i][j] for i in range(7) for j in range(i, 7)],
                                            max_den, tol)
         return rep
-    vec = [x.coeffs.get(k, 0) for k in itertools.combinations(range(1, x.dim + 1), 2)]
+    vec = [x.coeffs.get(k, 0) for k in all_keys(x.dim, 2)]
     rep.flags["x"] = point_rationality(vec, max_den, tol)
     return rep
 

@@ -20,14 +20,13 @@ GROWTH_CAP = 2.0 ** 64
 
 
 def constrained_keys(case, n=None):
-    if case == 1:
-        return list(itertools.combinations(range(1, 6), 3))
-    if case == 2:
-        return list(itertools.combinations(range(1, 7), 3))
+    """The keys a partial target fixes: all keys of the form that avoid its top index."""
+    if case in (1, 2):
+        return all_keys(5 if case == 1 else 6, 3)
     if case == 3:
         if not n:
             raise ValueError("case 3 needs n")
-        return list(itertools.combinations(range(1, 2 * n), 2))
+        return all_keys(2 * n - 1, 2)
     raise ValueError(f"unknown case {case}")
 
 
@@ -56,9 +55,6 @@ class PerturbationCertificate:
     deviation: float
     auxiliaries: dict = field(default_factory=dict)
     orbit: object = None
-
-    def ok(self, eps, orbit_name):
-        return self.deviation < eps and self.orbit.real_orbit == orbit_name
 
 
 def _check(ok, message):

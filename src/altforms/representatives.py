@@ -103,11 +103,6 @@ def g_alpha(d):
     return g
 
 
-def conj_matrix(g):
-    """Entrywise Galois conjugation of a QuadExt matrix."""
-    return [[e.conjugate() if isinstance(e, QuadExt) else e for e in row] for row in g]
-
-
 def g1_fixture():
     """7x7 matrix over Q(sqrt(-1)) with det 8 carrying case2_w to case2_w1."""
     i1 = QuadExt(0, 1, -1)

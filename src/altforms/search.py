@@ -5,7 +5,7 @@ The word alphabet is the elementary matrices E_ij(+-1), i != j (their
 inverses are in the set).  Words extend a candidate by right multiplication
 (refining the basis); left extension can be enabled as well.  Selection is a
 stable sort on (objective, seeded hash, word), so runs are reproducible bit
-for bit; the search is serial, whatever the threads setting.
+for bit.  The search runs in one thread and has no thread setting.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,18 +39,12 @@ class SearchConfig:
     seed: int = 0
     epsilon: float = 1e-9
     both_sides: bool = False
-    threads: int = 0          # 0: honor ALTFORMS_THREADS; the search is serial either way
 
     def __post_init__(self):
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
         if self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
-
-    def resolved_threads(self):
-        if self.threads:
-            return self.threads
-        return int(os.environ.get("ALTFORMS_THREADS", "1") or "1")
 
 
 @dataclass
@@ -123,7 +116,8 @@ def _batch_objective(items, targets, H):
 def objective(x, y, h):
     """Max deviation |y_I - x(u_i...)| over the constrained index set.
 
-    h must be a unimodular integer matrix; its columns are the basis.
+    h must be a unimodular integer matrix; its columns are the basis.  The
+    reference definition the search tests check; no program path calls it.
     """
     h = np.asarray(h, dtype=np.int64)
     _unimodular_check(h)

@@ -267,7 +267,9 @@ def _commutator(X, Y):
 
 
 def bracket(X, Y):
-    """Commutator X Y - Y X."""
+    """Commutator X Y - Y X.
+
+    The reference definition the oracle tests compare against; no program path calls it."""
     if len(X) != len(Y):
         raise ValueError("dimension mismatch")
     B = _commutator(*({i: {j: v for j, v in enumerate(r) if v} for i, r in enumerate(M)}

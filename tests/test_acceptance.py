@@ -5,6 +5,7 @@ runtime budget is asserted here, nothing is deferred.
 """
 
 import itertools
+import json
 import math
 import random
 import time
@@ -13,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from altforms import cayley_dickson as cd
-from altforms import linalg
+from altforms import linalg, serialize
 from altforms import search as S
 from altforms.cli import main as cli_main
 from altforms.invariants import (delta_case1, delta_case1_explicit, delta_case2,
@@ -120,8 +121,9 @@ def test_criterion_3_covariance_laws():
         t = Fraction(rng.choice([1, -1, 2, 3]))
         lhs = q_case2(gl_action(g7, x7).scale(t)).gram
         G = q_case2(x7).gram
-        rhs = linalg.mat_scale(t ** 3 * linalg.mat_det(g7),
-                               linalg.mat_mul(linalg.mat_mul(g7, G), linalg.transpose(g7)))
+        c = t ** 3 * linalg.mat_det(g7)
+        rhs = [[c * v for v in row]
+               for row in linalg.mat_mul(linalg.mat_mul(g7, G), linalg.transpose(g7))]
         assert lhs == rhs
 
         n = rng.choice([2, 3])
@@ -317,19 +319,30 @@ def test_criterion_8d_depth_improves_heuristic_irrational_instance():
     report("8d", f"depth-8 beats depth-0 on {improved}/50 random targets", t0)
 
 
-def test_criterion_8e_serial_parallel_identical():
+def test_criterion_8e_serial_parallel_identical(tmp_path, capsys):
     t0 = time.time()
     x = AlternatingForm(4, 2, {
         (1, 2): math.sqrt(2), (1, 3): math.pi / 3.0, (1, 4): math.e / 4.0,
         (2, 3): math.sqrt(5) / 2.0, (2, 4): 0.25 + math.sqrt(3), (3, 4): 1.0})
     y = PartialTarget(3, {(1, 2): 0.4, (1, 3): -0.2, (2, 3): 0.9}, n=2)
-    serial = S.approximate(x, y, S.SearchConfig(beam_width=128, max_depth=7, threads=1))
-    parallel = S.approximate(x, y, S.SearchConfig(beam_width=128, max_depth=7, threads=4))
-    assert serial.candidate.word == parallel.candidate.word
-    assert serial.candidate.objective == parallel.candidate.objective
-    assert np.array_equal(serial.candidate.h, parallel.candidate.h)
-    assert serial.trace == parallel.trace
-    report("8e", "serial and parallel runs agree bit for bit", t0)
+    cfg = S.SearchConfig(beam_width=128, max_depth=7)
+    first, second = S.approximate(x, y, cfg), S.approximate(x, y, cfg)
+    assert first.candidate.word == second.candidate.word
+    assert first.candidate.objective == second.candidate.objective
+    assert np.array_equal(first.candidate.h, second.candidate.h)
+    assert first.trace == second.trace
+    # the CLI accepts --threads and ignores it: the same bytes with and without the flag
+    xpath, ypath = tmp_path / "x.json", tmp_path / "y.json"
+    xpath.write_text(json.dumps(serialize.form_to_dict(x)))
+    ypath.write_text(json.dumps(serialize.target_to_dict(y)))
+    argv = ["approximate", str(xpath), str(ypath), "--beam", "128", "--depth", "7"]
+    outs = []
+    for extra in ([], ["--threads", "4"]):
+        assert cli_main(argv + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    with capsys.disabled():
+        report("8e", "repeated runs agree bit for bit; --threads 4 changes no output byte", t0)
 
 
 def test_criterion_9_verify_command(capsys):

@@ -181,7 +181,7 @@ def test_iso_check_examples():
     w = make_rep("case2_w")
     assert iso_check(w, w, Fraction(1), linalg.identity(7))
     assert iso_check(w, w.scale(Fraction(2)), Fraction(2), linalg.identity(7))
-    g = linalg.mat_scale(Fraction(1, 8), g1_fixture())
+    g = [[Fraction(1, 8) * v for v in row] for row in g1_fixture()]
     assert iso_check(w, make_rep("case2_w1"), Fraction(2 ** 9), g)
 
 
@@ -206,7 +206,7 @@ def test_split_norm_pullback_is_euclidean():
     from altforms.invariants import q_case2
     from altforms.representatives import make_rep
     import random as _random
-    M = linalg.transpose(linalg.mat_scale(Fraction(-1), g1_fixture()))
+    M = linalg.transpose([[Fraction(-1) * v for v in row] for row in g1_fixture()])
     Qw = q_case2(make_rep("case2_w"))
     rng = _random.Random(47)
     for _ in range(20):
@@ -224,3 +224,89 @@ def test_constant_algebras_are_built_once_and_immutable():
         for name in ("dim", "table", "gram", "label", "other"):
             with pytest.raises(AttributeError):
                 setattr(A, name, None)
+
+
+# The split octonions as they were built before they came from cd_double: pairs
+# (A, B) of 2x2 matrices multiplied by the doubling formula written out on matrices
+# (conj = adjugate, norm = det A + det B), read off in the pinned basis 1, f1..f7.
+def _m(a, b, c, d):
+    return ((Fraction(a), Fraction(b)), (Fraction(c), Fraction(d)))
+
+
+_PAIR_BASIS = (
+    (_m(1, 0, 0, 1), _m(0, 0, 0, 0)),   # 1
+    (_m(1, 0, 0, -1), _m(0, 0, 0, 0)),  # f1
+    (_m(0, 1, 0, 0), _m(0, 0, 0, 0)),   # f2
+    (_m(0, 0, 0, 0), _m(1, 0, 0, 0)),   # f3
+    (_m(0, 0, 0, 0), _m(0, 0, -1, 0)),  # f4
+    (_m(0, 0, -1, 0), _m(0, 0, 0, 0)),  # f5
+    (_m(0, 0, 0, 0), _m(0, 0, 0, 1)),   # f6
+    (_m(0, 0, 0, 0), _m(0, 1, 0, 0)),   # f7
+)
+
+
+def _mat_mul2(A, B):
+    return ((A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
+            (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]))
+
+
+def _mat_conj2(A):
+    return ((A[1][1], -A[0][1]), (-A[1][0], A[0][0]))
+
+
+def _mat_add2(A, B):
+    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
+def _mat_det2(A):
+    return A[0][0] * A[1][1] - A[0][1] * A[1][0]
+
+
+def _pair_mul(x, y):
+    a, b = x
+    c, d = y
+    first = _mat_add2(_mat_mul2(a, c), tuple(tuple(-v for v in r)
+                                             for r in _mat_mul2(_mat_conj2(d), b)))
+    second = _mat_add2(_mat_mul2(d, a), _mat_mul2(b, _mat_conj2(c)))
+    return first, second
+
+
+def _pair_coords(x):
+    a, b = x
+    return (Fraction(a[0][0] + a[1][1], 2), Fraction(a[0][0] - a[1][1], 2),
+            a[0][1], b[0][0], -b[1][0], -a[1][0], b[1][1], b[0][1])
+
+
+def pair_split_octonions():
+    def norm(x):
+        return _mat_det2(x[0]) + _mat_det2(x[1])
+
+    table = [[_pair_coords(_pair_mul(_PAIR_BASIS[i], _PAIR_BASIS[j]))
+              for j in range(8)] for i in range(8)]
+    gram = [[Fraction(0)] * 8 for _ in range(8)]
+    for i in range(8):
+        for j in range(8):
+            s = (_mat_add2(_PAIR_BASIS[i][0], _PAIR_BASIS[j][0]),
+                 _mat_add2(_PAIR_BASIS[i][1], _PAIR_BASIS[j][1]))
+            gram[i][j] = Fraction(norm(s) - norm(_PAIR_BASIS[i]) - norm(_PAIR_BASIS[j]), 2)
+    return table, gram
+
+
+def test_split_octonions_match_the_matrix_pair_oracle():
+    table, gram = pair_split_octonions()
+    S = split_octonions()
+    got = [c for row in S.table for v in row for c in v] + [c for row in S.gram for c in row]
+    want = [c for row in table for v in row for c in v] + [c for row in gram for c in row]
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want] == [Fraction] * (8 * 8 * 8 + 8 * 8)
+
+
+def test_split_c_form_cli_bytes(capsys):
+    from altforms.cli import main
+    assert main(["octonion", "c-form", "--algebra", "split"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out == (
+        '{\n  "dim": 7,\n  "degree": 3,\n  "scalar": "rational",\n  "coeffs": {\n'
+        '    "1,2,5": "1/2",\n    "1,3,6": "1/2",\n    "1,4,7": "1/2",\n'
+        '    "2,3,4": "1/2",\n    "5,6,7": "1/2"\n  }\n}\n')

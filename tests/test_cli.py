@@ -262,14 +262,13 @@ def test_cli_pretty_output(tmp_path, capsys):
     assert "dim" in out and "{" not in out.splitlines()[0]
 
 
-def test_cli_approximate_via_orbit_and_threads(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ALTFORMS_THREADS", "2")
+def test_cli_approximate_via_orbit_and_threads(tmp_path, capsys):
     code, out, _ = run(capsys, "rep", "case3_w", "--n", "2")
     xpath = write_json(tmp_path, "x.json", json.loads(out))
     target = {"case": 3, "n": 2, "values": {"1,2": 0.2, "1,3": -0.4, "2,3": 0.6}}
     tpath = write_json(tmp_path, "t.json", target)
     code, out, _ = run(capsys, "approximate", xpath, tpath, "--epsilon", "0.05",
-                       "--depth", "4", "--beam", "32", "--via-orbit")
+                       "--depth", "4", "--beam", "32", "--via-orbit", "--threads", "2")
     assert code == 0
     doc = json.loads(out)
     assert "via_orbit_deviation" in doc

@@ -8,7 +8,7 @@ from altforms.invariants import (QCASE2_DET_RATIO, QuadraticForm, case_of,
                                  delta_case1, delta_case1_explicit, delta_case2,
                                  invariant_report, pfaffian, q_case2, s_case1,
                                  s_case2, skew_matrix)
-from altforms.multilinear import AlternatingForm, all_keys, basis_form, gl_action
+from altforms.multilinear import AlternatingForm, all_keys, gl_action
 from altforms.representatives import make_rep
 
 W1 = make_rep("case1_w")
@@ -23,6 +23,14 @@ def rand_form(rng, dim, degree, span=5, density=0.7):
             if v:
                 coeffs[key] = Fraction(v)
     return AlternatingForm(dim, degree, coeffs)
+
+
+def basis_form(dim, degree, key):
+    return AlternatingForm(dim, degree, {key: Fraction(1)})
+
+
+def scaled(c, A):
+    return [[c * a for a in row] for row in A]
 
 
 def rand_invertible(rng, n, span=2):
@@ -40,7 +48,7 @@ def test_s_case1_goldens():
             assert S[i][j] == want
     assert all(v == 0 for row in s_case1(basis_form(6, 3, (1, 2, 3))) for v in row)
     S2 = s_case1(W1.scale(Fraction(2)))
-    assert S2 == linalg.mat_scale(Fraction(4), S)
+    assert S2 == scaled(Fraction(4), S)
 
 
 def test_delta_case1_goldens():
@@ -78,7 +86,7 @@ def test_s_case2_goldens():
     assert all(v == 0 for row in s_case2(basis_form(7, 3, (1, 2, 3))) for v in row)
     S = s_case2(W2)
     S8 = s_case2(W2.scale(Fraction(2)))
-    assert S8 == linalg.mat_scale(Fraction(8), S)
+    assert S8 == scaled(Fraction(8), S)
 
 
 def test_q_case2_goldens():
@@ -113,7 +121,7 @@ def test_q_case2_covariance():
         G = q_case2(x).gram
         AG = linalg.mat_mul(A, G)
         AGAt = linalg.mat_mul(AG, linalg.transpose(A))
-        rhs = linalg.mat_scale(t ** 3 * linalg.mat_det(g), AGAt)
+        rhs = scaled(t ** 3 * linalg.mat_det(g), AGAt)
         assert lhs == rhs
 
 

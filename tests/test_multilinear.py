@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from altforms.multilinear import (AlternatingForm, all_keys,
-                                  basis_form, d3, evaluate, gl_action,
+from altforms.multilinear import (AlternatingForm, all_keys, d3, evaluate, gl_action,
                                   lie_action, wedge)
+
+
+def basis_form(dim, degree, key):
+    return AlternatingForm(dim, degree, {key: Fraction(1)})
 
 
 def rand_form(rng, dim, degree, span=4, density=0.6):

@@ -154,10 +154,9 @@ def test_both_sides():
                 S.SearchConfig(beam_width=64, max_depth=6, both_sides=True))
 
 
-def test_threads_match_the_serial_oracle():
+def test_irrational_x4_matches_the_oracle():
     y = {(1, 2): 0.3, (1, 3): -0.7, (2, 3): 0.11}
-    for threads in (1, 2):
-        assert_same(IRRATIONAL_X4, y, S.SearchConfig(beam_width=64, max_depth=6, threads=threads))
+    assert_same(IRRATIONAL_X4, y, S.SearchConfig(beam_width=64, max_depth=6))
 
 
 def test_sparse_form():

@@ -59,7 +59,8 @@ def dense_closed(L):
 
     for a, X in enumerate(L.basis):
         for Y in L.basis[a:]:
-            B = linalg.mat_sub(linalg.mat_mul(X, Y), linalg.mat_mul(Y, X))
+            B = [[a - b for a, b in zip(ra, rb)]
+                 for ra, rb in zip(linalg.mat_mul(X, Y), linalg.mat_mul(Y, X))]
             if reduce([B[i][j] for i in range(n) for j in range(n)]):
                 return False, (X, Y)
     return True, None
@@ -182,8 +183,8 @@ def test_witness_matches_on_spans_of_a_dense_stabilizer():
         assert not got[0] and got[1][1] is E
         assert _same(got, dense_closed(span))
     # shifted by unit matrices, every pair fails: the order of the pairs decides
-    shifted = [linalg.mat_add(X, U) for X, U in zip(stab_lie_algebra(FORMS[4][1]).basis,
-                                                    sl_basis(6)[:4])]
+    shifted = [[[a + b for a, b in zip(rx, ru)] for rx, ru in zip(X, U)]
+               for X, U in zip(stab_lie_algebra(FORMS[4][1]).basis, sl_basis(6)[:4])]
     span = LieSubalgebra(6, shifted)
     assert _same(subalgebra_closed(span), dense_closed(span))
 
