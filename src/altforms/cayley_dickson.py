@@ -190,15 +190,18 @@ class AlgElement:
         return self.inner(self)
 
     def re(self):
-        """Scalar coefficient of the unit: <x, 1> / <1, 1>."""
-        one = self.algebra.basis_element(0)
-        return self.inner(one) / one.norm()
+        """Scalar coefficient of the unit, <x, 1> / <1, 1>, from the unit's gram column."""
+        gram = self.algebra.gram
+        return sum(gram[i][0] * c for i, c in enumerate(self.coords)
+                   if not (gram[i][0] == 0)) / gram[0][0]
 
     def im(self):
         return self - self.re() * self.algebra.one
 
     def conj(self):
-        return 2 * self.re() * self.algebra.one - self
+        """2 Re(x) 1 - x, on the coordinates."""
+        return AlgElement(self.algebra, (2 * self.re() - self.coords[0],)
+                          + tuple(-c for c in self.coords[1:]))
 
     def associator(self, y, z):
         return (self * y) * z - self * (y * z)
@@ -216,18 +219,15 @@ def cd_double(A, sign=+1):
     n = A.dim
     N = 2 * n
 
-    def conj_vec(v):
-        return A.element(v).conj().coords
-
     halves = [(e[:n], e[n:]) for e in
               (tuple(Fraction(int(m == i)) for m in range(N)) for i in range(N))]
     table = [[None] * N for _ in range(N)]
     for i, (a, b) in enumerate(halves):
         for j, (c, d) in enumerate(halves):
             ac = A.mul_coords(a, c)
-            db = A.mul_coords(conj_vec(d), b)
+            db = A.mul_coords(A.element(d).conj().coords, b)
             da = A.mul_coords(d, a)
-            bc = A.mul_coords(b, conj_vec(c))
+            bc = A.mul_coords(b, A.element(c).conj().coords)
             first = tuple(x - sign * y for x, y in zip(ac, db))
             second = tuple(x + y for x, y in zip(da, bc))
             table[i][j] = first + second
@@ -286,12 +286,15 @@ def split_octonions():
     """M(2,2)(+) in the pinned imaginary basis f1..f7 (see module docstring).
 
     With the rows P_i of the pinned basis in the coordinates of
-    cd_double(matrix_2x2(), +1): table[i][j] = P^-T (P_i P_j), gram[i][j] = <P_i, P_j>.
+    cd_double(matrix_2x2(), +1): table[i][j] = P^-T (P_i P_j), gram[i][j] = <P_i, P_j>;
+    each product is mapped through the nonzero entries of P^-T.
     """
     D = cd_double(matrix_2x2(), +1)
     P = [_m2_coords(*A) + _m2_coords(*B) for A, B in _SPLIT_BASIS]
-    inv_t = linalg.transpose(linalg.mat_inv(P))
-    table = [[tuple(linalg.mat_vec(inv_t, D.mul_coords(u, v))) for v in P] for u in P]
+    inv_t = [[(j, c) for j, c in enumerate(row) if c]
+             for row in linalg.transpose(linalg.mat_inv(P))]
+    products = [[D.mul_coords(u, v) for v in P] for u in P]
+    table = [[tuple(sum(c * w[j] for j, c in row) for row in inv_t) for w in ws] for ws in products]
     gram = [[D.inner_coords(u, v) for v in P] for u in P]
     return AlgebraStructure(8, table, gram, "split O")
 

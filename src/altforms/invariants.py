@@ -120,7 +120,7 @@ def s_case1(x):
     """S_x = x ^ D3(x) as a 6x6 matrix, quadratic in x.
 
     x ^ e_pair pairs with e_j by e_j ^ e_1..5 = -e_1..5 ^ e_j: hence the minus.
-    A rational x is built as S_{D x} over ints and divided by D^2.
+    An exact x is built as S_{D x} over Z or Z[sqrt d] and divided by D^2.
     """
     _check_shape(x, 6, 3, "s_case1")
     D, xd = integral_multiple(x) or (None, x)
@@ -128,7 +128,7 @@ def s_case1(x):
     S = [[zero] * 6 for _ in range(6)]
     for vec, c, (j,), v in _complement_terms(xd, d3(xd)):
         S[vec - 1][j - 1] = S[vec - 1][j - 1] - c * v
-    return S if D is None else [[Fraction(v, D * D) for v in row] for row in S]
+    return S if D is None else [[linalg._over(v, D * D) for v in row] for row in S]
 
 
 def delta_case1(x, tol=None):
@@ -142,22 +142,22 @@ def delta_case1(x, tol=None):
 
 def _delta_from_s(S, tol=None):
     """delta with S^2 = delta * I for a built S_x; ArithmeticError otherwise.
-    A rational S is squared as the ints D * S over its nonzero entries and
-    checked exactly; delta is then one Fraction, over D^2."""
+    An exact S is squared as D * S over Z or Z[sqrt d] and checked exactly;
+    delta is then one division by D^2.  Every product is formed, so delta
+    is a QuadExt exactly when S^2 computed on S itself would give one."""
+    D, n = None, len(S)
     cleared = clear_denominators(v for row in S for v in row)
-    if cleared is None:
-        S2, D = linalg.mat_mul(S, S), None
-    else:
-        (D, ints), n, tol = cleared, len(S), None
-        rows = [{j: v for j, v in enumerate(ints[i * n:i * n + n]) if v} for i in range(n)]
-        S2 = [[sum(a * rows[j].get(k, 0) for j, a in row.items()) for k in range(n)] for row in rows]
+    if cleared is not None:
+        (D, flat), tol = cleared, None
+        S = [flat[i * n:i * n + n] for i in range(n)]
+    S2 = linalg.mat_mul(S, S)
     d = S2[0][0]
     for i, row in enumerate(S2):
         for j, v in enumerate(row):
             want = d if i == j else 0
             if not (v == want if tol is None else abs(float(v) - float(want)) <= tol):
                 raise ArithmeticError("S_x^2 is not a scalar matrix (internal bug)")
-    return d if D is None else Fraction(d, D * D)
+    return d if D is None else linalg._over(d, D * D)
 
 
 def _block_matrices(z):
@@ -199,8 +199,8 @@ def s_case2(x):
 
     wedge^7 W ~ k via the coefficient of e_1..7.  The second contraction only
     pairs a 5-form with the 2-form on its complementary indices, so terms are
-    matched by complement lookup instead of a full double loop.  A rational
-    x is built as S_{D x} over ints and divided by D^3.
+    matched by complement lookup instead of a full double loop.  An exact x
+    is built as S_{D x} over Z or Z[sqrt d] and divided by D^3.
     """
     _check_shape(x, 7, 3, "s_case2")
     D, xd = integral_multiple(x) or (None, x)
@@ -213,7 +213,7 @@ def s_case2(x):
     for v1, c1, comp, v in _complement_terms(xd, dx):
         for v2, c2 in by_pair.get(comp, ()):
             S[v1 - 1][v2 - 1] = S[v1 - 1][v2 - 1] + c1 * c2 * v
-    return S if D is None else [[Fraction(v, D ** 3) for v in row] for row in S]
+    return S if D is None else [[linalg._over(v, D ** 3) for v in row] for row in S]
 
 
 def q_case2(x):

@@ -1,15 +1,14 @@
 """Exact linear algebra over field scalars (Fraction, QuadExt).
 
-Matrices are lists of lists.  Determinant, inverse, solve, RREF, rank and
-nullspace run on one sparse Gauss-Jordan loop, ``sparse_rref``, over the
-nonzero entries of each row, so its cost follows the nonzeros, not the
-shape.  Each row is scaled by its common denominator, rational rows (ints
-and Fractions alike) to ints and rows with a Q(sqrt d) entry to ints and
-QuadExts over Z[sqrt d], and reduced fraction-free; only the outputs are
-divided through.  ``int_nullspace``, the kernel of the stabilizer systems,
-realifies a Z[sqrt d] system onto ints (a kernel is a Q-space too); the
-others keep native Z[sqrt d] rows, as det needs the Q(sqrt d) pivots (a
-realified determinant is only their norm).  Floats use numpy instead.
+Matrices are lists of lists.  Every exact kernel runs on one sparse
+Gauss-Jordan loop, ``sparse_rref``, over the nonzero entries of each row, so
+its cost follows the nonzeros, not the shape.  Rows come scaled by their
+common denominator (scalars.clear_denominators) to ints, or to ints and
+QuadExts over Z[sqrt d], and are reduced fraction-free; only the outputs are
+divided through (_over).  ``int_nullspace``, the kernel of the stabilizer and
+eigenspace systems, realifies a Z[sqrt d] system onto ints (a kernel is a
+Q-space too); ``mat_det`` and ``mat_inv`` keep native Z[sqrt d] rows, as det
+needs the Q(sqrt d) pivots (a realified one is their norm).  Floats use numpy.
 """
 
 from __future__ import annotations
@@ -50,31 +49,6 @@ def mat_eq(A, B):
     return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
 
 
-def _gauss_jordan(M, ncols):
-    """Reduce M in place to reduced row echelon form on its first ncols columns.
-
-    Columns past ncols are carried along: [A | B] -> [I | A^-1 B].  Returns
-    (pivot columns, det): det is the product of the pivots times the sign of
-    the permutation from row to pivot column, the determinant of a square M
-    with a pivot in every column.  M is written back as the pivot rows in
-    column order, then the others as zero rows.  An output entry is entry /
-    pivot of its reduced row (_over); a zero is 0 * the pivot, or in a zero
-    row 0 * its first nonzero input entry (each input entry if it has none).
-    """
-    width = len(M[0]) if M else 0
-    rows, pivots, det = _reduce(M, ncols)
-    out = []
-    for c, i in pivots:
-        row, p = rows[i], _pivot(rows[i][c])
-        zero = _over(0 * row[c])
-        out.append([_over(row[j], p) if j in row else zero for j in range(width)])
-    for i in sorted(set(range(len(M))) - {i for _, i in pivots}):
-        nz = next((v for v in M[i] if v != 0), None)
-        out.append([_over(v) for v in M[i]] if nz is None else [_over(0 * nz)] * width)
-    M[:] = out
-    return [c for c, _ in pivots], det
-
-
 def _over(v, n=1):
     """v / n for an int n != 0, as dividing through gives it: a Fraction for an
     int v, a QuadExt for a QuadExt."""
@@ -83,24 +57,12 @@ def _over(v, n=1):
 
 def _reduce(M, ncols):
     """(rows, pivots, det): sparse_rref of the rows of M, each row times its
-    common denominator (_integral)."""
-    cleared = [_integral(row) for row in M]
+    common denominator (clear_denominators; a float counts as its exact value)."""
+    cleared = [clear_denominators(Fraction(v) if type(v) is float else v for v in row)
+               for row in M]
     rows = [{j: v for j, v in enumerate(values) if v} for _, values in cleared]
     pivots, (num, den) = sparse_rref(rows, ncols)
     return rows, pivots, _over(num, den * math.prod(D for D, _ in cleared))
-
-
-def _integral(values):
-    """(D, [D * v for v in values]), D the lcm of the denominators: ints for
-    rational values (clear_denominators), else ints and QuadExts over Z[sqrt d]
-    (D = 1).  A float counts as its exact binary value."""
-    cleared = clear_denominators(values)
-    if cleared is None:
-        values = [Fraction(v) if type(v) is float else v for v in values]
-        D = math.lcm(*(v._D if type(v) is QuadExt else v.denominator for v in values))
-        cleared = D, [v * D if type(v) is QuadExt else v.numerator * (D // v.denominator)
-                      for v in values]
-    return cleared
 
 
 def sparse_rref(rows, ncols):
@@ -237,46 +199,22 @@ def mat_det(A):
 
 
 def _solve_block(A, B):
-    """X with A X = B for a square A, read off the reduction of [A | B]."""
+    """X with A X = B for a square A, read off the reduction of [A | B]: each
+    pivot row divided by its pivot (_over), its zeros 0 * pivot, so a row over
+    Z[sqrt d] gives QuadExts and a rational one Fractions."""
     n = len(A)
-    M = [list(ra) + list(rb) for ra, rb in zip(A, B)]
-    if len(_gauss_jordan(M, n)[0]) < n:
+    rows, pivots, _ = _reduce([list(ra) + list(rb) for ra, rb in zip(A, B)], n)
+    if len(pivots) < n:
         raise ZeroDivisionError("singular matrix")
-    return [row[n:] for row in M]
+    out = []
+    for c, i in pivots:
+        row, p, zero = rows[i], _pivot(rows[i][c]), _over(0 * rows[i][c])
+        out.append([_over(row[j], p) if j in row else zero for j in range(n, n + len(B[0]))])
+    return out
 
 
 def mat_inv(A):
     return _solve_block(A, identity(len(A)))
-
-
-def solve(A, b):
-    """Solve A x = b exactly; raises ZeroDivisionError if A is singular."""
-    return [row[0] for row in _solve_block(A, [[v] for v in b])]
-
-
-def rref(A):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    M = [list(row) for row in A]
-    pivots, _ = _gauss_jordan(M, len(M[0]) if M else 0)
-    return M, pivots
-
-
-def rank(A):
-    return len(rref(A)[1])
-
-
-def nullspace(A, ncols=None):
-    """Exact basis of {x : A x = 0} for a list-of-rows matrix."""
-    ncols = ncols if ncols is not None else len(A[0]) if A else 0
-    M, pivots = rref(A)
-    basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -M[r][fc]
-        basis.append(v)
-    return basis
 
 
 def congruent_signature(G):

@@ -148,8 +148,9 @@ class AlternatingForm:
 
 
 def integral_multiple(x):
-    """(D, D * x with Python int coefficients), D the least common denominator
-    of a rational form; None for Q(sqrt d) or float coefficients."""
+    """(D, D * x), D the least common denominator of an exact form: int
+    coefficients, and QuadExts over Z[sqrt d] for Q(sqrt d) ones
+    (clear_denominators); None for float coefficients."""
     cleared = clear_denominators(x.coeffs.values())
     if cleared is None:
         return None

@@ -17,8 +17,8 @@ from . import linalg
 from .invariants import (_delta_from_q, _delta_from_s, _finite, case_of, delta_case1,
                          delta_case1_explicit, pfaffian, q_case2, s_case1)
 from .multilinear import _small_det, all_keys
-from .scalars import (QuadExt, demote, rational_reconstruct, rational_sqrt, real_sign,
-                      squarefree_part)
+from .scalars import (QuadExt, clear_denominators, demote, rational_reconstruct, rational_sqrt,
+                      real_sign, squarefree_part)
 
 # Real rank of the identity component of the special stabilizer is positive
 # on every orbit except the definite dim-7 one; table-driven by design.
@@ -124,9 +124,10 @@ def field_kx(x):
 def eigenspaces(x, tol=1e-9):
     """The two rank-3 eigenspaces of S_x for the eigenvalues +/- sqrt(delta).
 
-    Exact over Q(sqrt(d)) for rational input (basis1 belongs to +sqrt(delta));
-    float input uses complex numpy arithmetic.  ValueError when sqrt(delta) lies
-    outside Q and the field of S_x (a field tower).
+    Exact over Q(sqrt(d)) for rational input (basis1 belongs to +sqrt(delta)):
+    the canonical kernel vectors of S_x -/+ sqrt(delta) I by linalg.int_nullspace.
+    Float input uses complex numpy arithmetic.  ValueError when sqrt(delta)
+    lies outside Q and the field of S_x (a field tower).
     """
     if x.scalar_kind() == "float":
         return _eigenspaces_float(x, tol)
@@ -141,11 +142,12 @@ def eigenspaces(x, tol=1e-9):
     bases = []
     for sign in (1, -1):
         lam = sign * root
-        rows = [[S[i][j] - (lam if i == j else 0) for j in range(6)] for i in range(6)]
-        ns = linalg.nullspace(rows, 6)
+        rows = [clear_denominators(S[i][j] - (lam if i == j else 0) for j in range(6))[1]
+                for i in range(6)]
+        ns = linalg.int_nullspace([{j: v for j, v in enumerate(row) if v} for row in rows], 6)
         if len(ns) != 3:
             raise ArithmeticError("eigenspace dimension must be 3 (internal bug)")
-        bases.append([[demote(c) for c in v] for v in ns])
+        bases.append([[demote(linalg._over(v.get(b, 0), v[fc])) for b in range(6)] for fc, v in ns])
     return GrassmannPoint(bases[0], bases[1])
 
 

@@ -22,18 +22,16 @@ from fractions import Fraction
 
 from . import linalg
 from .multilinear import AlternatingForm
-from .scalars import QuadExt, demote
+from .scalars import QuadExt, _is_squarefree, demote
 
 REP_NAMES = ("case1_w", "case1_w1", "case1_walpha", "case2_w", "case2_wprime",
              "case2_w1", "case3_w")
 
 
 def _check_d(d):
-    from .scalars import squarefree_part
     if not isinstance(d, int) or d in (0, 1):
         raise ValueError(f"d must be a squarefree integer != 0, 1; got {d!r}")
-    sf, r = squarefree_part(Fraction(d))
-    if sf != d:
+    if not _is_squarefree(d):
         raise ValueError(f"d must be squarefree; got {d}")
 
 

@@ -6,9 +6,10 @@ Three scalar realizations are used throughout the package:
 * ``QuadExt`` for a single quadratic extension Q(sqrt(d)) at a time,
 * plain ``float`` for the numeric search and perturbation paths.
 
-All algebra modules are generic over these: they only use ``+ - * /`` and
-comparisons with zero.  Float comparisons always take an explicit tolerance
-at the call site; there is no global epsilon.
+Algebra modules are generic over these (``+ - * /`` and comparisons with
+zero); exact kernels scale their values to ints or Z[sqrt d] by the one
+helper ``clear_denominators`` and divide once, at the output.  Float
+comparisons take an explicit tolerance at the call site (no global epsilon).
 """
 
 from __future__ import annotations
@@ -338,17 +339,19 @@ def rational_reconstruct(x, max_denominator, tol):
 
 
 def clear_denominators(values):
-    """(D, [D * v for v in values]) with D the least common denominator, the
-    scaled values as Python ints; None unless every value is an int or a Fraction.
+    """(D, [D * v for v in values]) with D the least common denominator: ints
+    for ints and Fractions, QuadExts over Z[sqrt d] (D = 1) for QuadExts.  None
+    unless every value is an int, a Fraction or a QuadExt (a float is not).
 
-    Exact kernels run on the ints and divide by D (or its power) once, at the
-    output: int arithmetic takes no gcd per operation, Fraction's does.
+    Exact kernels run on the scaled values and divide by D (or its power) once,
+    at the output: int arithmetic takes no gcd per operation, Fraction's does.
     """
     values = list(values)
-    if not all(isinstance(v, (int, Fraction)) for v in values):
+    if not all(isinstance(v, (int, Fraction, QuadExt)) for v in values):
         return None
-    D = math.lcm(*(v.denominator for v in values))
-    return D, [v.numerator * (D // v.denominator) for v in values]
+    D = math.lcm(*(v._D if type(v) is QuadExt else v.denominator for v in values))
+    return D, [v * D if type(v) is QuadExt else v.numerator * (D // v.denominator)
+               for v in values]
 
 
 def scalar_kind(x):

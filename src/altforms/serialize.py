@@ -37,6 +37,18 @@ def _parse_key(s, degree):
     return idx
 
 
+def _integer(data, field, message):
+    """data[field] as an int; FormFormatError(message) if it is missing or not an
+    integer, a bool or a float (JSON true, 6.7, 6.0) included, never truncated."""
+    v = data.get(field)
+    if v is None or isinstance(v, (bool, float)):
+        raise FormFormatError(message)
+    try:
+        return int(v)
+    except (TypeError, ValueError):
+        raise FormFormatError(message) from None
+
+
 def form_to_dict(x):
     kind = x.scalar_kind()
     out = {"dim": x.dim, "degree": x.degree, "scalar": kind,
@@ -52,11 +64,8 @@ def form_to_dict(x):
 def form_from_dict(data):
     if not isinstance(data, dict):
         raise FormFormatError("form document must be a JSON object")
-    try:
-        dim = int(data["dim"])
-        degree = int(data["degree"])
-    except (KeyError, TypeError, ValueError):
-        raise FormFormatError("form document needs integer 'dim' and 'degree'")
+    dim, degree = (_integer(data, f, "form document needs integer 'dim' and 'degree'")
+                   for f in ("dim", "degree"))
     kind = data.get("scalar", "rational")
     if kind not in ("rational", "float", "quadext"):
         raise FormFormatError(f"unknown scalar kind {kind!r}")
@@ -96,11 +105,8 @@ def target_to_dict(t):
 def target_from_dict(data):
     if not isinstance(data, dict):
         raise FormFormatError("target document must be a JSON object")
-    try:
-        case = int(data["case"])
-    except (KeyError, TypeError, ValueError):
-        raise FormFormatError("target document needs an integer 'case'")
-    n = data.get("n")
+    case = _integer(data, "case", "target document needs an integer 'case'")
+    n = None if data.get("n") is None else _integer(data, "n", "target 'n' must be an integer")
     values = {}
     degree = 2 if case == 3 else 3
     for key, val in (data.get("values") or {}).items():
@@ -110,7 +116,7 @@ def target_from_dict(data):
         except (TypeError, ValueError):
             raise FormFormatError(f"bad target value {val!r} at {key!r}")
     try:
-        return PartialTarget(case, values, n=int(n) if n else None)
+        return PartialTarget(case, values, n=n or None)
     except ValueError as exc:
         raise FormFormatError(str(exc))
 

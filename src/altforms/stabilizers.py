@@ -13,6 +13,7 @@ from functools import cached_property, lru_cache
 
 from . import linalg
 from .multilinear import AlternatingForm, all_keys, sort_sign
+from .scalars import clear_denominators
 
 
 class LieSubalgebra:
@@ -60,7 +61,7 @@ def sl_basis(n):
 def stab_lie_algebra(x, label=""):
     """Annihilator of x in sl(dim): all traceless X with lie_action(X, x) = 0.
 
-    An exact x is scaled to Z or Z[sqrt d] (linalg._integral), its system solved
+    An exact x is scaled to Z or Z[sqrt d] (clear_denominators), its system solved
     by linalg.int_nullspace, and each vector divided by its free entry (a
     Fraction or a QuadExt per nonzero coefficient).  Float forms use a numpy
     SVD nullspace with a relative cutoff.  Each vector fills its entries.
@@ -73,7 +74,7 @@ def stab_lie_algebra(x, label=""):
         tol = max(A.shape) * (s[0] if len(s) else 0.0) * 1e-12
         null = [enumerate(c.tolist()) for c in vh[int((s > tol).sum()):]]
     else:
-        _, values = linalg._integral(list(x.coeffs.values()))
+        _, values = clear_denominators(x.coeffs.values())
         rows = stab_system(AlternatingForm(n, x.degree, dict(zip(x.coeffs, values))))
         null = [[(b, linalg._over(c, v[fc])) for b, c in v.items()]
                 for fc, v in linalg.int_nullspace(rows, m)]
@@ -157,11 +158,12 @@ def fixed_space(L, shape):
 
     Each X acts through its entries, L.entries, alone (_images).  The basis
     runs on Z or Z[sqrt d]: each matrix's entries are scaled by their common
-    denominator (linalg._integral; no kernel changes), the kernel vectors are
-    primitive, and each system is reduced by linalg.int_nullspace (a Z[sqrt d]
-    one realified onto ints); only the final linalg.rref divides.  Float
-    bases are rejected (_exact): an exact kernel of them is not the fixed
-    space.
+    denominator (clear_denominators; no kernel changes), the kernel vectors
+    are primitive, and each system is reduced by linalg.int_nullspace (a
+    Z[sqrt d] one realified onto ints).  The canonical basis is one
+    linalg.sparse_rref of the kernel rows on the reversed columns, each pivot
+    row divided by its pivot (_over), the only division.  Float bases are
+    rejected (_exact): an exact kernel of them is not the fixed space.
     """
     dim, degree = shape
     if L.ambient_dim != dim:
@@ -169,7 +171,7 @@ def fixed_space(L, shape):
     keys = all_keys(dim, degree)
     kernel = [{k: 1} for k in keys]
     for nz in _exact(L, "fixed_space"):
-        images = _images(dict(zip(nz, linalg._integral(list(nz.values()))[1])), kernel, dim, degree)
+        images = _images(dict(zip(nz, clear_denominators(nz.values())[1])), kernel, dim, degree)
         hit = sorted({k for img in images for k in img})
         if not hit:
             continue
@@ -180,9 +182,12 @@ def fixed_space(L, shape):
             linalg._primitive(f)
         if not kernel:
             return []
-    flipped = [[f.get(k, _ZERO) for k in reversed(keys)] for f in kernel]
-    rows, _ = linalg.rref(flipped)
-    return [AlternatingForm(dim, degree, dict(zip(reversed(keys), r))) for r in reversed(rows)]
+    flipped = keys[::-1]  # the column order reversed
+    rows = [{j: f[k] for j, k in enumerate(flipped) if k in f} for f in kernel]
+    pivots, _ = linalg.sparse_rref(rows, len(keys))
+    return [AlternatingForm(dim, degree, {flipped[j]: linalg._over(v, linalg._pivot(rows[i][c]))
+                                          for j, v in rows[i].items()})
+            for c, i in reversed(pivots)]
 
 
 @lru_cache(maxsize=None)
@@ -242,10 +247,10 @@ def _combine_forms(terms):
 def _span(sparse, n):
     """(mats, echelon) of n x n matrices given by their entries: mats holds them as
     rows {i: {j: c}}, each times the lcm of its denominators, which changes no
-    span and no zero test (linalg._integral: ints, or values over Z[sqrt d]);
+    span and no zero test (clear_denominators: ints, or values over Z[sqrt d]);
     echelon maps each pivot (i, j) of the span, reduced once by sparse_rref,
     to (p, pivot row {(i, j): value}), p its int pivot."""
-    flat = [dict(zip(nz, linalg._integral(list(nz.values()))[1])) for nz in sparse]
+    flat = [dict(zip(nz, clear_denominators(nz.values())[1])) for nz in sparse]
     mats = [{} for _ in flat]  # filled before sparse_rref reduces flat in place
     for M, F in zip(mats, flat):
         for e, v in F.items():
@@ -304,8 +309,10 @@ def subalgebra_closed(L):
 
 
 def span_dim(subalgebras):
-    """Dimension of the sum of the given subspaces (exact rank)."""
+    """Dimension of the sum of the given subspaces (exact rank; floats raise)."""
     mats = [nz for L in subalgebras for nz in L.entries]
+    if any(type(v) is float for nz in mats for v in nz.values()):
+        raise ValueError("span_dim needs exact entries; float forms are not supported")
     return len(_span(mats, subalgebras[-1].ambient_dim)[1]) if mats else 0
 
 

@@ -298,6 +298,62 @@ def test_cli_rejects_non_finite_form_coefficients(tmp_path, capsys, bad):
     assert err.startswith("error:") and "non-finite" in err
 
 
+def _rejected(tmp_path, capsys, command, doc, message):
+    """The document fails to parse with message, and the command on its file exits 1."""
+    path = write_json(tmp_path, "doc.json", doc)
+    code, out, err = run(capsys, *command, path)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+FORM_FIELDS = {"dim": 6, "degree": 3, "scalar": "rational", "coeffs": {"1,2,3": "1", "4,5,6": "1"}}
+
+
+@pytest.mark.parametrize("bad", (6.7, 6.0, True, None, "six"))
+def test_form_dim_must_be_a_json_integer(tmp_path, capsys, bad):
+    # 6.7 ran as a dim-6 form and exited 0; true ran as dim 1
+    doc = {**FORM_FIELDS, "dim": bad}
+    message = "form document needs integer 'dim' and 'degree'"
+    with pytest.raises(FormFormatError, match=message):
+        form_from_dict(doc)
+    _rejected(tmp_path, capsys, ("invariant",), doc, message)
+    assert form_from_dict({**FORM_FIELDS, "dim": "6"}) == form_from_dict(FORM_FIELDS)
+
+
+@pytest.mark.parametrize("bad", (3.9, 3.0, True, []))
+def test_form_degree_must_be_a_json_integer(tmp_path, capsys, bad):
+    doc = {**FORM_FIELDS, "degree": bad}
+    message = "form document needs integer 'dim' and 'degree'"
+    with pytest.raises(FormFormatError, match=message):
+        form_from_dict(doc)
+    _rejected(tmp_path, capsys, ("classify",), doc, message)
+
+
+def _case1_values():
+    return {",".join(map(str, k)): 0.5 for k in constrained_keys(1)}
+
+
+@pytest.mark.parametrize("bad", (1.0, 3.9, True, False, "x"))
+def test_target_case_must_be_a_json_integer(tmp_path, capsys, bad):
+    # "case": 3.9 ran as case 3
+    doc = {"case": bad, "values": _case1_values()}
+    message = "target document needs an integer 'case'"
+    with pytest.raises(FormFormatError, match=message):
+        target_from_dict(doc)
+    _rejected(tmp_path, capsys, ("perturb", "case1", "--epsilon", "0.1"), doc, message)
+
+
+@pytest.mark.parametrize("bad", (2.5, 2.0, True, False))
+def test_target_n_must_be_a_json_integer(tmp_path, capsys, bad):
+    # "n": 2.5 ran as n = 2
+    doc = {"case": 3, "n": bad, "values": {"1,2": 0.2, "1,3": -0.4, "2,3": 0.6}}
+    with pytest.raises(FormFormatError, match="target 'n' must be an integer"):
+        target_from_dict(doc)
+    _rejected(tmp_path, capsys, ("perturb", "case3", "--epsilon", "0.1"), doc,
+              "target 'n' must be an integer")
+    assert target_from_dict({**doc, "n": 2}).n == target_from_dict({**doc, "n": "2"}).n == 2
+    assert target_from_dict({"case": 1, "n": None, "values": _case1_values()}).n is None
+
+
 def test_cli_rejects_non_finite_perturb_target(tmp_path, capsys):
     values = {",".join(map(str, k)): 0.5 for k in constrained_keys(1)}
     values["1,2,3"] = float("nan")

@@ -3,11 +3,13 @@
 ``dense_gauss_jordan`` is a copy of the dense kernel: per column, the first
 nonzero entry at or below the current row is swapped up, the whole row is
 scaled and cleared from every other row.  The ``dense_*`` wrappers read
-det, inverse, solve, RREF and nullspace off it exactly as linalg does.
-Every comparison checks the exact values and the ``type()`` of every
-entry, so Fraction stays Fraction and Q(sqrt d) stays QuadExt, which keeps
-the JSON of ``stab`` and ``fixed`` the same byte for byte.  Inputs are
-seeded Fraction, Q(sqrt 2) and Q(sqrt -3) matrices and the real ``stab``
+det, inverse, solve, RREF and nullspace off it; other test modules use them
+as their exact oracles.  ``mat_det`` and ``mat_inv`` (and the [A | B] solve
+behind it) are compared by the exact values and the ``type()`` of every
+entry, so Fraction stays Fraction and Q(sqrt d) stays QuadExt; the kernel
+``int_nullspace`` gives, read as canonical vectors (``kernel``), the dense
+nullspace by value.  Inputs are seeded Fraction, Q(sqrt 2) and Q(sqrt -3)
+matrices, rows mixing ints, Fractions and QuadExts, and the real ``stab``
 systems of dense forms.
 """
 
@@ -20,7 +22,7 @@ import pytest
 from altforms import linalg
 from altforms.multilinear import AlternatingForm, all_keys, gl_action, lie_action
 from altforms.representatives import g_alpha, make_rep
-from altforms.scalars import QuadExt
+from altforms.scalars import QuadExt, clear_denominators
 from altforms.serialize import form_to_dict
 from altforms.stabilizers import (LieSubalgebra, fixed_space, sl_basis, span_dim,
                                   stab_lie_algebra, subalgebra_closed)
@@ -88,6 +90,15 @@ def dense_nullspace(A, ncols=None):
     return basis
 
 
+def kernel(A, ncols=None):
+    """linalg.int_nullspace of A, each row cleared to Z or Z[sqrt d], as canonical
+    vectors (1 at the free column, 0 at the others): each divided by its free entry."""
+    ncols = ncols if ncols is not None else len(A[0]) if A else 0
+    rows = [{j: v for j, v in enumerate(clear_denominators(row)[1]) if v} for row in A]
+    return [[linalg._over(v.get(b, 0), v[fc]) for b in range(ncols)]
+            for fc, v in linalg.int_nullspace(rows, ncols)]
+
+
 def types(x):
     return [types(v) for v in x] if isinstance(x, (list, tuple)) else type(x)
 
@@ -98,23 +109,22 @@ def same(got, want):
 
 
 def check_all(A):
-    """rref, nullspace, rank, and for square A det, inverse and solve."""
+    """The kernel (by value, its size the rank), and for square A det, inverse
+    and the solve of [A | b] (by value and type)."""
     A0 = [list(row) for row in A]
-    same(linalg.rref(A), dense_rref(A))
-    same(linalg.nullspace(A), dense_nullspace(A))
-    assert linalg.rank(A) == len(dense_rref(A)[1])
+    assert kernel(A) == dense_nullspace(A)
     if len(A) == (len(A[0]) if A else 0):
         same(linalg.mat_det(A), dense_det(A))
-        b = [row[0] + row[-1] for row in A]
+        b = [[row[0] + row[-1]] for row in A]
         try:
             want_inv = dense_solve_block(A, linalg.identity(len(A)))
         except ZeroDivisionError:
-            for f, args in ((linalg.mat_inv, (A,)), (linalg.solve, (A, b))):
+            for args in ((A, linalg.identity(len(A))), (A, b)):
                 with pytest.raises(ZeroDivisionError, match="singular matrix"):
-                    f(*args)
+                    linalg._solve_block(*args)
         else:
             same(linalg.mat_inv(A), want_inv)
-            same(linalg.solve(A, b), [row[0] for row in dense_solve_block(A, [[v] for v in b])])
+            same(linalg._solve_block(A, b), dense_solve_block(A, b))
     assert A == A0 and types(A) == types(A0)  # the input is not touched
 
 
@@ -145,8 +155,7 @@ def test_random_matrices_of_every_shape_and_density(kind):
 def test_empty_one_by_one_and_degenerate_shapes(kind):
     rng = random.Random(f"shapes:{kind}")
     zero, one = scalar(kind, 0), scalar(kind, 1)
-    same(linalg.rref([]), dense_rref([]))
-    assert linalg.nullspace([]) == [] and linalg.mat_inv([]) == []
+    assert kernel([]) == [] and linalg.mat_inv([]) == []
     same(linalg.mat_det([]), dense_det([]))
     for A in ([[one]], [[zero]], [[rand_scalar(rng, kind)]],
               [[zero] * 4 for _ in range(4)],
@@ -253,8 +262,7 @@ STAB_FORMS = list(_stab_forms())
 @pytest.mark.parametrize("name,x", STAB_FORMS, ids=[n for n, _ in STAB_FORMS])
 def test_stab_systems(name, x):
     rows = stab_system(x)
-    same(linalg.rref(rows), dense_rref(rows))
-    same(linalg.nullspace(rows, len(rows[0])), dense_nullspace(rows, len(rows[0])))
+    assert kernel(rows) == dense_nullspace(rows, len(rows[0]))
 
 
 def dense_stab_and_fixed(x):
@@ -278,25 +286,13 @@ def dense_stab_and_fixed(x):
 
 
 @pytest.mark.parametrize("name,x", STAB_FORMS[-2:], ids=[n for n, _ in STAB_FORMS[-2:]])
-def test_stab_and_fixed_json_with_either_kernel(name, x, monkeypatch):
+def test_stab_and_fixed_json_with_either_kernel(name, x):
+    # stab and the fixed space of a rational and a Q(sqrt d) form, both through
+    # linalg.int_nullspace and sparse_rref, against the dense oracle on the
+    # Fraction definitions: bases by value and type, fixed forms as JSON
     L = stab_lie_algebra(x)
     fixed = [form_to_dict(f) for f in fixed_space(L, (x.dim, x.degree))]
-    if x.scalar_kind() == "rational":
-        # the systems of a rational form go to linalg.int_nullspace, not to
-        # _gauss_jordan: the dense oracle decides through the Fraction definitions
-        basis0, fixed0 = dense_stab_and_fixed(x)
-    else:
-        calls = []
-
-        def oracle(M, ncols):  # the dense loop divides: its int entries enter as Fractions
-            calls.append(ncols)
-            M[:] = [[Fraction(v) if type(v) is int else v for v in row] for row in M]
-            return dense_gauss_jordan(M, ncols)
-
-        monkeypatch.setattr(linalg, "_gauss_jordan", oracle)
-        basis0 = stab_lie_algebra(x).basis
-        fixed0 = fixed_space(LieSubalgebra(x.dim, basis0), (x.dim, x.degree))
-        assert calls  # the final RREF of the fixed space ran on the oracle
+    basis0, fixed0 = dense_stab_and_fixed(x)
     same(L.basis, basis0)
     assert fixed == [form_to_dict(f) for f in fixed0]
 
@@ -314,26 +310,24 @@ def exact(x):
 
 
 def check_like_lifted(A, d):
-    """rref, nullspace, and for square A det, inverse and solve, give the
-    values of the same call on the all-QuadExt copy of A, every entry exact."""
+    """The kernel, and for square A det, inverse and the solve of [A | b], give
+    the values of the same call on the all-QuadExt copy of A, every entry exact."""
     Q = lift(A, d)
-    got, want = linalg.rref(A), linalg.rref(Q)
-    assert got == want and exact(got[0])
-    got, want = linalg.nullspace(A), linalg.nullspace(Q)
-    assert got == want and exact(got)
+    got, want = kernel(A), kernel(Q)
+    assert got == want == dense_nullspace(Q) and exact(got)
     if len(A) != len(A[0]):
         return
     got, want = linalg.mat_det(A), linalg.mat_det(Q)
     assert got == want and exact(got)
-    b = [row[0] + row[-1] for row in A]
+    b = [[row[0] + row[-1]] for row in A]
     if want == 0:
-        for f, args in ((linalg.mat_inv, (A,)), (linalg.solve, (A, b))):
+        for f, args in ((linalg.mat_inv, (A,)), (linalg._solve_block, (A, b))):
             with pytest.raises(ZeroDivisionError, match="singular matrix"):
                 f(*args)
         return
     got, want = linalg.mat_inv(A), linalg.mat_inv(Q)
     assert got == want and exact(got)
-    got, want = linalg.solve(A, b), linalg.solve(Q, lift([b], d)[0])
+    got, want = linalg._solve_block(A, b), linalg._solve_block(Q, lift(b, d))
     assert got == want and exact(got)
 
 
@@ -352,8 +346,7 @@ def mixed_matrix(rng, m, n, d):
 @pytest.mark.parametrize("d", (2, -3))
 def test_int_and_fraction_rows_among_quadext_rows(d):
     r = QuadExt(0, 1, d)
-    M, pivots = linalg.rref([[2, 1], [r, 1]])
-    assert M == [[1, 0], [0, 1]] and pivots == [0, 1]
+    assert kernel([[2, 1], [r, 1]]) == [] and linalg.mat_det([[2, 1], [r, 1]]) == 2 - r
     for A in ([[2, 1], [r, 1]], [[r, 1], [2, 1]], [[1, 2], [2, 4 * r]], [[r, 2], [1, 0]],
               [[Fraction(1, 2), 3], [r, 1]], [[0, 0], [r, 1]], [[2, 4], [1, 2], [r, r]]):
         check_like_lifted(A, d)

@@ -4,8 +4,9 @@ norm check and c_form, checked against Fraction oracles.
 Rational inputs (ints, Fractions, or both mixed) are cleared to integers over
 one common denominator, and only the outputs become Fractions.  The dense
 Gauss-Jordan loop of test_elimination_oracles is the oracle for the kernel,
-fed the same matrix with every entry made a Fraction; results must agree by
-value and by the ``type()`` of every entry.
+fed the same matrix with every entry made a Fraction; det, inverse and the
+[A | b] solve must agree by value and by the ``type()`` of every entry, the
+kernel (``kernel``) by value.
 """
 
 import itertools
@@ -15,13 +16,13 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from altforms import cayley_dickson as cd
-from altforms import linalg
+from altforms import invariants, linalg
 from altforms.invariants import (QCASE2_DET_RATIO, delta_case1, delta_case2, q_case2,
                                  s_case1, s_case2)
-from altforms.multilinear import AlternatingForm, all_keys, gl_action
-from altforms.scalars import clear_denominators
-from test_elimination_oracles import (dense_det, dense_nullspace, dense_rref,
-                                      dense_solve_block, same, types)
+from altforms.multilinear import AlternatingForm, all_keys, d3, gl_action
+from altforms.scalars import QuadExt, clear_denominators
+from test_elimination_oracles import (dense_det, dense_nullspace, dense_solve_block, kernel,
+                                      same, types)
 from test_linalg_oracles import old_s_case1, old_s_case2
 
 
@@ -34,14 +35,9 @@ def test_int_matrices_give_exact_fractions():
     same(linalg.mat_det([[2, 1], [1, 3]]), Fraction(5))
     same(linalg.mat_det([[1, 2], [2, 4]]), Fraction(0))
     same(linalg.mat_det([[0, 1], [1, 0]]), Fraction(-1))
-    same(linalg.solve([[2, 1], [1, 3]], [1, 2]), [Fraction(1, 5), Fraction(3, 5)])
-    same(linalg.rref([[2, 4, 6], [1, 3, 5]]),
-         ([[Fraction(1), Fraction(0), Fraction(-1)], [Fraction(0), Fraction(1), Fraction(2)]],
-          [0, 1]))
-    same(linalg.rref([[2, 4, 6], [1, 2, 3], [0, 0, 0]]),
-         ([[Fraction(1), Fraction(2), Fraction(3)], [Fraction(0)] * 3, [Fraction(0)] * 3],
-          [0]))
-    same(linalg.nullspace([[2, 4, 6]]),
+    same(linalg._solve_block([[2, 1], [1, 3]], [[1], [2]]), [[Fraction(1, 5)], [Fraction(3, 5)]])
+    same(kernel([[2, 4, 6], [1, 3, 5]]), [[Fraction(1), Fraction(-2), Fraction(1)]])
+    same(kernel([[2, 4, 6], [1, 2, 3], [0, 0, 0]]),
          [[Fraction(-2), Fraction(1), Fraction(0)], [Fraction(-3), Fraction(0), Fraction(1)]])
 
 
@@ -53,6 +49,19 @@ def test_clear_denominators():
     assert D == 3 and all(type(v) is int for v in ints)
 
 
+def test_clear_denominators_over_z_sqrt_d():
+    # QuadExts scale to Z[sqrt d] (D = 1) beside ints, B = 0 ones included; a float
+    # anywhere gives None, whatever else the list holds
+    r = QuadExt(Fraction(1, 2), Fraction(-1, 3), 5)
+    D, out = clear_denominators([r, 2, Fraction(3, 4), QuadExt(Fraction(1, 5), 0, 5), 0])
+    assert D == 60 and out == [QuadExt(30, -20, 5), 120, 45, QuadExt(12, 0, 5), 0]
+    assert [type(v) for v in out] == [QuadExt, int, int, QuadExt, int]
+    assert all(v._D == 1 for v in out if type(v) is QuadExt)
+    assert clear_denominators([QuadExt(1, 1, -3)]) == (1, [QuadExt(1, 1, -3)])
+    for values in ([1.5], [QuadExt(1, 1, 2), 0.0], [Fraction(1, 2), 2, 1e-3]):
+        assert clear_denominators(values) is None
+
+
 # --------------------------------- mixed int/Fraction vs the oracle ----
 
 def as_fractions(A):
@@ -60,23 +69,20 @@ def as_fractions(A):
 
 
 def check_mixed(A):
-    """rref, nullspace, rank, and for square A det, inverse and solve of a
+    """The kernel, and for square A det, inverse and the solve of [A | b], of a
     matrix mixing ints and Fractions, against the oracle on its Fraction copy."""
     A0, F = [list(row) for row in A], as_fractions(A)
-    same(linalg.rref(A), dense_rref(F))
-    same(linalg.nullspace(A), dense_nullspace(F))
-    assert linalg.rank(A) == len(dense_rref(F)[1])
+    same(kernel(A), dense_nullspace(F))
     if len(A) == (len(A[0]) if A else 0):
         same(linalg.mat_det(A), dense_det(F))
-        b = [row[0] - row[-1] for row in A]
+        b = [[row[0] - row[-1]] for row in A]
         try:
             want = dense_solve_block(F, linalg.identity(len(A)))
         except ZeroDivisionError:
             assert dense_det(F) == 0
         else:
             same(linalg.mat_inv(A), want)
-            same(linalg.solve(A, b), [r[0] for r in dense_solve_block(F, [[Fraction(v)]
-                                                                          for v in b])])
+            same(linalg._solve_block(A, b), dense_solve_block(F, as_fractions(b)))
     assert A == A0 and types(A) == types(A0)  # the input is not touched
 
 
@@ -139,6 +145,55 @@ def test_s_matrices_on_mixed_denominators_match_the_wedge_builders():
             x = AlternatingForm(dim, 3, {k: mixed_entry(rng) for k in all_keys(dim, 3)
                                          if rng.random() < 0.8})
             same(new(x), old(x))
+
+
+def generic_s_case1(x):
+    """s_case1 as it ran on Q(sqrt d) forms before, uncleared: Fraction zeros."""
+    S = [[Fraction(0)] * 6 for _ in range(6)]
+    for vec, c, (j,), v in invariants._complement_terms(x, d3(x)):
+        S[vec - 1][j - 1] = S[vec - 1][j - 1] - c * v
+    return S
+
+
+def generic_s_case2(x):
+    """s_case2 as it ran on Q(sqrt d) forms before, uncleared: Fraction zeros."""
+    dx, S, by_pair = d3(x), [[Fraction(0)] * 7 for _ in range(7)], {}
+    for (pair, (vec,)), c in dx.items():
+        by_pair.setdefault(pair, []).append((vec, c))
+    for v1, c1, comp, v in invariants._complement_terms(x, dx):
+        for v2, c2 in by_pair.get(comp, ()):
+            S[v1 - 1][v2 - 1] = S[v1 - 1][v2 - 1] + c1 * c2 * v
+    return S
+
+
+def quad_entry(rng, d):
+    """An int, a Fraction, a QuadExt with b = 0 or a + b sqrt(d), over mixed denominators."""
+    a = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+    kind = rng.choice(("int", "fraction", "b0", "quad", "quad"))
+    if kind in ("int", "fraction"):
+        return a.numerator if kind == "int" else a
+    b = 0 if kind == "b0" else Fraction(rng.randint(-4, 4), rng.choice((1, 2, 5)))
+    return QuadExt(a, b, d)
+
+
+def test_s_matrices_and_delta_over_z_sqrt_d_match_the_generic_path():
+    # Q(sqrt d) forms are built as S_{D x} over Z[sqrt d] and divided once; by value
+    # and type they are the uncleared S_x, and delta is S_x^2[0][0] (a QuadExt when a
+    # row-0 or column-0 entry of S_x is one, even a degenerate delta of 0)
+    rng = random.Random("s-quad")
+    degenerate = 0
+    for d in (2, -3, 5, -1, 13):
+        for density in (0.15, 0.3, 0.6, 1.0):
+            x = AlternatingForm(6, 3, {k: quad_entry(rng, d) for k in all_keys(6, 3)
+                                       if rng.random() < density})
+            S = generic_s_case1(x)
+            same(s_case1(x), S)
+            same(delta_case1(x), linalg.mat_mul(S, S)[0][0])
+            degenerate += delta_case1(x) == 0
+            x = AlternatingForm(7, 3, {k: quad_entry(rng, d) for k in all_keys(7, 3)
+                                       if rng.random() < density})
+            same(s_case2(x), generic_s_case2(x))
+    assert degenerate
 
 
 # --------------------------------------------------- property tests ----

@@ -4,8 +4,10 @@ checked against the code they replaced.
 The oracles below are copies of the four separate pivot loops that linalg
 had (forward elimination for the determinant, Gauss-Jordan on [A | I] and
 [A | b], and the RREF loop) and of the S_x builders that formed one wedge
-product x ^ e_pair per D3 term.  Inputs are seeded random Fraction and
-Q(sqrt d) matrices and forms, singular matrices included.
+product x ^ e_pair per D3 term.  The RREF is read off ``sparse_rref`` as
+``fixed_space`` reads it: each pivot row divided by its pivot.  Inputs are
+seeded random Fraction and Q(sqrt d) matrices and forms, singular matrices
+included.
 """
 
 import random
@@ -16,7 +18,7 @@ import pytest
 from altforms import linalg
 from altforms.invariants import s_case1, s_case2
 from altforms.multilinear import AlternatingForm, all_keys, d3, sort_sign, wedge
-from altforms.scalars import QuadExt
+from altforms.scalars import QuadExt, clear_denominators
 
 
 # ------------------------------------------------------------- oracles ----
@@ -185,11 +187,21 @@ def test_det_inv_solve_match_the_old_loops(kind):
             with pytest.raises(ZeroDivisionError, match="singular matrix"):
                 linalg.mat_inv(A)
             with pytest.raises(ZeroDivisionError, match="singular matrix"):
-                linalg.solve(A, b)
+                linalg._solve_block(A, [[v] for v in b])
             assert linalg.mat_det(A) == 0
             continue
         assert linalg.mat_inv(A) == want_inv
-        assert linalg.solve(A, b) == old_solve(A, b)
+        assert [r[0] for r in linalg._solve_block(A, [[v] for v in b])] == old_solve(A, b)
+
+
+def sparse_rref_rows(A):
+    """(pivot rows, pivot columns) of the RREF of A: linalg.sparse_rref on the rows
+    cleared to Z or Z[sqrt d], each pivot row divided by its pivot."""
+    n = len(A[0])
+    rows = [{j: v for j, v in enumerate(clear_denominators(row)[1]) if v} for row in A]
+    pivots, _ = linalg.sparse_rref(rows, n)
+    return ([[linalg._over(rows[i].get(j, 0), linalg._pivot(rows[i][c])) for j in range(n)]
+             for c, i in pivots], [c for c, _ in pivots])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -200,7 +212,8 @@ def test_rref_matches_the_old_loop(kind):
         A = rand_matrix(rng, m, n, kind, density=rng.choice((0.3, 0.7, 1.0)))
         if m >= 3 and rng.random() < 0.5:
             A[0] = [u + v for u, v in zip(A[1], A[2])]
-        assert linalg.rref(A) == old_rref(A)
+        M, pivots = old_rref(A)
+        assert sparse_rref_rows(A) == (M[:len(pivots)], pivots)
 
 
 def test_singular_determinant_is_zero():

@@ -10,8 +10,9 @@ from altforms.multilinear import AlternatingForm, all_keys, gl_action
 from altforms.orbits import (classify_real, eigenspaces, field_kx,
                              grassmann_rationality, irrationality_report, plucker,
                              point_rationality)
-from altforms.representatives import make_rep
-from altforms.scalars import QuadExt
+from altforms.representatives import g_alpha, make_rep
+from altforms.scalars import QuadExt, demote, rational_sqrt
+from test_elimination_oracles import dense_nullspace, dense_rref, same
 
 
 def rand_form(rng, dim, degree, span=4, density=0.6):
@@ -145,7 +146,7 @@ def test_eigenspace_equivariance():
 def _same_span(vs, ws):
     rows = [list(v) for v in vs]
     rows2 = rows + [list(w) for w in ws]
-    return linalg.rank(rows) == linalg.rank(rows2) == 3
+    return len(dense_rref(rows)[1]) == len(dense_rref(rows2)[1]) == 3
 
 
 def test_grassmann_conjugation_equivariance():
@@ -171,7 +172,7 @@ def _conj(v):
 def _same_span_qe(vs, ws):
     rows = [list(v) for v in vs]
     rows2 = rows + [list(w) for w in ws]
-    return linalg.rank(rows) == linalg.rank(rows2) == 3
+    return len(dense_rref(rows)[1]) == len(dense_rref(rows2)[1]) == 3
 
 
 def test_plucker_shape():
@@ -259,6 +260,32 @@ def test_eigenspaces_refuse_a_field_tower():
     # delta 128 of w moved the same way has its root 8 sqrt(2) in that field
     gr = eigenspaces(gl_action(g_alpha(2), make_rep("case1_w")))
     assert len(gr.basis1) == len(gr.basis2) == 3
+
+
+def dense_eigenspaces(x):
+    """basis1 and basis2 by the dense oracle: the nullspaces of S_x -/+ sqrt(delta) I,
+    each entry demoted (a rational value a Fraction)."""
+    S, root = s_case1(x), rational_sqrt(demote(delta_case1(x)))
+    return [[[demote(c) for c in v] for v in dense_nullspace(
+        [[S[i][j] - (sign * root if i == j else 0) for j in range(6)] for i in range(6)], 6)]
+        for sign in (1, -1)]
+
+
+def test_eigenspaces_match_the_dense_oracle():
+    # rational forms, most with an irrational sqrt(delta), and one whose S_x is
+    # over Q(sqrt 2): the int_nullspace kernels equal the oracle by value and type
+    rng = random.Random(55)
+    forms, irrational = [gl_action(g_alpha(2), make_rep("case1_w"))], 0
+    while len(forms) < 13:
+        x = AlternatingForm(6, 3, {k: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                                   for k in all_keys(6, 3) if rng.random() < 0.7})
+        if delta_case1(x) != 0:
+            forms.append(x)
+            irrational += isinstance(rational_sqrt(delta_case1(x)), QuadExt)
+    for x in forms:
+        gr = eigenspaces(x)
+        same([gr.basis1, gr.basis2], dense_eigenspaces(x))
+    assert irrational >= 8
 
 
 def test_case1_sign_is_exact_when_float_cancels():

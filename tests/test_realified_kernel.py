@@ -2,10 +2,11 @@
 
 A system over Z[sqrt d] is solved realified: A + B sqrt(d) becomes the int
 block [[A, d B], [B, A]] of multiplication by it in the basis (1, sqrt d).
-Its kernel vectors are checked against ``linalg.nullspace`` on the same
-matrix by value.  ``old_stab`` and ``old_fixed_space`` are copies of the
-Q(sqrt d) branches that ``stab_lie_algebra`` and ``fixed_space`` had before
-(dense rows, ``linalg.nullspace``); the JSON of both commands must match
+Its kernel vectors are checked against the dense oracle ``dense_nullspace``
+of test_elimination_oracles on the same matrix by value.  ``old_stab`` and
+``old_fixed_space`` are copies of the Q(sqrt d) branches that
+``stab_lie_algebra`` and ``fixed_space`` had before (dense rows, a dense
+nullspace and RREF, here the oracle's); the JSON of both commands must match
 them byte for byte, types included.
 """
 
@@ -20,6 +21,7 @@ from altforms.representatives import g_alpha, make_rep
 from altforms.scalars import QuadExt, scalar_to_json
 from altforms.serialize import form_to_dict
 from altforms.stabilizers import LieSubalgebra, fixed_space, stab_lie_algebra
+from test_elimination_oracles import dense_nullspace, dense_rref
 
 DS = (2, -3, 5, -1, 3, -7, 13)
 
@@ -55,6 +57,11 @@ def zd_matrices(rng, d):
     yield [[0, 0, 0]]
 
 
+def as_fractions(A):
+    """A with its int entries as Fractions: the dense oracle divides them."""
+    return [[Fraction(v) if type(v) is int else v for v in row] for row in A]
+
+
 def as_rows(A):
     """Sparse rows {column: value} with QuadExts of D = 1 as they are."""
     return [{j: v for j, v in enumerate(row) if v} for row in A]
@@ -66,9 +73,9 @@ def test_realified_kernel_matches_nullspace(d):
     units = 0
     for A in zd_matrices(rng, d):
         n = len(A[0])
-        want = linalg.nullspace(A, n)
+        want = dense_nullspace(as_fractions(A), n)
         got = linalg.int_nullspace(as_rows(A), n)
-        assert [fc for fc, _ in got] == sorted(set(range(n)) - set(linalg.rref(A)[1]))
+        assert [fc for fc, _ in got] == sorted(set(range(n)) - set(dense_rref(as_fractions(A))[1]))
         assert len(got) == len(want)
         for (fc, v), w in zip(got, want):
             assert type(v[fc]) is int and v[fc] > 0
@@ -83,7 +90,7 @@ def test_int_rows_with_a_quadext_row_realify_too(d):
     # one QuadExt anywhere makes the system Z[sqrt d]: its int rows are blocks [[A, 0], [0, A]]
     A = [[2, 1, 0], [QuadExt(0, 1, d), 1, 3]]
     got = linalg.int_nullspace(as_rows(A), 3)
-    want = linalg.nullspace(A, 3)
+    want = dense_nullspace(as_fractions(A), 3)
     assert [[linalg._over(v.get(b, 0), v[fc]) for b in range(3)] for fc, v in got] == want
     with pytest.raises(ValueError, match="mixing"):
         linalg.int_nullspace([{0: QuadExt(0, 1, d), 1: QuadExt(0, 1, 7)}], 2)
@@ -92,16 +99,17 @@ def test_int_rows_with_a_quadext_row_realify_too(d):
 # ----------------------------------------- stab and fixed, old branch ----
 
 def old_stab(x):
-    """stab_lie_algebra's Q(sqrt d) branch as it was: dense rows, linalg.nullspace."""
+    """stab_lie_algebra's Q(sqrt d) branch as it was: dense rows, a dense nullspace."""
     n, m = x.dim, x.dim * x.dim - 1
     dense = [[row.get(b, Fraction(0)) for b in range(m)] for row in stabilizers.stab_system(x)]
-    null = [enumerate(c) for c in linalg.nullspace(dense, m)]
+    null = [enumerate(c) for c in dense_nullspace(dense, m)]
     return LieSubalgebra(n, None, "stab", [stabilizers._sl_entries(c, n) for c in null])
 
 
 def old_fixed_space(L, shape):
-    """fixed_space's Q(sqrt d) branch as it was: each kernel cut by linalg.nullspace
-    of the dense images, the entries as they are, then the canonical RREF."""
+    """fixed_space's Q(sqrt d) branch as it was: each kernel cut by a dense
+    nullspace of the dense images, the entries as they are, then the canonical
+    RREF."""
     dim, degree = shape
     keys = all_keys(dim, degree)
     kernel = [{k: 1} for k in keys]
@@ -112,11 +120,11 @@ def old_fixed_space(L, shape):
             continue
         rows = [[img.get(k, Fraction(0)) for img in images] for k in hit]
         kernel = [stabilizers._combine_forms(zip(c, kernel))
-                  for c in linalg.nullspace(rows, len(kernel))]
+                  for c in dense_nullspace(rows, len(kernel))]
         if not kernel:
             return []
-    flipped = [[f.get(k, Fraction(0)) for k in reversed(keys)] for f in kernel]
-    rows, _ = linalg.rref(flipped)
+    flipped = as_fractions([[f.get(k, Fraction(0)) for k in reversed(keys)] for f in kernel])
+    rows, _ = dense_rref(flipped)
     return [AlternatingForm(dim, degree, dict(zip(reversed(keys), r))) for r in reversed(rows)]
 
 

@@ -168,3 +168,16 @@ def test_g1_fixture_shape():
     assert linalg.mat_det(g1) == QuadExt(8, 0, -1)
     moved = gl_action(g1, make_rep("case2_w")).map_coeffs(demote)
     assert moved == make_rep("case2_w1")
+
+
+def test_walpha_checks_its_d():
+    # squarefree d of either sign pass; 0, 1, non-ints and bools get the first
+    # message, squares and square multiples the second
+    for d in (2, -1, -3, 5, 13, -30):
+        assert make_rep("case1_walpha", d=d).coeffs[(1, 5, 6)] == d
+    for d in (0, 1, True, 2.0, "2", None):
+        with pytest.raises(ValueError, match=r"d must be a squarefree integer != 0, 1; got "):
+            make_rep("case1_walpha", d=d)
+    for d in (4, -4, 12, -27):
+        with pytest.raises(ValueError, match=f"d must be squarefree; got {d}$"):
+            make_rep("case1_walpha", d=d)

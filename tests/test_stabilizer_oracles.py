@@ -31,7 +31,8 @@ from altforms.serialize import form_to_dict
 from altforms.stabilizers import (LieSubalgebra, fixed_space, h1_case1, join, sl_basis,
                                   span_dim, stab_lie_algebra, subalgebra_closed, t_case1,
                                   u1_case1, u2_case1)
-from test_elimination_oracles import STAB_FORMS, quad_form, same, stab_system, types
+from test_elimination_oracles import (STAB_FORMS, dense_nullspace, dense_rref, quad_form, same,
+                                      stab_system, types)
 
 
 def unit(n, *entries):
@@ -47,7 +48,7 @@ def dense_closed(L):
     flat = [[M[i][j] for i in range(n) for j in range(n)] for M in L.basis]
     if not flat:
         return True, None
-    rows, pivots = linalg.rref(flat)
+    rows, pivots = dense_rref(flat)
     rows = [r for r in rows if any(v != 0 for v in r)]
 
     def reduce(v):
@@ -123,7 +124,7 @@ def test_fixed_space_matches_stacked_rref(name, x):
     assert [form_to_dict(f) for f in new] == [form_to_dict(f) for f in old]
     keys = all_keys(x.dim, x.degree)
     vecs = [[f.coeffs.get(k, Fraction(0)) for k in keys] for f in new + [x]]
-    assert linalg.rank(vecs) == len(new)  # x is fixed by its own stabilizer
+    assert len(dense_rref(vecs)[1]) == len(new)  # x is fixed by its own stabilizer
 
 
 def test_fixed_space_of_empty_and_full_algebras():
@@ -239,7 +240,7 @@ def test_stab_basis_matrices_match_the_unit_sums(name, x):
         tol = max(len(rows), len(rows[0])) * s[0] * 1e-12
         combos = [c.tolist() for c in vh[int((s > tol).sum()):]]
     else:
-        combos = linalg.nullspace(rows, x.dim * x.dim - 1)
+        combos = dense_nullspace(rows, x.dim * x.dim - 1)
     same(L.basis, [combine_units(c, x.dim) for c in combos])
 
 
@@ -360,6 +361,9 @@ def test_float_zero_entries_are_rejected():
         fixed_space(L, (3, 2))
     with pytest.raises(ValueError, match="exact basis"):
         subalgebra_closed(L)
+    X[2][2] = 0.5  # a float entry proper: the exact span has no meaning for it
+    with pytest.raises(ValueError, match="span_dim needs exact entries"):
+        span_dim([LieSubalgebra(3, [X])])
 
 
 # ------------------------------------------ algebras held by their entries ----
@@ -392,10 +396,10 @@ def old_nonzeros(M):
 
 def old_stab_basis(x):
     n, m = x.dim, x.dim * x.dim - 1
-    multiple = integral_multiple(x)
-    if multiple is not None:
+    if x.scalar_kind() == "rational":
+        _, multiple = integral_multiple(x)
         return [old_sl_matrix([Fraction(v[b], v[fc]) if b in v else 0 for b in range(m)], n)
-                for fc, v in linalg.int_nullspace(stabilizers.stab_system(multiple[1]), m)]
+                for fc, v in linalg.int_nullspace(stabilizers.stab_system(multiple), m)]
     dense = [[row.get(b, Fraction(0)) for b in range(m)] for row in stabilizers.stab_system(x)]
     if x.scalar_kind() == "float":
         import numpy as np
@@ -403,7 +407,7 @@ def old_stab_basis(x):
         _, s, vh = np.linalg.svd(A)
         tol = max(A.shape) * s[0] * 1e-12
         return [old_sl_matrix(c.tolist(), n) for c in vh[int((s > tol).sum()):]]
-    return [old_sl_matrix(c, n) for c in linalg.nullspace(dense, m)]
+    return [old_sl_matrix(c, n) for c in dense_nullspace(dense, m)]
 
 
 def _entry_forms():
@@ -460,7 +464,7 @@ def test_checks_agree_on_entries_dense_and_joined_algebras(name, x):
     if x.scalar_kind() == "rational":
         assert fixed["dense"] == [form_to_dict(f) for f in stacked_fixed_space(
             algebras["dense"], shape)]
-    rank = linalg.rank([[v for row in M for v in row] for M in algebras["dense"].basis])
+    rank = len(dense_rref([[v for row in M for v in row] for M in algebras["dense"].basis])[1])
     assert {w: span_dim([L]) for w, L in algebras.items()} == dict.fromkeys(algebras, rank)
     if x.dim == 6 and x.degree == 3:
         # a stranger unit matrix put in: the witness is found by identity in
