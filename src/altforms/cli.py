@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -365,8 +366,13 @@ _parser = lru_cache(maxsize=None)(build_parser)
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (FormFormatError, ValueError, ArithmeticError, FileNotFoundError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader is gone: the rest goes to devnull ("Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (FormFormatError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -82,7 +82,7 @@ class QuadraticForm:
     def __eq__(self, other):
         if not isinstance(other, QuadraticForm):
             return NotImplemented
-        return self.dim == other.dim and linalg.mat_eq(self.gram, other.gram)
+        return self.dim == other.dim and self.gram == other.gram
 
 
 def _check_shape(x, dim, degree, what):

@@ -45,10 +45,6 @@ def mat_vec(A, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in A]
 
 
-def mat_eq(A, B):
-    return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
-
-
 def _over(v, n=1):
     """v / n for an int n != 0, as dividing through gives it: a Fraction for an
     int v, a QuadExt for a QuadExt."""
@@ -218,49 +214,32 @@ def mat_inv(A):
 
 
 def congruent_signature(G):
-    """Exact signature (n_plus, n_minus, n_zero) of a symmetric matrix.
+    """Exact signature (n_plus, n_minus, n_zero) of a symmetric matrix over Q;
+    a float counts as its exact value, an entry outside Q raises ValueError.
 
-    Diagonalizes by simultaneous row/column operations; exact over any
-    ordered exact scalar (use on Fraction grams).  A pivot of Q(sqrt d)
-    that is not rational raises ValueError.
+    G times its common denominator is an integer A with the same signs.  The
+    Faddeev-LeVerrier recurrence M_k = A (M_{k-1} + c_{k-1} I), c_k = -tr(M_k)
+    / k, gives det(tI - A) = sum of c_k t^(n-k) on ints (exact divisions).
+    Its roots are real, so Descartes' rule of signs counts them: n_zero is the
+    power of t dividing it, n_plus and n_minus the sign changes at t and -t.
     """
     n = len(G)
-    M = [row[:] for row in G]
-    npos = nneg = nzero = 0
-    idx = 0
-    live = list(range(n))
-    while live:
-        k = live[0]
-        if M[k][k] == 0:
-            # find j with M[k][j] != 0 among live and mix row/col j into k;
-            # one of the two mix signs always produces a nonzero diagonal
-            j = next((j for j in live[1:] if M[k][j] != 0), None)
-            if j is None:
-                nzero += 1
-                live.pop(0)
-                continue
-            sign = 1 if 2 * M[k][j] + M[j][j] != 0 else -1
-            for t in range(n):
-                M[k][t] = M[k][t] + sign * M[j][t]
-            for t in range(n):
-                M[t][k] = M[t][k] + sign * M[t][j]
-        d = demote(M[k][k])
-        if d == 0:
-            raise ArithmeticError("signature pivot is zero: the gram is not symmetric")
-        if isinstance(d, QuadExt):
-            raise ValueError(f"the signature needs a rational gram, not one over Q(sqrt {d.d})")
-        if d > 0:
-            npos += 1
-        else:
-            nneg += 1
-        for j in live[1:]:
-            if M[k][j] != 0:
-                f = M[k][j] / d
-                for t in range(n):
-                    M[j][t] = M[j][t] - f * M[k][t]
-                for t in range(n):
-                    M[t][j] = M[t][j] - f * M[t][k]
-        live.pop(0)
+    entries = [Fraction(v) if isinstance(v, float) else demote(v) for row in G for v in row]
+    q = next((v for v in entries if isinstance(v, QuadExt)), None)
+    if q is not None:
+        raise ValueError(f"the signature needs a rational gram, not one over Q(sqrt {q.d})")
+    if any(entries[i * n + j] != entries[j * n + i] for i in range(n) for j in range(i)):
+        raise ArithmeticError("signature pivot is zero: the gram is not symmetric")
+    _, flat = clear_denominators(entries)
+    A, c, M = [flat[i * n:(i + 1) * n] for i in range(n)], [1], [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        M = mat_mul(A, [[v + c[-1] * (i == j) for j, v in enumerate(row)]
+                        for i, row in enumerate(M)])
+        c.append(-sum(M[i][i] for i in range(n)) // k)
+    nz = [(k, ck) for k, ck in enumerate(c) if ck]  # c_0 = 1 leads
+    nzero = n - nz[-1][0]
+    npos = sum(a * b < 0 for (_, a), (_, b) in zip(nz, nz[1:]))
+    nneg = sum(a * b * (-1) ** (j - i) < 0 for (i, a), (j, b) in zip(nz, nz[1:]))
     if npos + nneg + nzero != n:
         raise ArithmeticError("signature counts do not add up to the dimension (internal bug)")
     return npos, nneg, nzero

@@ -155,7 +155,7 @@ def _eigenspaces_float(x, tol):
     import numpy as np
     S = np.array([[float(v) for v in row] for row in s_case1(x)])
     delta = float(delta_case1_explicit(x))
-    if abs(delta) <= tol * max(1.0, x.max_abs()) ** 4:
+    if abs(delta) <= _cutoff(x, tol, 4):
         raise ValueError("not semistable")
     lam = np.sqrt(complex(delta))
     bases = []

@@ -38,15 +38,20 @@ def _parse_key(s, degree):
 
 
 def _integer(data, field, message):
-    """data[field] as an int; FormFormatError(message) if it is missing or not an
-    integer, a bool or a float (JSON true, 6.7, 6.0) included, never truncated."""
+    """data[field] as an int; FormFormatError(message) unless it is a JSON integer
+    (not a bool, a float such as 6.7 or 6.0, or a string such as "6")."""
     v = data.get(field)
-    if v is None or isinstance(v, (bool, float)):
+    if type(v) is not int:  # bool is an int subclass
         raise FormFormatError(message)
-    try:
-        return int(v)
-    except (TypeError, ValueError):
-        raise FormFormatError(message) from None
+    return v
+
+
+def _entries(data, field, message):
+    """The items of the object data[field], none if it is missing or null."""
+    v = {} if data.get(field) is None else data[field]
+    if not isinstance(v, dict):
+        raise FormFormatError(message)
+    return v.items()
 
 
 def form_to_dict(x):
@@ -71,7 +76,7 @@ def form_from_dict(data):
         raise FormFormatError(f"unknown scalar kind {kind!r}")
     d = data.get("d")
     coeffs = {}
-    for key, val in (data.get("coeffs") or {}).items():
+    for key, val in _entries(data, "coeffs", "form 'coeffs' must be a JSON object"):
         idx = _parse_key(key, degree)
         if any(i < 1 or i > dim for i in idx):
             raise FormFormatError(f"bad index tuple {key!r}: out of range for dim {dim}")
@@ -79,6 +84,8 @@ def form_from_dict(data):
             coeffs[idx] = scalar_from_json(val, kind, d=d)
         except ValueError as exc:
             raise FormFormatError(str(exc))
+        except (KeyError, TypeError):  # a quadext object without "a" or "b", a list as a float
+            raise FormFormatError(f"bad {kind} value {val!r} at {key!r}") from None
     return AlternatingForm(dim, degree, coeffs)
 
 
@@ -109,7 +116,7 @@ def target_from_dict(data):
     n = None if data.get("n") is None else _integer(data, "n", "target 'n' must be an integer")
     values = {}
     degree = 2 if case == 3 else 3
-    for key, val in (data.get("values") or {}).items():
+    for key, val in _entries(data, "values", "target 'values' must be a JSON object"):
         idx = _parse_key(key, degree)
         try:
             values[idx] = finite_float(val)
