@@ -28,8 +28,43 @@ from .serialize import FormFormatError
 def _emit(obj, pretty=False):
     if pretty:
         _emit_pretty(obj)
-    else:
-        print(json.dumps(obj, indent=2, default=str))
+        return
+    try:
+        text = _json(obj, "\n")
+    except TypeError:  # a dict key not a str: json.dumps coerces it, or raises
+        text = json.dumps(obj, indent=2, default=str)
+    print(text)
+
+
+_ascii = json.encoder.encode_basestring_ascii  # the string encoder json.dumps uses
+_leaf = json.JSONEncoder(default=str).encode  # json's C encoder: no indent, same leaves
+
+
+def _json(obj, pad):
+    """json.dumps(obj, indent=2, default=str) for an obj whose dict keys are all
+    str (else TypeError), nested at the indent that pad ("\n" and spaces) gives.
+
+    json.dumps runs its pure-Python encoder whenever it indents.  Here each
+    list of str is joined by one C call, and every other leaf (numbers,
+    None, bools, str() of any other object) is json's own C spelling."""
+    if isinstance(obj, str):
+        return _ascii(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        try:
+            body = ("," + inner).join(map(_ascii, obj))
+        except TypeError:  # an entry not a str
+            body = ("," + inner).join([_json(v, inner) for v in obj])
+        return "[" + inner + body + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [_ascii(k) + ": " + _json(v, inner) for k, v in obj.items()]) + pad + "}"
+    return int.__repr__(obj) if type(obj) is int else _leaf(obj)
 
 
 def _emit_pretty(obj, indent=0):

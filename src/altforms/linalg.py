@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from numbers import Integral
 
 from .scalars import QuadExt, _new, clear_denominators, demote
 
@@ -215,7 +216,8 @@ def mat_inv(A):
 
 def congruent_signature(G):
     """Exact signature (n_plus, n_minus, n_zero) of a symmetric matrix over Q;
-    a float counts as its exact value, an entry outside Q raises ValueError.
+    a float counts as its exact value, any Integral (numpy's too) as its int,
+    an entry outside Q raises ValueError.
 
     G times its common denominator is an integer A with the same signs.  The
     Faddeev-LeVerrier recurrence M_k = A (M_{k-1} + c_{k-1} I), c_k = -tr(M_k)
@@ -224,12 +226,13 @@ def congruent_signature(G):
     power of t dividing it, n_plus and n_minus the sign changes at t and -t.
     """
     n = len(G)
-    entries = [Fraction(v) if isinstance(v, float) else demote(v) for row in G for v in row]
+    entries = [int(v) if isinstance(v, Integral) else Fraction(v) if isinstance(v, float)
+               else demote(v) for row in G for v in row]
     q = next((v for v in entries if isinstance(v, QuadExt)), None)
     if q is not None:
         raise ValueError(f"the signature needs a rational gram, not one over Q(sqrt {q.d})")
     if any(entries[i * n + j] != entries[j * n + i] for i in range(n) for j in range(i)):
-        raise ArithmeticError("signature pivot is zero: the gram is not symmetric")
+        raise ArithmeticError("the gram is not symmetric")
     _, flat = clear_denominators(entries)
     A, c, M = [flat[i * n:(i + 1) * n] for i in range(n)], [1], [[0] * n for _ in range(n)]
     for k in range(1, n + 1):

@@ -18,6 +18,7 @@ Sign and action conventions (all bookkeeping is confined to this module):
 from __future__ import annotations
 
 import itertools
+from operator import lt
 
 from . import linalg
 from .scalars import clear_denominators, scalar_kind
@@ -56,9 +57,9 @@ class AlternatingForm:
             key = tuple(key)
             if len(key) != degree:
                 raise ValueError(f"key {key} has wrong length for degree {degree}")
-            if any(not (1 <= i <= dim) for i in key):
-                raise ValueError(f"index out of range in {key}")
-            if list(key) != sorted(set(key)):
+            if not all(map(lt, key, key[1:])) or key and (key[0] < 1 or key[-1] > dim):
+                if any(not (1 <= i <= dim) for i in key):  # the range error comes first
+                    raise ValueError(f"index out of range in {key}")
                 raise ValueError(f"indices not strictly increasing: {key}")
             if not (val == 0):
                 clean[key] = val

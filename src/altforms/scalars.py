@@ -368,11 +368,15 @@ def scalar_kind(x):
 def scalar_to_json(x):
     """Serialize: rationals as 'p/q' strings, QuadExt as a dict, floats as numbers;
     lists and tuples (vectors, matrices, tables) element by element.  A
-    QuadExt is written from its ints, one gcd per rational part."""
+    QuadExt is written from its ints, one gcd per rational part; a flat list of
+    Fractions by one map of Fraction.__str__."""
     if type(x) is Fraction:
         return str(x)
     if isinstance(x, (list, tuple)):
-        return [scalar_to_json(v) for v in x]
+        try:
+            return list(map(Fraction.__str__, x))
+        except AttributeError:  # an entry not a Fraction: it has no _denominator
+            return [scalar_to_json(v) for v in x]
     if isinstance(x, QuadExt):
         return {"a": _ratio_json(x._A, x._D), "b": _ratio_json(x._B, x._D), "d": x.d}
     if isinstance(x, (int, Fraction)):

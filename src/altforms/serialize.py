@@ -14,6 +14,7 @@ Target files:
 from __future__ import annotations
 
 import json
+from operator import lt
 
 from .multilinear import AlternatingForm
 from .perturb import PartialTarget
@@ -25,14 +26,13 @@ class FormFormatError(ValueError):
 
 
 def _parse_key(s, degree):
-    parts = str(s).split(",")
     try:
-        idx = tuple(int(p) for p in parts)
+        idx = tuple(map(int, str(s).split(",")))
     except ValueError:
         raise FormFormatError(f"bad index tuple {s!r}")
     if len(idx) != degree:
         raise FormFormatError(f"bad index tuple {s!r}: expected {degree} indices")
-    if list(idx) != sorted(set(idx)):
+    if not all(map(lt, idx, idx[1:])):
         raise FormFormatError("indices not strictly increasing")
     return idx
 
@@ -78,7 +78,7 @@ def form_from_dict(data):
     coeffs = {}
     for key, val in _entries(data, "coeffs", "form 'coeffs' must be a JSON object"):
         idx = _parse_key(key, degree)
-        if any(i < 1 or i > dim for i in idx):
+        if idx[0] < 1 or idx[-1] > dim:  # increasing: the ends bound the rest
             raise FormFormatError(f"bad index tuple {key!r}: out of range for dim {dim}")
         try:
             coeffs[idx] = scalar_from_json(val, kind, d=d)

@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 
 from . import linalg
 from .multilinear import AlternatingForm, all_keys, sort_sign
-from .scalars import clear_denominators
+from .scalars import QuadExt, _reduced, clear_denominators
 
 
 class LieSubalgebra:
@@ -54,7 +54,7 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 def sl_basis(n):
     """Basis of trace-zero n x n matrices: off-diagonal units then E11 - Eii."""
-    units = [_sl_entries([(b, _ONE)], n) for b in range(n * n - 1)]
+    units = [_entries_from({b: 1}, n) for b in range(n * n - 1)]
     return LieSubalgebra(n, None, "sl", units).basis
 
 
@@ -62,9 +62,9 @@ def stab_lie_algebra(x, label=""):
     """Annihilator of x in sl(dim): all traceless X with lie_action(X, x) = 0.
 
     An exact x is scaled to Z or Z[sqrt d] (clear_denominators), its system solved
-    by linalg.int_nullspace, and each vector divided by its free entry (a
-    Fraction or a QuadExt per nonzero coefficient).  Float forms use a numpy
-    SVD nullspace with a relative cutoff.  Each vector fills its entries.
+    by linalg.int_nullspace, and each vector's entries divided by its free
+    entry, once each (_entries_from).  Float forms use a numpy SVD nullspace
+    with a relative cutoff.
     """
     n, m, kind = x.dim, x.dim * x.dim - 1, x.scalar_kind()
     if kind == "float":
@@ -72,15 +72,13 @@ def stab_lie_algebra(x, label=""):
         A = np.array([[row.get(b, 0.0) for b in range(m)] for row in stab_system(x)], dtype=float)
         u, s, vh = np.linalg.svd(A)
         tol = max(A.shape) * (s[0] if len(s) else 0.0) * 1e-12
-        null = [enumerate(c.tolist()) for c in vh[int((s > tol).sum()):]]
+        entries = [_entries_from(dict(enumerate(c.tolist())), n) for c in vh[int((s > tol).sum()):]]
     else:
         _, values = clear_denominators(x.coeffs.values())
         rows = stab_system(AlternatingForm(n, x.degree, dict(zip(x.coeffs, values))))
-        null = [[(b, linalg._over(c, v[fc])) for b, c in v.items()]
-                for fc, v in linalg.int_nullspace(rows, m)]
+        entries = [_entries_from(v, n, v[fc]) for fc, v in linalg.int_nullspace(rows, m)]
     label = label or ("stab(float)" if kind == "float" else "stab")
-    return LieSubalgebra(n, None, label, [_sl_entries(c, n) for c in null],
-                         kind == "float" and len(null) > 0)
+    return LieSubalgebra(n, None, label, entries, kind == "float" and len(entries) > 0)
 
 
 def stab_system(x):
@@ -126,24 +124,28 @@ def _unit_moves(dim, degree):
     return moves
 
 
-def _sl_entries(coeffs, n):
-    """The entries of sum c_b * sl_basis(n)[b] over the (b, c_b) pairs in basis
-    order: an off-diagonal c_b is its unit's entry; E_11 - E_ii adds c_b at (0,
-    0) and puts -c_b at (i, i).  Entries take the type of zero = 0 + 0 * c, c
-    the first nonzero one not a Fraction (if any); another c is added to zero."""
-    coeffs = [(b, c) for b, c in coeffs if c != 0]
-    zero = _ZERO + 0 * next((c for _, c in coeffs if type(c) is not Fraction), 0)
-    kind, off, corner, out = type(zero), n * (n - 1), zero, {}
-    for b, c in coeffs:
-        c = c if type(c) is kind else zero + c
+def _entries_from(v, n, m=1):
+    """The nonzero entries {row-major index: value} of sum_b v[b] / m * sl_basis(n)[b]
+    for a vector {b: v[b]} over Z (Fractions), over Z[sqrt d] (ints and QuadExts
+    with D = 1; every entry a QuadExt if one is) or of floats (m = 1, floats).
+
+    An off-diagonal v[b] is its unit's entry; E_11 - E_ii puts -v[b] at (i, i)
+    and adds v[b] at (0, 0), summed on the numerators.  Each entry is divided
+    by m once."""
+    off, out, corner = n * (n - 1), {}, 0
+    for b, c in v.items():
         if b < off:
             i, j = divmod(b, n - 1)
             out[i * n + j + (j >= i)] = c
         else:
-            corner = corner + c
+            corner += c
             out[(b - off + 1) * (n + 1)] = -c
     out[0] = corner
-    return {e: v for e, v in sorted(out.items()) if v}
+    d = next((c.d for c in v.values() if type(c) is QuadExt), None)
+    if d is not None:
+        return {e: _reduced(c, 0, m, d) if type(c) is int else _reduced(c._A, c._B, m, d)
+                for e, c in sorted(out.items()) if c}
+    return {e: c if type(c) is float else Fraction(c, m) for e, c in sorted(out.items()) if c}
 
 
 def fixed_space(L, shape):

@@ -53,6 +53,87 @@ def test_form_parse_errors_are_distinct():
         form_from_dict({"dim": 6, "degree": 3, "scalar": "decimal", "coeffs": {}})
 
 
+KEY_MESSAGES = [  # (key, message) for a rational dim-6 trivector document
+    ("1,x,3", "bad index tuple '1,x,3'"),
+    ("", "bad index tuple ''"),
+    ("1,2", "bad index tuple '1,2': expected 3 indices"),
+    ("1,2,3,4", "bad index tuple '1,2,3,4': expected 3 indices"),
+    ("1,2,2", "indices not strictly increasing"),
+    ("3,2,1", "indices not strictly increasing"),
+    ("0,2,3", "bad index tuple '0,2,3': out of range for dim 6"),
+    ("1,2,7", "bad index tuple '1,2,7': out of range for dim 6"),
+    ("-1,2,3", "bad index tuple '-1,2,3': out of range for dim 6"),
+    ("1,3,2", "indices not strictly increasing"),
+    # a key failing several checks gets the first: int, length, order, range
+    ("1,x", "bad index tuple '1,x'"),
+    ("3,2", "bad index tuple '3,2': expected 3 indices"),
+    ("9,2,1", "indices not strictly increasing"),
+    ("0,0,1", "indices not strictly increasing"),
+    ("7,8,9", "bad index tuple '7,8,9': out of range for dim 6"),
+]
+
+
+@pytest.mark.parametrize("key, message", KEY_MESSAGES)
+def test_form_key_validation_messages(key, message):
+    with pytest.raises(FormFormatError) as exc:
+        form_from_dict({"dim": 6, "degree": 3, "coeffs": {"1,2,3": "1", key: "1"}})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("key, message", [(k, m) for k, m in KEY_MESSAGES if "range" not in m])
+def test_target_key_validation_messages(key, message):
+    with pytest.raises(FormFormatError) as exc:
+        target_from_dict({"case": 1, "values": {key: 0.5}})
+    assert str(exc.value) == message
+
+
+def test_form_keys_take_what_int_takes():
+    x = form_from_dict({"dim": 6, "degree": 3, "coeffs": {" 1, +2 ,3 ": "1", "4,5,06": "2"}})
+    assert x.coeffs == {(1, 2, 3): 1, (4, 5, 6): 2}
+
+
+@pytest.mark.parametrize("key, message", [
+    ((1, 2), "key (1, 2) has wrong length for degree 3"),
+    ((1, 2, 3, 4), "key (1, 2, 3, 4) has wrong length for degree 3"),
+    ((1, 2, 2), "indices not strictly increasing: (1, 2, 2)"),
+    ((3, 2, 1), "indices not strictly increasing: (3, 2, 1)"),
+    ((1, 3, 2), "indices not strictly increasing: (1, 3, 2)"),
+    ((0, 2, 3), "index out of range in (0, 2, 3)"),
+    ((1, 2, 7), "index out of range in (1, 2, 7)"),
+    ((-1, 2, 3), "index out of range in (-1, 2, 3)"),
+    # length, then range, then order
+    ((3, 2), "key (3, 2) has wrong length for degree 3"),
+    ((3, 2, 9), "index out of range in (3, 2, 9)"),
+    ((2, 2, 0), "index out of range in (2, 2, 0)"),
+    ((7, 8, 9), "index out of range in (7, 8, 9)"),
+])
+def test_alternating_form_key_validation_messages(key, message):
+    with pytest.raises(ValueError) as exc:
+        AlternatingForm(6, 3, {(1, 2, 3): 1, key: 1})
+    assert str(exc.value) == message
+
+
+def test_alternating_form_rejects_a_non_int_index_and_a_bad_degree():
+    with pytest.raises(TypeError):
+        AlternatingForm(6, 3, {(1, "x", 3): 1})
+    with pytest.raises(TypeError):
+        AlternatingForm(6, 3, {"123": 1})
+    with pytest.raises(ValueError, match=r"^degree 4 out of range for dim 3$"):
+        AlternatingForm(3, 4, {(1, 2, 3, 4): 1})
+    assert AlternatingForm(6, 3, {iter((4, 5, 6)): 1}).coeffs == {(4, 5, 6): 1}
+
+
+def test_zero_and_nan_coefficients_are_dropped_or_kept_as_they_compare():
+    x = AlternatingForm(6, 3, {(1, 2, 3): -0.0, (1, 2, 4): 0.0, (1, 2, 5): Fraction(0),
+                               (1, 2, 6): float("nan"), (1, 3, 4): 0.5})
+    assert set(x.coeffs) == {(1, 2, 6), (1, 3, 4)} and x.coeffs[(1, 2, 6)] != 0
+    doc = {"dim": 6, "degree": 3, "scalar": "float", "coeffs": {"1,2,3": -0.0, "4,5,6": 1.5}}
+    assert form_from_dict(doc).coeffs == {(4, 5, 6): 1.5}
+    with pytest.raises(FormFormatError, match=r"^non-finite float value nan$"):
+        form_from_dict({"dim": 6, "degree": 3, "scalar": "float",
+                        "coeffs": {"1,2,3": float("nan")}})
+
+
 def test_parse_form_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

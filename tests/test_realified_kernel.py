@@ -98,12 +98,64 @@ def test_int_rows_with_a_quadext_row_realify_too(d):
 
 # ----------------------------------------- stab and fixed, old branch ----
 
+def old_sl_entries(coeffs, n):
+    """The entries of sum c_b * sl_basis(n)[b] over the (b, c_b) pairs in basis
+    order: an off-diagonal c_b is its unit's entry; E_11 - E_ii adds c_b at (0,
+    0) and puts -c_b at (i, i).  Entries take the type of zero = 0 + 0 * c, c
+    the first nonzero one not a Fraction (if any); another c is added to zero.
+    (the helper stabilizers had before _entries_from, on divided coefficients.)"""
+    coeffs = [(b, c) for b, c in coeffs if c != 0]
+    zero = Fraction(0) + 0 * next((c for _, c in coeffs if type(c) is not Fraction), 0)
+    kind, off, corner, out = type(zero), n * (n - 1), zero, {}
+    for b, c in coeffs:
+        c = c if type(c) is kind else zero + c
+        if b < off:
+            i, j = divmod(b, n - 1)
+            out[i * n + j + (j >= i)] = c
+        else:
+            corner = corner + c
+            out[(b - off + 1) * (n + 1)] = -c
+    out[0] = corner
+    return {e: v for e, v in sorted(out.items()) if v}
+
+
 def old_stab(x):
     """stab_lie_algebra's Q(sqrt d) branch as it was: dense rows, a dense nullspace."""
     n, m = x.dim, x.dim * x.dim - 1
     dense = [[row.get(b, Fraction(0)) for b in range(m)] for row in stabilizers.stab_system(x)]
     null = [enumerate(c) for c in dense_nullspace(dense, m)]
-    return LieSubalgebra(n, None, "stab", [stabilizers._sl_entries(c, n) for c in null])
+    return LieSubalgebra(n, None, "stab", [old_sl_entries(c, n) for c in null])
+
+
+def typed(entries):
+    """Entries with each value's type, so that equal values of two types differ."""
+    return [(e, type(v), v) for e, v in entries.items()]
+
+
+@pytest.mark.parametrize("d", [None, *DS])
+def test_sl_entries_divide_the_kernel_vector_as_the_old_per_coefficient_path(d):
+    rng = random.Random(f"sl:{d}")
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        m, size = rng.choice((1, 2, 6, 35, 240)), n * n - 1
+        v = {}
+        for b in sorted(rng.sample(range(size), rng.randint(1, size))):
+            a, c = rng.randint(-40, 40) or 1, rng.choice((0, rng.randint(-40, 40)))
+            v[b] = a if d is None or rng.random() < 0.2 else QuadExt(a, c, d)  # B = 0 too
+        over = [(b, linalg._over(c, m)) for b, c in v.items()]
+        assert typed(stabilizers._entries_from(v, n, m)) == typed(old_sl_entries(over, n))
+
+
+def test_sl_entries_of_floats_and_of_the_units_match_the_old_path():
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        v = dict(enumerate(rng.choice((0.0, -0.0, 1e-300, rng.uniform(-3, 3)))
+                           for _ in range(n * n - 1)))
+        assert typed(stabilizers._entries_from(v, n)) == typed(old_sl_entries(v.items(), n))
+    for n in (2, 3, 6):
+        assert [typed(stabilizers._entries_from({b: 1}, n)) for b in range(n * n - 1)] \
+            == [typed(old_sl_entries([(b, Fraction(1))], n)) for b in range(n * n - 1)]
 
 
 def old_fixed_space(L, shape):

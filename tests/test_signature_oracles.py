@@ -10,6 +10,7 @@ sparse, low rank (B^T D B), with zero diagonals and with denominators.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,7 +41,7 @@ def old_congruent_signature(G):
                 M[t][k] = M[t][k] + sign * M[t][j]
         d = demote(M[k][k])
         if d == 0:
-            raise ArithmeticError("signature pivot is zero: the gram is not symmetric")
+            raise ArithmeticError("the gram is not symmetric")
         if isinstance(d, QuadExt):
             raise ValueError(f"the signature needs a rational gram, not one over Q(sqrt {d.d})")
         if d > 0:
@@ -180,6 +181,17 @@ def test_float_entries_are_counted_exactly():
     H = [[3.0, 0.5, 0.0], [0.5, -0.25, 1e-300], [0.0, 1e-300, 0.0]]
     assert linalg.congruent_signature(H) == old_congruent_signature(
         [[Fraction(v) for v in row] for row in H]) == (2, 1, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_numpy_integer_entries_are_read_as_ints(dtype):
+    G = [[dtype(1), dtype(0)], [dtype(0), dtype(-2)]]
+    assert linalg.congruent_signature(G) == (1, 1, 0)
+    H = np.array([[2, 3, 0], [3, 1, 1], [0, 1, 0]], dtype=dtype)
+    exact = [[Fraction(int(v)) for v in row] for row in H]
+    assert linalg.congruent_signature(H.tolist()) == linalg.congruent_signature(list(H)) \
+        == old_congruent_signature(exact)
+    assert linalg.congruent_signature([[dtype(0), dtype(0)], [dtype(0), dtype(0)]]) == (0, 0, 2)
 
 
 def test_non_symmetric_input_is_an_arithmetic_error():
