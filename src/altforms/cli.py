@@ -20,7 +20,7 @@ from . import linalg, perturb, search, serialize, stabilizers
 from .invariants import _delta_from_q, delta_case1, delta_case2, invariant_report, q_case2, s_case1
 from .multilinear import AlternatingForm, gl_action
 from .orbits import classify_real, irrationality_report
-from .representatives import g_alpha, make_rep
+from .representatives import REP_NAMES, g_alpha, make_rep
 from .scalars import QuadExt, demote, scalar_to_json
 from .serialize import FormFormatError
 
@@ -329,8 +329,7 @@ def build_parser():
         sp.add_argument("--pretty", action="store_true", help="human-readable output")
 
     sp = sub.add_parser("rep", help="emit a canonical representative form")
-    sp.add_argument("name", choices=["case1_w", "case1_w1", "case1_walpha",
-                                     "case2_w", "case2_wprime", "case2_w1", "case3_w"])
+    sp.add_argument("name", choices=REP_NAMES)
     sp.add_argument("--d", type=int, help="squarefree discriminant for case1_walpha")
     sp.add_argument("--n", type=int, help="half-dimension for case3_w")
     common(sp)

@@ -131,16 +131,14 @@ def s_case1(x):
     return S if D is None else [[linalg._over(v, D * D) for v in row] for row in S]
 
 
-def delta_case1(x, tol=None):
-    """Quartic invariant via S_x^2 = delta * I; exact for exact scalars.
-
-    For float coefficients pass a tolerance for the internal consistency
-    check (scaled absolutely).
-    """
-    return _delta_from_s(s_case1(x), tol)
+def delta_case1(x):
+    """Quartic invariant via S_x^2 = delta * I, which is checked exactly: on
+    float coefficients a rounded S_x^2 raises ArithmeticError, so the float
+    paths use delta_case1_explicit."""
+    return _delta_from_s(s_case1(x))
 
 
-def _delta_from_s(S, tol=None):
+def _delta_from_s(S):
     """delta with S^2 = delta * I for a built S_x; ArithmeticError otherwise.
     An exact S is squared as D * S over Z or Z[sqrt d] and checked exactly;
     delta is then one division by D^2.  Every product is formed, so delta
@@ -148,14 +146,13 @@ def _delta_from_s(S, tol=None):
     D, n = None, len(S)
     cleared = clear_denominators(v for row in S for v in row)
     if cleared is not None:
-        (D, flat), tol = cleared, None
+        D, flat = cleared
         S = [flat[i * n:i * n + n] for i in range(n)]
     S2 = linalg.mat_mul(S, S)
     d = S2[0][0]
     for i, row in enumerate(S2):
         for j, v in enumerate(row):
-            want = d if i == j else 0
-            if not (v == want if tol is None else abs(float(v) - float(want)) <= tol):
+            if v != (d if i == j else 0):
                 raise ArithmeticError("S_x^2 is not a scalar matrix (internal bug)")
     return d if D is None else linalg._over(d, D * D)
 
@@ -328,7 +325,7 @@ def case_of(x):
     raise ValueError(f"unrecognized shape: dim {x.dim}, degree {x.degree}")
 
 
-def invariant_report(x, tol=None):
+def invariant_report(x):
     """InvariantReport of x; ValueError when a float result overflows."""
     case = case_of(x)
     is_float = x.scalar_kind() == "float"
@@ -337,7 +334,7 @@ def invariant_report(x, tol=None):
         if is_float:
             d = _finite(delta_case1_explicit(x), *(v for row in S for v in row))
             return InvariantReport(case=1, delta=d, delta_exact=False, s_matrix=S)
-        d = _delta_from_s(S, tol)
+        d = _delta_from_s(S)
         if d != delta_case1_explicit(x):
             raise ArithmeticError("S_x^2 and the explicit quartic disagree (internal bug)")
         return InvariantReport(case=1, delta=d, s_matrix=S)

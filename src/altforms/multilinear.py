@@ -12,12 +12,14 @@ Sign and action conventions (all bookkeeping is confined to this module):
   evaluate(x, f_i, f_j, f_k) returns the stored coefficient x_{ijk}.
   Consequently evaluate(gl_action(g, x), v...) == evaluate(x, g^T v...).
 * ``lie_action`` is the derivative of ``gl_action``: X applied in one tensor
-  slot at a time, summed.
+  slot at a time, summed.  ``entry_moves`` tabulates it for the matrix units
+  E_ij, term by term; the stabilizer systems and the basis search read it.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from operator import lt
 
 from . import linalg
@@ -274,6 +276,24 @@ def _small_det(rows):
                 - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
                 + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
     return linalg.mat_det(rows)
+
+
+@lru_cache(maxsize=None)
+def entry_moves(dim, degree):
+    """How the matrix units act on the basis e_K of wedge^degree: indexed by the
+    row-major entry e = i * dim + j (0-based), the (K, T, sign) with E_ij e_K =
+    sign * e_T, K in key order.  An off-diagonal E_ij sends e_K to the sorted
+    e_{K with j+1 -> i+1} when j + 1 is in K and i + 1 is not, else to 0; a
+    diagonal E_ii keeps each e_K with i + 1 in K."""
+    out = [[] for _ in range(dim * dim)]
+    for K in all_keys(dim, degree):
+        for k in K:
+            out[(k - 1) * (dim + 1)].append((K, K, 1))
+            for i in range(1, dim + 1):
+                if i not in K:
+                    T, sign = sort_sign(tuple(i if c == k else c for c in K))
+                    out[(i - 1) * dim + k - 1].append((K, T, sign))
+    return tuple(map(tuple, out))
 
 
 def all_keys(dim, degree):

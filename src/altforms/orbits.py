@@ -48,14 +48,11 @@ class GrassmannPoint:
 
     basis1: list
     basis2: list
-    plucker1: list = None
-    plucker2: list = None
+    plucker1: list = field(init=False)
+    plucker2: list = field(init=False)
 
     def __post_init__(self):
-        if self.plucker1 is None:
-            self.plucker1 = plucker(self.basis1)
-        if self.plucker2 is None:
-            self.plucker2 = plucker(self.basis2)
+        self.plucker1, self.plucker2 = plucker(self.basis1), plucker(self.basis2)
 
 
 def classify_real(x, tol=1e-9, q=None):
@@ -256,9 +253,8 @@ class IrrationalityReport:
     case: int
     flags: dict = field(default_factory=dict)   # name -> PointVerdict
 
-    def all_irrational(self, names=None):
-        names = names or list(self.flags)
-        return all(not self.flags[n].rational for n in names)
+    def all_irrational(self):
+        return not any(f.rational for f in self.flags.values())
 
 
 def irrationality_report(x, max_den=1000, tol=1e-9, q=None):

@@ -63,14 +63,14 @@ def _check(ok, message):
         raise ArithmeticError(message)
 
 
-def _nudge_until(z, coords, predicate, eps, cap=64):
+def _nudge_until(z, coords, predicate, eps):
     """Deterministically bump coordinates by eps/2 (halving per sweep) until
     the predicate holds.  The open-density of the target condition guarantees
-    termination; the cap raises ArithmeticError otherwise."""
+    termination; after 64 sweeps it raises ArithmeticError."""
     if predicate(z):
         return z
     delta = eps / 2.0
-    for _ in range(cap):
+    for _ in range(64):
         for c in coords:
             z = dict(z)
             z[c] = z.get(c, 0.0) + delta

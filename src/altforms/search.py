@@ -13,13 +13,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .invariants import case_of
-from .multilinear import sort_sign
+from .multilinear import all_keys, entry_moves
 from .orbits import classify_real, irrationality_report
 from .perturb import PartialTarget, constrained_keys
 
@@ -135,7 +135,6 @@ class SearchResult:
     candidate: BasisCandidate
     success: bool
     trace: list
-    hypothesis: dict = field(default_factory=dict)
 
 
 def approximate(x, y, config=None):
@@ -287,16 +286,17 @@ def _move_tables(n, deg, both_sides):
     to its entries dst (flat indices): column j += s column i for a right move E_ij(s),
     row i += s row j for a left one.  On the minors, over index sets of size deg, a right
     move adds ccoef * det h[K, csrc] to det h[K, I] (csrc: I with j -> i; ccoef: s times
-    the reordering sign, 0 unless j in I, i not in I).  Left moves follow, on row sets."""
+    the reordering sign, 0 unless j in I, i not in I): E_ij e_I = sign * e_csrc, read from
+    multilinear.entry_moves (1-based keys, in the order of sets).  Left moves follow, on
+    row sets."""
     sets = list(itertools.combinations(range(n), deg))
-    mv = _move_list(n)
+    mv, moves = _move_list(n), entry_moves(n, deg)
+    index = {K: k for k, K in enumerate(all_keys(n, deg))}
     ident = np.tile(np.arange(len(sets)), (len(mv), 1))
     src, coef = ident.copy(), np.zeros_like(ident)
     for m, (i, j, s) in enumerate(mv):
-        for k, I in enumerate(sets):
-            if j in I and i not in I:
-                swapped, sign = sort_sign([i if c == j else c for c in I])
-                src[m, k], coef[m, k] = sets.index(swapped), s * sign
+        for I, T, sign in moves[i * n + j]:
+            src[m, index[I]], coef[m, index[I]] = index[T], s * sign
     mi, mj, ms = (np.array(col) for col in zip(*mv))
     a, ri, rj = np.arange(n), mi[:, None], mj[:, None]
     dst, esrc = a * n + rj, a * n + ri  # column j += s column i

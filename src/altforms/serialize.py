@@ -46,12 +46,19 @@ def _integer(data, field, message):
     return v
 
 
-def _entries(data, field, message):
-    """The items of the object data[field], none if it is missing or null."""
+def _entries(data, field, message, degree):
+    """(key, index tuple, value) over the object data[field], none if it is missing
+    or null; FormFormatError when two keys spell one index tuple ("1,2,3", "1,2,03")."""
     v = {} if data.get(field) is None else data[field]
     if not isinstance(v, dict):
         raise FormFormatError(message)
-    return v.items()
+    seen = {}
+    for key, val in v.items():
+        idx = _parse_key(key, degree)
+        first = seen.setdefault(idx, key)
+        if first != key:
+            raise FormFormatError(f"index tuple {key!r} repeats {first!r}")
+        yield key, idx, val
 
 
 def form_to_dict(x):
@@ -76,8 +83,7 @@ def form_from_dict(data):
         raise FormFormatError(f"unknown scalar kind {kind!r}")
     d = data.get("d")
     coeffs = {}
-    for key, val in _entries(data, "coeffs", "form 'coeffs' must be a JSON object"):
-        idx = _parse_key(key, degree)
+    for key, idx, val in _entries(data, "coeffs", "form 'coeffs' must be a JSON object", degree):
         if idx[0] < 1 or idx[-1] > dim:  # increasing: the ends bound the rest
             raise FormFormatError(f"bad index tuple {key!r}: out of range for dim {dim}")
         try:
@@ -116,8 +122,7 @@ def target_from_dict(data):
     n = None if data.get("n") is None else _integer(data, "n", "target 'n' must be an integer")
     values = {}
     degree = 2 if case == 3 else 3
-    for key, val in _entries(data, "values", "target 'values' must be a JSON object"):
-        idx = _parse_key(key, degree)
+    for key, idx, val in _entries(data, "values", "target 'values' must be a JSON object", degree):
         try:
             values[idx] = finite_float(val)
         except (TypeError, ValueError):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import linalg
-from .multilinear import AlternatingForm, all_keys, sort_sign
+from .multilinear import AlternatingForm, all_keys, entry_moves, integral_multiple
 from .scalars import QuadExt, _reduced, clear_denominators
 
 
@@ -58,10 +58,10 @@ def sl_basis(n):
     return LieSubalgebra(n, None, "sl", units).basis
 
 
-def stab_lie_algebra(x, label=""):
+def stab_lie_algebra(x):
     """Annihilator of x in sl(dim): all traceless X with lie_action(X, x) = 0.
 
-    An exact x is scaled to Z or Z[sqrt d] (clear_denominators), its system solved
+    An exact x is scaled to Z or Z[sqrt d] (integral_multiple), its system solved
     by linalg.int_nullspace, and each vector's entries divided by its free
     entry, once each (_entries_from).  Float forms use a numpy SVD nullspace
     with a relative cutoff.
@@ -74,10 +74,9 @@ def stab_lie_algebra(x, label=""):
         tol = max(A.shape) * (s[0] if len(s) else 0.0) * 1e-12
         entries = [_entries_from(dict(enumerate(c.tolist())), n) for c in vh[int((s > tol).sum()):]]
     else:
-        _, values = clear_denominators(x.coeffs.values())
-        rows = stab_system(AlternatingForm(n, x.degree, dict(zip(x.coeffs, values))))
+        rows = stab_system(integral_multiple(x)[1])
         entries = [_entries_from(v, n, v[fc]) for fc, v in linalg.int_nullspace(rows, m)]
-    label = label or ("stab(float)" if kind == "float" else "stab")
+    label = "stab(float)" if kind == "float" else "stab"
     return LieSubalgebra(n, None, label, entries, kind == "float" and len(entries) > 0)
 
 
@@ -100,28 +99,20 @@ def stab_system(x):
 @lru_cache(maxsize=None)
 def _unit_moves(dim, degree):
     """{K: ((t, b, sign), ...)} over the keys K of all_keys(dim, degree), with
-    lie_action(sl_basis(dim)[b], e_K) = sign * e_keys[t].
-
-    An off-diagonal unit E_ij sends e_K to the sorted e_{K with j -> i} when
-    j is in K and i is not, else to 0; E_11 - E_ii scales e_K by
-    [1 in K] - [i in K].  Indices are 1-based, as in the keys.
-    """
-    keys = all_keys(dim, degree)
-    index = {K: t for t, K in enumerate(keys)}
-    off = [(i, j) for i in range(1, dim + 1) for j in range(1, dim + 1) if i != j]
-    moves = {}
-    for K in keys:
-        out = []
-        for b, (i, j) in enumerate(off):
-            if j in K and i not in K:
-                T, sign = sort_sign(tuple(i if k == j else k for k in K))
-                out.append((index[T], b, sign))
-        for i in range(2, dim + 1):
-            sign = (1 in K) - (i in K)
-            if sign:
-                out.append((index[K], len(off) + i - 2, sign))
-        moves[K] = tuple(out)
-    return moves
+    lie_action(sl_basis(dim)[b], e_K) = sign * e_keys[t]: multilinear.entry_moves
+    on the columns of sl_basis, the off-diagonal units in row-major order, then
+    E_11 - E_ii, which scales e_K by [1 in K] - [i in K]."""
+    keys, moves = all_keys(dim, degree), entry_moves(dim, degree)
+    index, out = {K: t for t, K in enumerate(keys)}, {K: [] for K in keys}
+    off = [e for e in range(dim * dim) if e % (dim + 1)]
+    for b, e in enumerate(off):
+        for K, T, sign in moves[e]:
+            out[K].append((index[T], b, sign))
+    first = {K for K, _, _ in moves[0]}
+    for i in range(1, dim):
+        for K in first.symmetric_difference(K for K, _, _ in moves[i * (dim + 1)]):
+            out[K].append((index[K], len(off) + i - 1, 1 if K in first else -1))
+    return {K: tuple(v) for K, v in out.items()}
 
 
 def _entries_from(v, n, m=1):
@@ -179,8 +170,9 @@ def fixed_space(L, shape):
             continue
         rows = [{i: img[k] for i, img in enumerate(images) if k in img} for k in hit]
         null = linalg.int_nullspace(rows, len(kernel))
-        kernel = [_combine_forms((c, kernel[i]) for i, c in v.items()) for _, v in null]
-        for f in kernel:
+        old, kernel = kernel, [{} for _ in null]
+        for f, (_, v) in zip(kernel, null):
+            linalg._eliminate(f, [(-c, old[i]) for i, c in v.items()])
             linalg._primitive(f)
         if not kernel:
             return []
@@ -192,29 +184,13 @@ def fixed_space(L, shape):
             for c, i in reversed(pivots)]
 
 
-@lru_cache(maxsize=None)
-def _entry_moves(dim, degree):
-    """The moves of _unit_moves by row-major entry e = i * dim + j: the (K, T, sign)
-    with E_ij e_K = sign * e_T; a diagonal entry keeps each e_K with i + 1 in K."""
-    keys = all_keys(dim, degree)
-    off = [i * dim + j for i in range(dim) for j in range(dim) if i != j]
-    out = [[] for _ in range(dim * dim)]
-    for K, moves in _unit_moves(dim, degree).items():
-        for k in K:
-            out[(k - 1) * (dim + 1)].append((K, K, 1))
-        for t, b, sign in moves:
-            if b < len(off):
-                out[off[b]].append((K, keys[t], sign))
-    return tuple(map(tuple, out))
-
-
 def _images(X, forms, dim, degree):
     """lie_action(X, f).coeffs for each f in forms, X given by its row-major
     entries (a list, or {index: value}).  Only X's nonzero entries are read:
     each X_ij sends e_K to s X_ij e_T along its moves (K, T, s) in
-    _entry_moves.  The image of f sums those terms times f_K, the terms
-    lie_action sums, so values and types are the same."""
-    columns, moves = {}, _entry_moves(dim, degree)
+    multilinear.entry_moves.  The image of f sums those terms times f_K, the
+    terms lie_action sums, so values and types are the same."""
+    columns, moves = {}, entry_moves(dim, degree)
     for e, x in X.items() if isinstance(X, dict) else enumerate(X):
         if x:
             for K, T, sign in moves[e]:
@@ -234,16 +210,6 @@ def _exact(L, caller):
     if L.inexact:
         raise ValueError(f"{caller} needs an exact basis; float forms are not supported")
     return L.entries
-
-
-def _combine_forms(terms):
-    """The sum of c * f over the (c, f) pairs, forms as {key: value}, without zeros."""
-    out = {}
-    for c, f in terms:
-        if c != 0:
-            for k, v in f.items():
-                out[k] = out.get(k, 0) + c * v
-    return {k: v for k, v in out.items() if v != 0}
 
 
 def _span(sparse, n):

@@ -434,6 +434,20 @@ def test_target_n_must_be_a_json_integer(tmp_path, capsys, bad):
     assert target_from_dict({"case": 1, "n": None, "values": _case1_values()}).n is None
 
 
+@pytest.mark.parametrize("spelling", ("1,2,03", " 1, 2, 3", "+1,2,3"))
+def test_two_spellings_of_one_index_tuple_are_rejected(tmp_path, capsys, spelling):
+    # each parsed, keeping only the later of the two values
+    message = f"index tuple {spelling!r} repeats '1,2,3'"
+    form = {**FORM_FIELDS, "coeffs": {"1,2,3": "1", spelling: "5"}}
+    target = {"case": 1, "values": {**_case1_values(), spelling: 0.25}}
+    for parse, doc, command in ((form_from_dict, form, ("invariant",)),
+                                (target_from_dict, target, ("perturb", "case1", "--epsilon", "0.1"))):
+        with pytest.raises(FormFormatError) as exc:
+            parse(doc)
+        assert str(exc.value) == message
+        _rejected(tmp_path, capsys, command, doc, message)
+
+
 MALFORMED = {
     "coeffs-list": (("invariant",), {**FORM_FIELDS, "coeffs": ["1,2,3"]},
                     "form 'coeffs' must be a JSON object"),

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from altforms.multilinear import (AlternatingForm, all_keys, d3, evaluate, gl_action,
-                                  lie_action, wedge)
+from altforms.multilinear import (AlternatingForm, all_keys, d3, entry_moves, evaluate,
+                                  gl_action, lie_action, wedge)
 
 
 def basis_form(dim, degree, key):
@@ -186,3 +186,21 @@ def test_evaluate_golden():
         evaluate(W, f[0], f[1])
     with pytest.raises(ValueError):
         evaluate(W, f[0][:5], f[1][:5], f[2][:5])
+
+
+@pytest.mark.parametrize("dim", range(2, 8))
+def test_entry_moves_are_lie_action_of_the_matrix_units(dim):
+    # every unit E_ij on every basis term e_K, every degree: the moves of entry i * dim + j
+    # list exactly the nonzero lie_action(E_ij, e_K), in key order
+    for degree in range(dim + 1):
+        keys, moves = all_keys(dim, degree), entry_moves(dim, degree)
+        assert len(moves) == dim * dim
+        for i in range(dim):
+            for j in range(dim):
+                E = [[int(r == i and c == j) for c in range(dim)] for r in range(dim)]
+                want = []
+                for K in keys:
+                    img = lie_action(E, AlternatingForm(dim, degree, {K: 1})).coeffs
+                    assert len(img) <= 1
+                    want += [(K, T, v) for T, v in img.items()]
+                assert list(moves[i * dim + j]) == want

@@ -158,6 +158,16 @@ def test_sl_entries_of_floats_and_of_the_units_match_the_old_path():
             == [typed(old_sl_entries([(b, Fraction(1))], n)) for b in range(n * n - 1)]
 
 
+def form_sum(terms):
+    """The sum of c * f over the (c, f) pairs, forms as {key: value}, without zeros."""
+    out = {}
+    for c, f in terms:
+        if c != 0:
+            for k, v in f.items():
+                out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v != 0}
+
+
 def old_fixed_space(L, shape):
     """fixed_space's Q(sqrt d) branch as it was: each kernel cut by a dense
     nullspace of the dense images, the entries as they are, then the canonical
@@ -171,8 +181,7 @@ def old_fixed_space(L, shape):
         if not hit:
             continue
         rows = [[img.get(k, Fraction(0)) for img in images] for k in hit]
-        kernel = [stabilizers._combine_forms(zip(c, kernel))
-                  for c in dense_nullspace(rows, len(kernel))]
+        kernel = [form_sum(zip(c, kernel)) for c in dense_nullspace(rows, len(kernel))]
         if not kernel:
             return []
     flipped = as_fractions([[f.get(k, Fraction(0)) for k in reversed(keys)] for f in kernel])

@@ -7,9 +7,13 @@ float 2x2/3x3 determinants of the basis matrix (``batch_objective``), hashes
 every candidate and ranks with one tuple sort.  The program carries exact
 integer minors instead and hashes only ties that reach into the beam; the
 results must agree bit for bit: word, basis, objective and trace.
+``loop_move_tables`` builds the move tables with the sort_sign loop that
+``_move_tables`` ran before it read ``multilinear.entry_moves``; the tables
+must be equal.
 """
 
 import hashlib
+import itertools
 import math
 import random
 
@@ -17,7 +21,7 @@ import numpy as np
 import pytest
 
 from altforms import search as S
-from altforms.multilinear import AlternatingForm, all_keys, evaluate
+from altforms.multilinear import AlternatingForm, all_keys, evaluate, sort_sign
 from altforms.perturb import PartialTarget, constrained_keys
 from altforms.representatives import make_rep
 
@@ -282,3 +286,36 @@ def test_overflow_guard_trips_at_the_first_child_past_the_bound(both_sides, y):
     config.max_depth = depth + 1
     with pytest.raises(ArithmeticError, match="too large for exact float minors"):
         S.approximate(IRRATIONAL_X4, y, config)
+
+
+def loop_move_tables(n, deg, both_sides):
+    """_move_tables as it was before it read multilinear.entry_moves: the right moves'
+    minor tables from a sort_sign loop over every (move, index set)."""
+    sets = list(itertools.combinations(range(n), deg))
+    mv = S._move_list(n)
+    ident = np.tile(np.arange(len(sets)), (len(mv), 1))
+    src, coef = ident.copy(), np.zeros_like(ident)
+    for m, (i, j, s) in enumerate(mv):
+        for k, I in enumerate(sets):
+            if j in I and i not in I:
+                swapped, sign = sort_sign([i if c == j else c for c in I])
+                src[m, k], coef[m, k] = sets.index(swapped), s * sign
+    mi, mj, ms = (np.array(col) for col in zip(*mv))
+    a, ri, rj = np.arange(n), mi[:, None], mj[:, None]
+    dst, esrc = a * n + rj, a * n + ri
+    if not both_sides:
+        return sets, dst, esrc, ms, src, coef, None, None
+    tr = [mv.index((j, i, s)) for i, j, s in mv]
+    return (sets, np.concatenate([dst, ri * n + a]), np.concatenate([esrc, rj * n + a]),
+            np.tile(ms, 2), np.concatenate([src, ident]), np.concatenate([coef, 0 * coef]),
+            np.concatenate([ident, src[tr]]), np.concatenate([0 * coef, coef[tr]]))
+
+
+@pytest.mark.parametrize("both_sides", [False, True])
+@pytest.mark.parametrize("deg", [2, 3])
+@pytest.mark.parametrize("n", range(3, 8))
+def test_move_tables_match_the_sort_sign_loop(n, deg, both_sides):
+    got, want = S._move_tables(n, deg, both_sides), loop_move_tables(n, deg, both_sides)
+    assert got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        assert (g is None and w is None) or (g.dtype == w.dtype and np.array_equal(g, w))
