@@ -97,12 +97,7 @@ def _flat(v):
 
 
 def cmd_rep(args):
-    kwargs = {}
-    if args.d is not None:
-        kwargs["d"] = args.d
-    if args.n is not None:
-        kwargs["n"] = args.n
-    form = make_rep(args.name, **kwargs)
+    form = make_rep(args.name, d=args.d, n=args.n)
     _emit(serialize.form_to_dict(form), args.pretty)
     return 0
 
@@ -175,17 +170,14 @@ def cmd_octonion(args):
                "checks": _algebra_checks(A)}
         _emit(out, args.pretty)
         return 0
-    if args.what == "c-form":
-        A = cd.split_octonions() if args.algebra == "split" else cd.octonions()
-        form = cd.c_form(A)
-        _emit(serialize.form_to_dict(form), args.pretty)
-        return 0
-    raise FormFormatError(f"unknown octonion subcommand {args.what!r}")
+    A = cd.split_octonions() if args.algebra == "split" else cd.octonions()  # c-form
+    _emit(serialize.form_to_dict(cd.c_form(A)), args.pretty)
+    return 0
 
 
 def cmd_perturb(args):
     target = serialize.parse_target(args.target)
-    case = {"case1": 1, "case2": 2, "case3": 3}.get(args.case, target.case)
+    case = {"case1": 1, "case2": 2, "case3": 3}[args.case]
     if case != target.case:
         raise FormFormatError(f"target file is case {target.case}, command says {args.case}")
     if case == 1:

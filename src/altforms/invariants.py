@@ -132,9 +132,11 @@ def s_case1(x):
 
 
 def delta_case1(x):
-    """Quartic invariant via S_x^2 = delta * I, which is checked exactly: on
-    float coefficients a rounded S_x^2 raises ArithmeticError, so the float
-    paths use delta_case1_explicit."""
+    """Quartic invariant via S_x^2 = delta * I, which is checked exactly.  A
+    rounded float S_x^2 is not exactly scalar, so float coefficients take
+    delta_case1_explicit, as every float path does."""
+    if x.scalar_kind() == "float":
+        return delta_case1_explicit(x)
     return _delta_from_s(s_case1(x))
 
 

@@ -176,21 +176,16 @@ def plucker(basis):
     return out
 
 
-def _normalize(vec, tol=0.0):
-    """Scale a coordinate vector by its first (significantly) nonzero entry."""
-    pivot = None
-    best = None
-    for v in vec:
-        mag = abs(complex(v)) if isinstance(v, complex) else abs(float(v)) if isinstance(v, float) else (0 if v == 0 else 1)
-        if isinstance(v, (float, complex)):
-            if best is None or mag > best:
-                best, pivot = mag, v
-        elif not (v == 0):
-            pivot = v
-            break
-    if pivot is None or (isinstance(pivot, (float, complex)) and abs(pivot) <= tol):
+def _normalize(vec):
+    """(is_float, vec scaled by its pivot): is_float when some entry is a float
+    or complex, and the pivot is then the entry of largest modulus (the first
+    of them), else the first nonzero entry."""
+    is_float = any(isinstance(v, (float, complex)) for v in vec)
+    pivot = (max(vec, key=lambda v: abs(complex(v)), default=0) if is_float
+             else next((v for v in vec if v != 0), 0))
+    if pivot == 0:
         raise ValueError("zero vector has no projective normalization")
-    return [v / pivot for v in vec]
+    return is_float, [v / pivot for v in vec]
 
 
 @dataclass
@@ -212,9 +207,7 @@ def point_rationality(vec, max_den=1000, tol=1e-9):
     for the verdict to discriminate, tol must be well below 1/max_den^2
     (a generic real reconstructs to ~1/q^2 at the best q <= max_den).
     """
-    kinds = {type(v) for v in vec}
-    is_float = any(k in (float, complex) for k in kinds)
-    nv = _normalize(vec, tol=0.0)
+    is_float, nv = _normalize(vec)
     if not is_float:
         ok = all((not isinstance(v, QuadExt)) or v.is_rational for v in nv)
         return PointVerdict(ok, "exact", "all coordinate ratios rational" if ok
@@ -231,15 +224,15 @@ def point_rationality(vec, max_den=1000, tol=1e-9):
 def grassmann_rationality(gr, max_den=1000, tol=1e-9):
     """Rationality of the unordered pair via symmetric functions of the
     normalized coordinate vectors (sum and coordinatewise product)."""
-    p = _normalize(gr.plucker1, tol=0.0)
-    q = _normalize(gr.plucker2, tol=0.0)
+    float1, p = _normalize(gr.plucker1)
+    float2, q = _normalize(gr.plucker2)
+    is_float = float1 or float2
     s = [a + b for a, b in zip(p, q)]
     m = [a * b for a, b in zip(p, q)]
     flags = []
     for vec in (s, m):
-        if all((v == 0) if not isinstance(v, (float, complex)) else abs(complex(v)) <= tol
-               for v in vec):
-            flags.append(PointVerdict(True, "exact" if not isinstance(vec[0], (float, complex)) else "float",
+        if all(abs(complex(v)) <= tol if is_float else v == 0 for v in vec):
+            flags.append(PointVerdict(True, "float" if is_float else "exact",
                                       "symmetric function vanishes"))
         else:
             flags.append(point_rationality(vec, max_den, tol))

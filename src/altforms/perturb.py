@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .invariants import delta_case1_explicit, pfaffian, q_case2
+from .invariants import delta_case1_explicit, q_case2
 from .multilinear import AlternatingForm, all_keys, sort_sign
 from .orbits import classify_real
 
@@ -63,6 +63,15 @@ def _check(ok, message):
         raise ArithmeticError(message)
 
 
+def _certify(form, y, eps, aux, want, rep):
+    """The certificate of a completion of y, given rep = classify_real(form):
+    ArithmeticError unless its deviation is below eps and rep is on want."""
+    cert = PerturbationCertificate(form, _deviation(form.coeffs, y), aux, rep)
+    _check(cert.deviation < eps, "certificate deviation is not below eps")
+    _check(rep.real_orbit == want, f"the completion is {rep.real_orbit}, not {want}")
+    return cert
+
+
 def _nudge_until(z, coords, predicate, eps):
     """Deterministically bump coordinates by eps/2 (halving per sweep) until
     the predicate holds.  The open-density of the target condition guarantees
@@ -95,19 +104,11 @@ def _scale(z):
 
 # ---------------------------------------------------------------- case 1 ----
 
-def _delta1(z):
-    return delta_case1_explicit(_form_of(z, 6, 3))
-
-
 def _quadratic_in_z456(z):
     """Coefficients (a, b, c) of delta as a quadratic in z_456."""
-    z0 = dict(z); z0[(4, 5, 6)] = 0.0
-    zp = dict(z); zp[(4, 5, 6)] = 1.0
-    zm = dict(z); zm[(4, 5, 6)] = -1.0
-    c = _delta1(z0)
-    a = (_delta1(zp) + _delta1(zm)) / 2.0 - c
-    b = (_delta1(zp) - _delta1(zm)) / 2.0
-    return a, b, c
+    c, p, m = (delta_case1_explicit(_form_of({**z, (4, 5, 6): t}, 6, 3))
+               for t in (0.0, 1.0, -1.0))
+    return (p + m) / 2.0 - c, (p - m) / 2.0, c
 
 
 def discriminant_case1(z):
@@ -151,26 +152,25 @@ def extend_case1(y, eps, sign):
         raise ValueError("eps must be positive")
     if sign not in ("+", "-", 1, -1):
         raise ValueError("sign must be '+' or '-'")
-    want_positive = sign in ("+", 1)
+    want = "case1_positive" if sign in ("+", 1) else "case1_negative"
     y = y if isinstance(y, PartialTarget) else PartialTarget(1, y)
     z = dict(y.values)
-    tol = 1e-9
 
     z = _nudge_until(z, [(1, 2, 3)], lambda w: abs(w[(1, 2, 3)]) > eps / 8.0, eps)
     aux = {}
-    if want_positive:
+    if want == "case1_positive":
         # with every top-index coordinate but z_456 zero, the invariant is
-        # exactly (z_123 * z_456)^2, so any positive z_456 works; the loop
-        # only lifts the value clear of the float classifier's cutoff
-        a, b, c = _quadratic_in_z456(z)
+        # exactly (z_123 * z_456)^2; z_456 doubles until the classifier's
+        # cutoff, which grows with the largest coefficient, no longer hides it
         t = 1.0
         while t <= GROWTH_CAP:
             z[(4, 5, 6)] = t
-            if _delta1(z) > 0 and abs(a) * t * t > 4.0 * (abs(b) * t + abs(c) + tol):
+            form = _form_of(z, 6, 3)
+            rep = classify_real(form)
+            if rep.real_orbit == want:
                 break
             t *= 2.0
         _check(t <= GROWTH_CAP, "growth cap exceeded with nonzero leading coefficient")
-        aux["delta"] = _delta1(z)
     else:
         # zero the top-index coordinates except the three live ones
         live = {(1, 5, 6), (2, 4, 6), (4, 5, 6)}
@@ -192,7 +192,7 @@ def extend_case1(y, eps, sign):
         while t <= GROWTH_CAP:
             disc = f1 * (s * t) * t + f2 * (s * t) + f3 * t + f4
             # dominance margin: the bilinear term must carry the sign alone
-            if disc > 0 and abs(f1) * t * t > 2.0 * ((abs(f2) + abs(f3)) * t + abs(f4) + tol):
+            if disc > 0 and abs(f1) * t * t > 2.0 * ((abs(f2) + abs(f3)) * t + abs(f4) + 1e-9):
                 break
             t *= 2.0
         _check(t <= GROWTH_CAP, "growth cap exceeded while opening the discriminant")
@@ -200,15 +200,11 @@ def extend_case1(y, eps, sign):
         z[(2, 4, 6)] = t
         a, b, c = _quadratic_in_z456(z)
         z[(4, 5, 6)] = -b / (2.0 * a)
-        aux.update({"f1": f1, "f2": f2, "f3": f3, "f4": f4,
-                    "discriminant": disc, "delta": _delta1(z)})
-        _check(aux["delta"] < 0,
-               "vertex value must be negative when the discriminant is positive")
-
-    form = _form_of(z, 6, 3)
-    cert = PerturbationCertificate(form, _deviation(z, y), aux, classify_real(form))
-    _check(cert.deviation < eps, "certificate deviation is not below eps")
-    return cert
+        form = _form_of(z, 6, 3)
+        rep = classify_real(form)
+        aux.update({"f1": f1, "f2": f2, "f3": f3, "f4": f4, "discriminant": disc})
+    aux["delta"] = rep.delta
+    return _certify(form, y, eps, aux, want, rep)
 
 
 # ---------------------------------------------------------------- case 2 ----
@@ -281,9 +277,7 @@ def extend_case2(y, eps):
     for _ in range(64):
         form, aux, rep = complete(dict(z))
         if form is not None:
-            cert = PerturbationCertificate(form, _deviation(dict(form.coeffs), y), aux, rep)
-            _check(cert.deviation < eps, "certificate deviation is not below eps")
-            return cert
+            return _certify(form, y, eps, aux, "case2_split", rep)
         # degenerate completion: move off the zero locus without touching
         # the (1,j,k) or (i,j,7) coordinates
         c = spare[0]
@@ -301,10 +295,10 @@ def extend_case3(y, eps, n=None):
     entry of the free last column.
 
     With the free column zero, pf(z + t e_{i,2n}) = t * pf_i for a signed
-    sub-Pfaffian pf_i of the constrained block; the first i with pf_i above
-    the cutoff gets t = 1.  The constrained entries are only nudged when every
-    pf_i vanishes (the block has rank below 2n-2).  n, when given, must be
-    the target's.
+    sub-Pfaffian pf_i of the constrained block; the first i that classify_real
+    finds nondegenerate gets t = 1.  The constrained entries are only nudged
+    when every pf_i vanishes (the block has rank below 2n-2).  n, when given,
+    must be the target's.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -314,24 +308,17 @@ def extend_case3(y, eps, n=None):
         raise ValueError(f"target is for n = {y.n}, not n = {n}")
     n = y.n
     dim = 2 * n
-    z = dict(y.values)
-    for i in range(1, dim):
-        z[(i, dim)] = 0.0
     found = {}
 
     def completes(w):
-        cutoff = 1e-9 * _scale(w) ** n  # classify_real's: the certificate is nondegenerate
         for i in range(1, dim):
-            pf = pfaffian(_form_of({**w, (i, dim): 1.0}, dim, 2))
-            if abs(pf) > cutoff:
-                found.update(key=(i, dim), pfaffian=pf)
+            form = _form_of({**w, (i, dim): 1.0}, dim, 2)
+            rep = classify_real(form)
+            if rep.real_orbit == "case3_nondegenerate":
+                found.update(form=form, rep=rep)
                 return True
         return False
 
-    z = _nudge_until(z, constrained_keys(3, n), completes, eps)
-    z[found["key"]] = 1.0
-    form = _form_of(z, dim, 2)
-    cert = PerturbationCertificate(form, _deviation(z, y), {"pfaffian": found["pfaffian"]},
-                                   classify_real(form))
-    _check(cert.deviation < eps, "certificate deviation is not below eps")
-    return cert
+    _nudge_until(y.values, constrained_keys(3, n), completes, eps)
+    return _certify(found["form"], y, eps, {"pfaffian": found["rep"].delta},
+                    "case3_nondegenerate", found["rep"])

@@ -95,10 +95,20 @@ def form_from_dict(data):
     return AlternatingForm(dim, degree, coeffs)
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; FormFormatError when a key is written twice."""
+    out = {}
+    for key, val in pairs:
+        if key in out:
+            raise FormFormatError(f"JSON object repeats the key {key!r}")
+        out[key] = val
+    return out
+
+
 def _load_json(path):
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise FormFormatError(f"malformed JSON: {exc}")
 

@@ -5,7 +5,7 @@ import pytest
 
 from altforms.cli import main
 from altforms.serialize import (FormFormatError, form_from_dict, form_to_dict,
-                                parse_form, target_from_dict, target_to_dict)
+                                parse_form, parse_target, target_from_dict, target_to_dict)
 from altforms.multilinear import AlternatingForm
 from altforms.perturb import PartialTarget, constrained_keys
 from altforms.representatives import make_rep
@@ -269,6 +269,32 @@ def test_cli_perturb(tmp_path, capsys):
     assert doc["deviation"] < 0.1
 
 
+def _one_entry_case1(tmp_path, key, value):
+    values = {",".join(map(str, k)): 0.0 for k in constrained_keys(1)}
+    return write_json(tmp_path, "t.json", {"case": 1, "values": {**values, key: value}})
+
+
+@pytest.mark.parametrize("key, value, eps, sign, message", (
+    ("1,3,5", 1.0, "0.01", "-", "the completion is degenerate, not case1_negative"),
+    ("3,4,5", 1000.0, "0.01", "+", "growth cap exceeded with nonzero leading coefficient")),
+    ids=("minus", "plus"))
+def test_cli_perturb_off_the_requested_orbit_is_an_error(tmp_path, capsys, key, value, eps,
+                                                         sign, message):
+    # each printed "orbit": "degenerate" and exited 0
+    path = _one_entry_case1(tmp_path, key, value)
+    code, out, err = run(capsys, "perturb", "case1", path, "--epsilon", eps, "--sign", sign)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_cli_perturb_positive_outgrows_the_classifier_cutoff(tmp_path, capsys):
+    # z_456 = 1 passed the old dominance test, and the certificate was degenerate
+    path = _one_entry_case1(tmp_path, "3,4,5", 1000.0)
+    code, out, _ = run(capsys, "perturb", "case1", path, "--epsilon", "0.1", "--sign", "+")
+    doc = json.loads(out)
+    assert code == 0 and doc["orbit"] == "case1_positive" and doc["deviation"] < 0.1
+    assert doc["form"]["coeffs"]["4,5,6"] == 1024.0
+
+
 def test_cli_perturb_case3_rejects_a_different_n(tmp_path, capsys):
     path = write_json(tmp_path, "t.json", target_to_dict(
         PartialTarget(3, {k: 0.5 for k in constrained_keys(3, 2)}, n=2)))
@@ -446,6 +472,25 @@ def test_two_spellings_of_one_index_tuple_are_rejected(tmp_path, capsys, spellin
             parse(doc)
         assert str(exc.value) == message
         _rejected(tmp_path, capsys, command, doc, message)
+
+
+@pytest.mark.parametrize("text, key, parse, command", (
+    ('{"dim": 6, "degree": 3, "coeffs": {"1,2,3": "1", "4,5,6": "1", "1,2,3": "5"}}',
+     "1,2,3", parse_form, ("invariant",)),
+    ('{"dim": 6, "degree": 3, "dim": 7, "coeffs": {}}', "dim", parse_form, ("classify",)),
+    ('{"case": 1, "values": %s, "case": 2}' % json.dumps(_case1_values()), "case",
+     parse_target, ("perturb", "case1", "--epsilon", "0.1"))),
+    ids=("coeffs-key", "form-field", "target-field"))
+def test_a_repeated_json_key_is_rejected(tmp_path, capsys, text, key, parse, command):
+    # json.load kept the last value: the first document ran with coefficient 5
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    message = f"JSON object repeats the key {key!r}"
+    with pytest.raises(FormFormatError) as exc:
+        parse(str(path))
+    assert str(exc.value) == message
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 MALFORMED = {

@@ -67,6 +67,14 @@ def test_delta_case1_explicit_matches_s_route():
         assert delta_case1_explicit(z) == delta_case1(z)
 
 
+def test_delta_case1_on_float_forms_is_the_explicit_quartic():
+    # a rounded float S_x^2 failed the exact scalar check: "internal bug"
+    for seed in range(20):
+        rng = random.Random(seed)
+        z = AlternatingForm(6, 3, {k: rng.uniform(-1.0, 1.0) for k in all_keys(6, 3)})
+        assert delta_case1(z) == delta_case1_explicit(z)
+
+
 def test_delta_case1_covariance():
     rng = random.Random(12)
     for _ in range(50):

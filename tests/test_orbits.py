@@ -200,6 +200,20 @@ def test_point_rationality_float_modes():
     assert not bad.rational
 
 
+def test_normalize_float_vector_with_int_zeros():
+    # the shape of a float two-form's coefficient vector: int 0 where a key is missing
+    from altforms.orbits import _normalize
+    is_float, nv = _normalize([0, 0.5, 0, -2.0, 1.0])
+    assert is_float and nv == [0.0, -0.25, 0.0, 1.0, -0.5]
+    assert all(type(v) is float for v in nv)
+    assert _normalize([0, Fraction(2), 4]) == (False, [0, 1, 2])
+    for zero in ([0, 0.0, 0], [0, 0], []):
+        with pytest.raises(ValueError, match="zero vector"):
+            _normalize(zero)
+    rep = irrationality_report(make_rep("case3_w", n=2).as_float())
+    assert rep.flags["x"].rational and rep.flags["x"].mode == "float"
+
+
 def test_irrationality_reports_certified():
     rep = irrationality_report(make_rep("case3_w", n=2))
     assert rep.flags["x"].rational and rep.flags["x"].certified

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from altforms.orbits import classify_real
 from altforms.perturb import (PartialTarget, constrained_keys, discriminant_case1,
                               extend_case1, extend_case2, extend_case3, f1_case1,
                               f3_case2, fit_discriminant_case1)
@@ -82,6 +84,21 @@ def test_case1_validates_epsilon_and_sign():
         extend_case1(zero_target(1), 0.0, "+")
     with pytest.raises(ValueError):
         extend_case1(zero_target(1), 0.1, "x")
+
+
+@pytest.mark.parametrize("key", constrained_keys(1), ids=lambda k: "".join(map(str, k)))
+def test_case1_one_entry_targets_land_on_the_requested_orbit_or_raise(key):
+    # a degenerate certificate came back for some of them, reported as a completion
+    for value, eps, sign in itertools.product((1.0, -1.0, 0.5), (0.1, 0.01), "+-"):
+        y = PartialTarget(1, {**zero_target(1).values, key: value})
+        want = "case1_positive" if sign == "+" else "case1_negative"
+        try:
+            cert = extend_case1(y, eps, sign)
+        except ArithmeticError:
+            assert sign == "-"  # the + construction completes every one of them
+            continue
+        assert cert.deviation < eps
+        assert cert.orbit.real_orbit == classify_real(cert.form).real_orbit == want
 
 
 def test_case2_zero_and_random_targets():
