@@ -185,7 +185,7 @@ def cmd_perturb(args):
     elif case == 2:
         cert = perturb.extend_case2(target, args.epsilon)
     else:
-        cert = perturb.extend_case3(target, args.epsilon, n=args.n or target.n)
+        cert = perturb.extend_case3(target, args.epsilon)
     out = {"form": serialize.form_to_dict(cert.form),
            "deviation": cert.deviation,
            "auxiliaries": {k: scalar_to_json(v) for k, v in cert.auxiliaries.items()},
@@ -207,16 +207,11 @@ def cmd_approximate(args):
     xf = x.as_float()
     result = search.approximate(xf, target, config)
     cand = result.candidate
-    deviations = {}
-    from .multilinear import evaluate
-    for key, val in sorted(target.values.items()):
-        cols = [list(map(float, cand.h[:, i - 1])) for i in key]
-        deviations[",".join(map(str, key))] = abs(val - float(evaluate(xf, *cols)))
     out = {"success": result.success,
            "objective": cand.objective,
            "word": list(cand.word),
            "basis_rows": cand.basis_rows(),
-           "per_index_deviation": deviations,
+           "per_index_deviation": search.deviations(xf, target, cand.h),
            "trace": result.trace,
            "trace_note": "per-depth best objective; convergence rate is a "
                          "property of this search, not a guarantee",
@@ -361,7 +356,6 @@ def build_parser():
     sp.add_argument("target")
     sp.add_argument("--epsilon", type=float, required=True)
     sp.add_argument("--sign", choices=["+", "-"])
-    sp.add_argument("--n", type=int)
     common(sp)
     sp.set_defaults(func=cmd_perturb)
 

@@ -79,11 +79,6 @@ class QuadraticForm:
             return "negative"
         return "indefinite"
 
-    def __eq__(self, other):
-        if not isinstance(other, QuadraticForm):
-            return NotImplemented
-        return self.dim == other.dim and self.gram == other.gram
-
 
 def _check_shape(x, dim, degree, what):
     if x.dim != dim or x.degree != degree:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .invariants import delta_case1_explicit, q_case2
+from .invariants import delta_case1_explicit
 from .multilinear import AlternatingForm, all_keys, sort_sign
 from .orbits import classify_real
 
@@ -170,7 +170,7 @@ def extend_case1(y, eps, sign):
             if rep.real_orbit == want:
                 break
             t *= 2.0
-        _check(t <= GROWTH_CAP, "growth cap exceeded with nonzero leading coefficient")
+        _check(t <= GROWTH_CAP, "z_456 reached 2^64 without the classifier finding case1_positive")
     else:
         # zero the top-index coordinates except the three live ones
         live = {(1, 5, 6), (2, 4, 6), (4, 5, 6)}
@@ -247,36 +247,30 @@ def extend_case2(y, eps):
     z = _nudge_until(z, order, generic, eps)
     f3 = f3_case2(z)
     s = 1.0 if f3 > 0 else -1.0
-    # f1 = 3 z_127 f3 + (offset independent of z_127): probe the offset once
-    z0 = dict(z)
-    z0[(1, 2, 7)] = 0.0
-    z0[(3, 4, 7)] = 1.0
-    z0[(5, 6, 7)] = -s
-    f4 = float(q_case2(_form_of(z0, 7, 3)).gram[0][0])
 
     def complete(zc):
+        # Q_x[0][0] = 3 z_127 f3 + (terms free of z_127): z_127 grows with the sign of f3
+        # until the classifier puts the completion on the split orbit
         t = 1.0
         while t <= 2.0 ** 40:
             zc[(1, 2, 7)] = s * t
             zc[(3, 4, 7)] = 1.0
             zc[(5, 6, 7)] = -s
             form = _form_of(zc, 7, 3)
-            q = q_case2(form)
-            f1v = float(q.gram[0][0])
-            f2v = float(q.gram[6][6])
-            if f1v > 0 and f2v < 0 and 3.0 * t * abs(f3) > 2.0 * (abs(f4) + 1e-12):
-                rep = classify_real(form, q=q)
-                if rep.real_orbit == "case2_split":
-                    return form, {"f1": f1v, "f2": f2v, "f3": f3, "delta": rep.delta}, rep
+            rep = classify_real(form)
+            if rep.real_orbit == "case2_split":
+                return form, rep
             t *= 2.0
-        return None, None, None
+        return None, None
 
     spare = [(2, 3, 4), (2, 5, 6), (3, 4, 5), (2, 4, 5), (3, 5, 6), (4, 5, 6),
              (2, 3, 5), (2, 4, 6), (3, 4, 6), (2, 3, 6)]
     delta_step = eps / 2.0
     for _ in range(64):
-        form, aux, rep = complete(dict(z))
+        form, rep = complete(dict(z))
         if form is not None:
+            gram = rep.q.gram
+            aux = {"f1": float(gram[0][0]), "f2": float(gram[6][6]), "f3": f3, "delta": rep.delta}
             return _certify(form, y, eps, aux, "case2_split", rep)
         # degenerate completion: move off the zero locus without touching
         # the (1,j,k) or (i,j,7) coordinates

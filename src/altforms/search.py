@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .invariants import case_of
-from .multilinear import all_keys, entry_moves
+from .multilinear import all_keys, entry_moves, evaluate
 from .orbits import classify_real, irrationality_report
 from .perturb import PartialTarget, constrained_keys
 
@@ -92,25 +92,12 @@ def _targets(x, y):
     return [([i - 1 for i in k], float(vals[k])) for k in keys]
 
 
-def _batch_objective(items, targets, H):
-    """Objectives for a stack H of basis matrices, fully vectorized."""
-    B = H.shape[0]
-    Hf = H.astype(float)
-    out = np.zeros(B)
-    deg = len(items[0][0]) if items else 3
-    for tkey, tval in targets:
-        vals = np.zeros(B)
-        for xkey, c in items:
-            sub = Hf[:, xkey, :][:, :, tkey]
-            if deg == 2:
-                det = sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
-            else:
-                det = (sub[:, 0, 0] * (sub[:, 1, 1] * sub[:, 2, 2] - sub[:, 1, 2] * sub[:, 2, 1])
-                       - sub[:, 0, 1] * (sub[:, 1, 0] * sub[:, 2, 2] - sub[:, 1, 2] * sub[:, 2, 0])
-                       + sub[:, 0, 2] * (sub[:, 1, 0] * sub[:, 2, 1] - sub[:, 1, 1] * sub[:, 2, 0]))
-            vals += c * det
-        out = np.maximum(out, np.abs(vals - tval))
-    return out
+def deviations(x, y, h):
+    """{"i,j,k": |y_I - x(u_I)|} for the columns u_i of a real basis matrix h, in
+    constrained-key order, through multilinear.evaluate; no unimodularity check."""
+    cols = np.asarray(h, dtype=float).T.tolist()
+    return {",".join(str(i + 1) for i in key): abs(v - float(evaluate(x, *(cols[i] for i in key))))
+            for key, v in _targets(x, y)}
 
 
 def objective(x, y, h):
@@ -125,9 +112,8 @@ def objective(x, y, h):
 
 
 def objective_matrix(x, y, h):
-    """Objective for an arbitrary (real) basis matrix; no unimodularity check."""
-    H = np.asarray(h, dtype=float)[None, :, :]
-    return float(_batch_objective(_x_items(x), _targets(x, y), H)[0])
+    """The largest of the deviations of an arbitrary (real) basis matrix."""
+    return max(deviations(x, y, h).values())
 
 
 @dataclass
@@ -154,9 +140,10 @@ def approximate(x, y, config=None):
     order; every other child is compared entry by entry with it, and children that differ
     from it (true key collisions) are deduped among themselves by content.  A kept child
     is scored from its parent's exact minors det h[K, I], updated by the move on the target
-    columns the move changes, with the float operations of _batch_objective; the other columns
-    keep the parent's values.  Child matrices are built only for the duplicate check, the ties
-    reaching into the beam (hash and word) and the new beam.
+    columns the move changes, as the sum over x's coefficients c of c det h[K, I] that
+    multilinear.evaluate forms; the other columns keep the parent's values.  Child matrices
+    are built only for the duplicate check, the ties reaching into the beam (hash and word)
+    and the new beam.
     """
     import hashlib  # lazily: it loads OpenSSL, which commands without a search do not need
     config = config or SearchConfig()

@@ -276,7 +276,8 @@ def _one_entry_case1(tmp_path, key, value):
 
 @pytest.mark.parametrize("key, value, eps, sign, message", (
     ("1,3,5", 1.0, "0.01", "-", "the completion is degenerate, not case1_negative"),
-    ("3,4,5", 1000.0, "0.01", "+", "growth cap exceeded with nonzero leading coefficient")),
+    ("3,4,5", 1000.0, "0.01", "+",
+     "z_456 reached 2^64 without the classifier finding case1_positive")),
     ids=("minus", "plus"))
 def test_cli_perturb_off_the_requested_orbit_is_an_error(tmp_path, capsys, key, value, eps,
                                                          sign, message):
@@ -296,11 +297,13 @@ def test_cli_perturb_positive_outgrows_the_classifier_cutoff(tmp_path, capsys):
 
 
 def test_cli_perturb_case3_rejects_a_different_n(tmp_path, capsys):
+    # n comes from the target file alone: perturb has no --n option
     path = write_json(tmp_path, "t.json", target_to_dict(
         PartialTarget(3, {k: 0.5 for k in constrained_keys(3, 2)}, n=2)))
-    code, out, err = run(capsys, "perturb", "case3", path, "--epsilon", "0.1", "--n", "7")
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "not n = 7" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["perturb", "case3", path, "--epsilon", "0.1", "--n", "7"])
+    assert exc.value.code == 2
+    assert "--n" in capsys.readouterr().err
 
 
 def test_cli_perturb_case3_at_n_10(tmp_path, capsys):
@@ -331,6 +334,34 @@ def test_cli_approximate(tmp_path, capsys):
     assert doc["hypothesis"]["verdict"] == "warn"  # integer form is rational
     assert len(doc["trace"]) >= 1
     assert len(doc["basis_rows"]) == 4
+
+
+def _approximate_configurations(tmp_path, seed):
+    """The approximate commands of the benchmark's float_search round for a seed."""
+    import importlib
+    import sys
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+    ops = workloads.build("float_search", seed, str(tmp_path))
+    return [op.argv for op in ops if op.command == "approximate"]
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_cli_approximate_objective_is_the_largest_printed_deviation(tmp_path, capsys, seed):
+    # the search scores from maintained minors, per_index_deviation comes from
+    # multilinear.evaluate: on these configurations the two agree exactly
+    configurations = _approximate_configurations(tmp_path, seed)
+    assert configurations
+    for argv in configurations:
+        code, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 0
+        assert list(doc["per_index_deviation"]) == sorted(doc["per_index_deviation"])
+        assert doc["objective"] == max(doc["per_index_deviation"].values())
 
 
 def test_cli_verify(capsys):

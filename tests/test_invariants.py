@@ -211,6 +211,14 @@ def test_quadratic_form_signature_and_definiteness():
         QuadraticForm(2, [[Fraction(0), Fraction(1)], [Fraction(2), Fraction(0)]])
 
 
+def test_quadratic_form_equality():
+    g = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(0)]]
+    assert QuadraticForm(2, g) == QuadraticForm(2, [list(r) for r in g])
+    assert QuadraticForm(2, g) != QuadraticForm(2, [[Fraction(2), 0], [0, Fraction(0)]])
+    assert (QuadraticForm(2, g) == 3) is False
+    assert QuadraticForm.__hash__ is None
+
+
 def test_case_detection_and_report():
     assert case_of(W1) == 1
     assert case_of(W2) == 2

@@ -124,6 +124,17 @@ def test_case2_sign_structure():
     assert abs(f3_case2({k: v for k, v in z.items()}) - aux["f3"]) < 1e-9
 
 
+def test_case2_auxiliaries_read_off_the_certified_form():
+    from altforms.invariants import q_case2
+    rng = random.Random(66)
+    for target in (zero_target(2), rand_target(rng, 2), rand_target(rng, 2, span=3.0)):
+        cert = extend_case2(target, 0.05)
+        gram, aux = q_case2(cert.form).gram, cert.auxiliaries
+        assert (aux["f1"], aux["f2"]) == (float(gram[0][0]), float(gram[6][6]))
+        assert aux["f3"] == f3_case2(cert.form.coeffs)
+        assert aux["delta"] == cert.orbit.delta
+
+
 def test_case2_target_restriction_of_split_rep():
     from altforms.representatives import make_rep
     w = make_rep("case2_w")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from altforms import search as S
-from altforms.multilinear import AlternatingForm, evaluate
+from altforms.multilinear import AlternatingForm, all_keys, evaluate
 from altforms.perturb import PartialTarget, constrained_keys
 from altforms.representatives import make_rep
 from altforms.stabilizers import stab_lie_algebra
@@ -106,6 +106,24 @@ def test_candidate_determinant_maintained():
     assert linalg.mat_det([[Fraction(v) for v in row] for row in h]) == 1
 
 
+def test_deviations_and_objective_matrix_match_an_evaluate_loop():
+    rng = random.Random(23)
+    for dim, degree, case in ((4, 2, 3), (6, 3, 1), (7, 3, 2)):
+        n = dim // 2 if case == 3 else None
+        keys = constrained_keys(case, n)
+        for _ in range(5):
+            x = AlternatingForm(dim, degree, {k: rng.uniform(-1, 1) for k in all_keys(dim, degree)})
+            y = PartialTarget(case, {k: rng.uniform(-1, 1) for k in keys}, n=n)
+            h = np.array([[rng.uniform(-2, 2) for _ in range(dim)] for _ in range(dim)])
+            expected = {}
+            for k in keys:
+                value = evaluate(x, *(h[:, i - 1] for i in k))
+                expected[",".join(map(str, k))] = abs(y.values[k] - value)
+            devs = S.deviations(x, y, h)
+            assert list(devs) == list(expected) and devs == expected
+            assert S.objective_matrix(x, y, h) == max(expected.values())
+
+
 def test_stabilizer_directions_leave_objective_flat():
     x = make_rep("case3_w", n=2).as_float()
     y = {k: 0.25 for k in constrained_keys(3, 2)}
@@ -157,7 +175,7 @@ def test_dim7_float_paths_build_q_once(monkeypatch):
     calls.clear()
     y = {k: rng.uniform(-1, 1) for k in constrained_keys(2)}
     cert = perturb.extend_case2(y, 0.1)
-    assert len(calls) == 2  # the growth probe f4, and the completion
+    assert len(calls) == 1  # the completion, classified once
     assert cert.auxiliaries["delta"] == invariants.delta_case2(cert.form)[0] == cert.orbit.delta
     assert cert.orbit == classify_real(cert.form)
 
@@ -240,5 +258,5 @@ def test_search_and_perturb_checks_run_under_python_O():
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         "raised best-so-far must be non-increasing",
-        "raised growth cap exceeded with nonzero leading coefficient",
+        "raised z_456 reached 2^64 without the classifier finding case1_positive",
         "raised certificate deviation is not below eps"]
