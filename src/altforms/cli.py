@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import cayley_dickson as cd
-from . import linalg, perturb, search, serialize, stabilizers
+from . import linalg, perturb, serialize, stabilizers
 from .invariants import _delta_from_q, delta_case1, delta_case2, invariant_report, q_case2, s_case1
 from .multilinear import AlternatingForm, gl_action
 from .orbits import classify_real, irrationality_report
@@ -196,14 +196,15 @@ def cmd_perturb(args):
 
 
 def cmd_approximate(args):
+    from . import search  # lazily: it imports numpy, which no other command needs
     x = serialize.parse_form(args.x)
     target = serialize.parse_target(args.target)
-    cert = None
-    if args.via_orbit:
-        target, cert = search.project_target_via_orbit(x, target, args.epsilon / 2.0)
     config = search.SearchConfig(beam_width=args.beam, max_depth=args.depth,
                                  seed=args.seed, epsilon=args.epsilon,
                                  both_sides=args.both_sides)
+    cert = None
+    if args.via_orbit:
+        target, cert = search.project_target_via_orbit(x, target, args.epsilon / 2.0)
     xf = x.as_float()
     result = search.approximate(xf, target, config)
     cand = result.candidate

@@ -63,6 +63,11 @@ def _check(ok, message):
         raise ArithmeticError(message)
 
 
+def _positive(eps):
+    if not eps > 0:  # NaN too
+        raise ValueError("eps must be positive")
+
+
 def _certify(form, y, eps, aux, want, rep):
     """The certificate of a completion of y, given rep = classify_real(form):
     ArithmeticError unless its deviation is below eps and rep is on want."""
@@ -148,8 +153,7 @@ def fit_discriminant_case1(z):
 def extend_case1(y, eps, sign):
     """Complete a target on indices i<j<k<=5 to a semistable dim-6 trivector
     with the requested invariant sign."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _positive(eps)
     if sign not in ("+", "-", 1, -1):
         raise ValueError("sign must be '+' or '-'")
     want = "case1_positive" if sign in ("+", 1) else "case1_negative"
@@ -231,8 +235,7 @@ def extend_case2(y, eps):
     point happens to land on the degenerate locus.  Coordinates of the
     second family change neither of the two controlled covariant entries.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _positive(eps)
     y = y if isinstance(y, PartialTarget) else PartialTarget(2, y)
     z = dict(y.values)
     live = {(1, 2, 7), (3, 4, 7), (5, 6, 7)}
@@ -294,8 +297,7 @@ def extend_case3(y, eps, n=None):
     when every pf_i vanishes (the block has rank below 2n-2).  n, when given,
     must be the target's.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _positive(eps)
     if not isinstance(y, PartialTarget):
         y = PartialTarget(3, y, n)
     elif n is not None and n != y.n:

@@ -4,8 +4,9 @@ basis whose evaluations of a fixed form approximate a target.
 The word alphabet is the elementary matrices E_ij(+-1), i != j (their
 inverses are in the set).  Words extend a candidate by right multiplication
 (refining the basis); left extension can be enabled as well.  Selection is a
-stable sort on (objective, seeded hash, word), so runs are reproducible bit
-for bit.  The search runs in one thread and has no thread setting.
+stable sort on (objective, seeded hash, word), and the copies of a matrix are
+dropped after it, by content, so runs are reproducible bit for bit.  The
+search runs in one thread and has no thread setting.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ class SearchConfig:
             raise ValueError("beam_width must be >= 1")
         if self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
+        if not self.epsilon >= 0:  # NaN too
+            raise ValueError(f"epsilon must be >= 0, not {self.epsilon}")
+        if not -2 ** 63 <= self.seed < 2 ** 63:
+            raise ValueError("seed must be a signed 64-bit integer")
 
 
 @dataclass
@@ -134,32 +139,40 @@ def approximate(x, y, config=None):
     on the large plateaus the sparse representatives produce; the word order
     remains the final tie-break, so runs with one seed agree bit for bit.
 
-    A depth builds no array of children.  Each child is named by (parent, move) and gets a
-    64-bit key, sum K[a, b] h[a, b] mod 2^64, which is linear in h: a move adds to its parent's
-    key a sum of n products of K and h.  The first child of each key is kept, in expansion
-    order; every other child is compared entry by entry with it, and children that differ
-    from it (true key collisions) are deduped among themselves by content.  A kept child
-    is scored from its parent's exact minors det h[K, I], updated by the move on the target
-    columns the move changes, as the sum over x's coefficients c of c det h[K, I] that
-    multilinear.evaluate forms; the other columns keep the parent's values.  Child matrices
-    are built only for the duplicate check, the ties reaching into the beam (hash and word)
-    and the new beam.
+    A depth scores every child, named by (parent, move), from its parent's exact minors
+    det h[K, I], updated by the move on the target columns the move changes, as the sum over
+    x's coefficients c of c det h[K, I] that multilinear.evaluate forms; the other columns keep
+    the parent's values.  The sibling moves E_ij(+1), E_ij(-1) change the same columns by
+    opposite amounts, so one gather serves both.  A score is a fixed-order sum over exact
+    minors, so the copies of one matrix score the same bit for bit and the stable ranking
+    holds them in expansion order: duplicates are dropped after ranking, by content, from a
+    prefix of the ranking that grows until it holds the beam and the whole tie group at its
+    end.  Child matrices are built only for that prefix.
     """
     import hashlib  # lazily: it loads OpenSSL, which commands without a search do not need
     config = config or SearchConfig()
-    n, deg, both = x.dim, x.degree, config.both_sides
+    n, deg, both, beam = x.dim, x.degree, config.both_sides, config.beam_width
     items, targets = _x_items(x), _targets(x, y)
     sets, dst, src, sign, csrc, ccoef, rsrc, rcoef = _move_tables(n, deg, both)
-    nm, nc = len(csrc), len(sets)
+    nm, nc, nt = len(csrc), len(sets), len(targets)
     nr = nm // 2 if both else nm
     kpos = [sets.index(tuple(k)) for k, _ in items]
     krows = kpos if both else range(len(items))
     tcols = np.array([sets.index(tuple(k)) for k, _ in targets], dtype=np.intp)
     tvals = np.array([v for _, v in targets])
-    # per move, the target columns it may change (left moves: all)
-    changed = (ccoef[:, tcols] != 0) | (np.arange(nm) >= nr)[:, None]
-    mult = _key_multipliers(n).ravel()
+    # one item per (sibling pair 2q, 2q + 1; target column the pair changes; left moves: all),
+    # the same for every parent.  Per row set the pair adds +-e to the parent's minor m1:
+    # e = ccoef m2 (m2 the minor at csrc) for a right move, rcoef m3 for a left one.
+    pq, pt = np.nonzero((ccoef[::2, tcols] != 0) | (np.arange(0, nm, 2) >= nr)[:, None])
+    mq, tc = 2 * pq, tcols[pt]  # mq: the pair's first move, E_ij(+1)
+    a2, c2 = ccoef[mq, tc].astype(float), csrc[mq, tc]
+    # without left moves e = m2, and m1 + e goes to the sibling whose ccoef is +1
+    flip = 0 if both else (a2 < 0)
+    at_plus, at_minus = (mq + flip) * nt + pt, (mq + 1 - flip) * nt + pt
+    if both:
+        rs, rc = rsrc[mq][:, krows], rcoef[mq][:, krows].astype(float)
     salt = int(config.seed).to_bytes(8, "little", signed=True)
+    nb = 8 * n * n
 
     def children(H, p, m):
         """The child matrices of parents p under moves m."""
@@ -170,9 +183,8 @@ def approximate(x, y, config=None):
     # minors[r, b, c] = det h_b[row set r, sets[c]]; vals[b, t] = x(h_b) on target t
     minors = np.eye(nc, dtype=np.int64)[list(range(nc)) if both else kpos][:, None, :]
     vals = sum((c * minors[r][:, tcols] for r, (_, c) in zip(krows, items)),
-               np.zeros((1, len(tcols))))
+               np.zeros((1, nt)))
     H, words = np.eye(n, dtype=np.int64)[None], [()]
-    beam_keys = H.reshape(1, n * n) @ mult
     trace = [float(np.abs(vals - tvals).max())]
     best = BasisCandidate(H[0].copy(), (), trace[0])
 
@@ -183,66 +195,68 @@ def approximate(x, y, config=None):
             hmax = max(hmax, np.sort(np.abs(H), axis=1)[:, -2:, :].sum(1).max())
         if math.factorial(deg) * int(hmax) ** deg >= 2 ** 53:
             raise ArithmeticError("basis entries too large for exact float minors")
-        # a move adds sign * sum K[dst] h[src] to the key: s (H^T K)[i, j] for a right move
-        # E_ij(s), s (H K^T)[j, i] for a left one
-        gain = (H.reshape(len(H), n * n)[:, src] * mult[dst]).sum(2)
-        child_keys = (beam_keys[:, None] + sign * gain).ravel()
-        _, first, inv = np.unique(child_keys, return_index=True, return_inverse=True)
-        dup = np.delete(np.arange(len(child_keys)), first)
-        # each later child of a key against the kept one, entry by entry
-        rows = children(H, *np.divmod(np.concatenate([dup, first[inv[dup]]]), nm))
-        rows = rows.reshape(2, len(dup), n * n)
-        clash = (rows[0] != rows[1]).any(axis=1)
-        unique = {}  # children that only share a key with the kept one: dedupe by content
-        for k, h in zip(dup[clash].tolist(), rows[0][clash]):
-            unique.setdefault(h.tobytes(), k)
-        kept = np.sort(np.concatenate([first, np.fromiter(unique.values(), np.intp, len(unique))]))
-        p, m = np.divmod(kept, nm)
 
-        # one item per (kept child, target column its move changes)
-        ck, ct = np.nonzero(changed[m])
-        mk, tc, base = m[ck], tcols[ct], p[ck] * nc
-        i1, i2, a2 = base + tc, base + csrc[mk, tc], ccoef[mk, tc].astype(float)
-        # the minors and every child's minor are integers below 2^53 (the guard), so these
-        # float sums are the exact integer ones
+        # the minors and every child's minor are integers below 2^53 (the guard), so m1 +- e
+        # and these float sums are the exact integer ones, added in _x_items order
+        base = (np.arange(len(H)) * nc)[:, None]
+        i1, i2 = base + tc, base + c2
         fm = minors.reshape(len(minors), len(H) * nc).astype(float)
-        part = np.zeros(len(ck))
-        for r, (_, c) in zip(krows, items):
-            v = fm[r].take(i1)
-            v += a2 * fm[r].take(i2)
+        plus, minus = np.zeros(i1.shape), np.zeros(i1.shape)
+        for k, (r, (_, c)) in enumerate(zip(krows, items)):
+            m1, e = fm[r].take(i1), fm[r].take(i2)
             if both:
-                v += rcoef[mk, r] * fm[rsrc[mk, r], i1]
-            v *= c
-            part += v
-        vals = vals[p]
-        vals[ck, ct] = part
-        del i1, i2, a2, fm, part  # before the objective's temporaries: peak memory
+                e *= a2
+                e += rc[:, k] * fm[rs[:, k], i1]
+            m1e = m1 + e
+            m1 -= e
+            m1e *= c
+            m1 *= c
+            plus += m1e
+            minus += m1
+        del i1, i2, fm  # before the children's values: peak memory
+        vals = np.repeat(vals, nm, axis=0)
+        offset = (np.arange(len(H)) * (nm * nt))[:, None]
+        vals.reshape(-1)[offset + at_plus] = plus
+        vals.reshape(-1)[offset + at_minus] = minus
+        del plus, minus
         objs = np.abs(vals - tvals).max(axis=1)
 
         order = np.argsort(objs, kind="stable")
         ranked = objs[order]
-        cut = min(config.beam_width, len(order))
+        # the first copy of each matrix, over a prefix of the ranking that holds beam distinct
+        # children and ends past the objective of the last of them (its whole tie group)
+        first, blocks, stop = {}, [], 0
+        while stop < len(order):
+            start, stop = stop, min(2 * max(stop, beam), len(order))
+            blocks.append(children(H, *np.divmod(order[start:stop], nm)))
+            raw = blocks[-1].tobytes()
+            for k in range(stop - start):
+                first.setdefault(raw[k * nb:(k + 1) * nb], start + k)
+            if len(first) >= beam and ranked[stop - 1] > ranked[list(first.values())[beam - 1]]:
+                break
+        pos = np.fromiter(first.values(), np.intp, len(first))
+        order, ranked = order[pos], ranked[pos]
+        cut = min(beam, len(order))
         end = int(np.searchsorted(ranked, ranked[cut - 1], side="right"))
         order = order[:end]
-        top = children(H, p[order], m[order])  # every child reaching into the beam, in order
+        top = np.concatenate(blocks)[pos[:end]]  # every child reaching into the beam, in order
         for a, size in zip(*np.unique(ranked[:end], return_index=True, return_counts=True)[1:]):
             if size > 1:
                 # (hash, parent word, move) sorts as (hash, word): words share a length
-                tie, nb = order[a:a + size], 8 * n * n
+                tp, tm = np.divmod(order[a:a + size], nm)
                 raw = top[a:a + size].tobytes()
                 keys = [(hashlib.blake2b(salt + raw[k * nb:(k + 1) * nb], digest_size=8)
                          .digest(), words[pk], mk)
-                        for k, (pk, mk) in enumerate(zip(p[tie].tolist(), m[tie].tolist()))]
+                        for k, (pk, mk) in enumerate(zip(tp.tolist(), tm.tolist()))]
                 idx = a + np.array(sorted(range(size), key=keys.__getitem__))
                 order[a:a + size], top[a:a + size] = order[idx], top[idx]
         sel = order[:cut]
 
-        ps, mm = p[sel], m[sel]
+        ps, mm = np.divmod(sel, nm)
         new = minors[:, ps, :] + ccoef[mm] * minors[:, ps[:, None], csrc[mm]]
         if both:
             new += rcoef[mm].T[:, :, None] * minors[rsrc[mm].T, ps[None, :], :]
         minors, H, vals = np.ascontiguousarray(new), top[:cut], vals[sel]
-        beam_keys = child_keys[kept[sel]]
         words = [words[i] + (k,) for i, k in zip(ps.tolist(), mm.tolist())]
         if objs[sel[0]] < best.objective:
             best = BasisCandidate(H[0].copy(), words[0], float(objs[sel[0]]))
@@ -254,17 +268,6 @@ def approximate(x, y, config=None):
 
     _unimodular_check(best.h)
     return SearchResult(best, best.objective < config.epsilon, trace)
-
-
-@functools.lru_cache(maxsize=None)
-def _key_multipliers(n):
-    """Fixed odd int64 multipliers K (n x n) of the dedupe key: splitmix64 of the entry index."""
-    z = np.arange(1, n * n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    for shift, mul in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mul)
-    mult = ((z ^ (z >> np.uint64(31))) | np.uint64(1)).view(np.int64).reshape(n, n)
-    mult.setflags(write=False)  # shared by every search of this n
-    return mult
 
 
 @functools.lru_cache(maxsize=None)

@@ -413,6 +413,62 @@ def test_cli_approximate_via_orbit_and_threads(tmp_path, capsys):
     assert doc["via_orbit_deviation"] < 0.025
 
 
+@pytest.mark.parametrize("option, value, message", (
+    ("--epsilon", "nan", "epsilon must be >= 0, not nan"),
+    ("--epsilon", "-1", "epsilon must be >= 0, not -1.0"),
+    ("--seed", str(2 ** 64), "seed must be a signed 64-bit integer"),
+    ("--seed", str(-2 ** 63 - 1), "seed must be a signed 64-bit integer")),
+    ids=("epsilon-nan", "epsilon-negative", "seed-2^64", "seed-below-int64"))
+@pytest.mark.parametrize("via_orbit", (False, True))
+def test_cli_approximate_rejects_bad_search_settings(tmp_path, capsys, option, value, message,
+                                                    via_orbit):
+    # a NaN or negative epsilon ran the whole search and exited 0; the seed failed with
+    # "int too big to convert" after the search
+    code, out, _ = run(capsys, "rep", "case3_w", "--n", "2")
+    xpath = write_json(tmp_path, "x.json", json.loads(out))
+    tpath = write_json(tmp_path, "t.json",
+                       {"case": 3, "n": 2, "values": {"1,2": 0.2, "1,3": -0.4, "2,3": 0.6}})
+    argv = ["approximate", xpath, tpath, "--depth", "2", "--beam", "4", option, value]
+    code, out, err = run(capsys, *argv, *(["--via-orbit"] if via_orbit else []))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("case", ("case1", "case2", "case3"))
+@pytest.mark.parametrize("eps", ("nan", "0", "-0.5"))
+def test_cli_perturb_rejects_a_non_positive_epsilon(tmp_path, capsys, case, eps):
+    # --epsilon nan got as far as "certificate deviation is not below eps"
+    k = int(case[-1])
+    keys = constrained_keys(k, 2 if k == 3 else None)
+    doc = {"case": k, **({"n": 2} if k == 3 else {}),
+           "values": {",".join(map(str, key)): 0.5 for key in keys}}
+    path = write_json(tmp_path, "t.json", doc)
+    code, out, err = run(capsys, "perturb", case, path, "--epsilon", eps)
+    assert (code, out, err) == (1, "", "error: eps must be positive\n")
+
+
+def test_rational_commands_do_not_import_numpy(tmp_path):
+    # cli imported search, and with it numpy, for every command
+    import subprocess
+    import sys
+
+    import altforms
+    src = os.path.dirname(os.path.dirname(altforms.__file__))
+    script = """
+import contextlib, io, sys
+from altforms.cli import main
+path = sys.argv[1]
+for argv in (["rep", "case2_w"], ["invariant", path], ["stab", path], ["classify", path]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+sys.exit("numpy" in sys.modules)
+"""
+    path = write_json(tmp_path, "w.json", form_to_dict(make_rep("case2_w")))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    p = subprocess.run([sys.executable, "-c", script, path], env=env, capture_output=True,
+                       timeout=120)
+    assert (p.returncode, p.stderr) == (0, b"")
+
+
 def test_cli_rejects_non_squarefree_discriminant(tmp_path, capsys):
     path = write_json(tmp_path, "d4.json",
                       {"dim": 6, "degree": 3, "scalar": "quadext", "d": 4,

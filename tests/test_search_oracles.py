@@ -5,8 +5,10 @@ search it replaced.
 dedupes through a ``seen`` set of matrix bytes, scores every child with
 float 2x2/3x3 determinants of the basis matrix (``batch_objective``), hashes
 every candidate and ranks with one tuple sort.  The program carries exact
-integer minors instead and hashes only ties that reach into the beam; the
-results must agree bit for bit: word, basis, objective and trace.
+integer minors instead, scores every child before it drops the copies of a
+matrix (from a prefix of its ranking only) and hashes only ties that reach
+into the beam; the results must agree bit for bit: word, basis, objective
+and trace.
 ``loop_move_tables`` builds the move tables with the sort_sign loop that
 ``_move_tables`` ran before it read ``multilinear.entry_moves``; the tables
 must be equal.
@@ -50,7 +52,10 @@ def batch_objective(items, targets, H):
     return out
 
 
-def loop_approximate(x, y, config):
+def loop_approximate(x, y, config, heads=None):
+    """The search as a loop.  A list heads gets, per depth, the objectives of the first
+    2 * beam_width children ranked with their copies (stable, in expansion order) and the
+    objectives of the distinct matrices among them."""
     n = x.dim
     items = S._x_items(x)
     targets = S._targets(x, y)
@@ -67,16 +72,25 @@ def loop_approximate(x, y, config):
     best = (ident.copy(), (), obj0)
     trace = [obj0]
     for _ in range(config.max_depth):
-        stacked, words, seen = [], [], set()
+        stacked, words, seen, kids = [], [], set(), []
         for _, word, h in beam:
             children = [(h @ moves[m], m) for m in range(nmoves)]
             if config.both_sides:
                 children += [(moves[m] @ h, m + nmoves) for m in range(nmoves)]
+            if heads is not None:
+                kids += [h2 for h2, _ in children]
             for h2, m in children:
                 if h2.tobytes() not in seen:
                     seen.add(h2.tobytes())
                     stacked.append(h2)
                     words.append(word + (m,))
+        if heads is not None:
+            all_objs = batch_objective(items, targets, np.stack(kids))
+            head = np.argsort(all_objs, kind="stable")[:2 * config.beam_width]
+            first = {}
+            for i in head.tolist():
+                first.setdefault(kids[i].tobytes(), all_objs[i])
+            heads.append((all_objs[head].tolist(), list(first.values())))
         objs = batch_objective(items, targets, np.stack(stacked))
         order = sorted(range(len(words)),
                        key=lambda i: (objs[i], tie_hash(stacked[i]), words[i]))
@@ -103,8 +117,8 @@ def planted(x, word, case, n=None):
     return restriction(x, h, case, n)
 
 
-def assert_same(x, y, config):
-    (h, word, objective), trace = loop_approximate(x, y, config)
+def assert_same(x, y, config, heads=None):
+    (h, word, objective), trace = loop_approximate(x, y, config, heads)
     res = S.approximate(x, y, config)
     assert res.candidate.word == word
     assert np.array_equal(res.candidate.h, h)
@@ -203,25 +217,14 @@ def test_overflow_guard():
     assert_same(IRRATIONAL_X4, y, S.SearchConfig(beam_width=1, max_depth=depth))
 
 
-@pytest.fixture(params=["zeros", "mod3"])
-def colliding_keys(request, monkeypatch):
-    # every child key collides (zeros) or most do (entries 0, 1, 2): the dedupe
-    # must then rest on its exact comparison of the children alone
-    if request.param == "zeros":
-        table = lambda n: np.zeros((n, n), dtype=np.int64)
-    else:
-        table = lambda n: (np.arange(n * n, dtype=np.int64) % 3).reshape(n, n)
-    monkeypatch.setattr(S, "_key_multipliers", table)
-
-
-def test_colliding_keys_dim4_beam256(colliding_keys):
+def test_dim4_beam256_depth6():
     rng = random.Random(85)
     y = {k: rng.uniform(-1, 1) for k in constrained_keys(3, 2)}
     assert_same(IRRATIONAL_X4, y,
                 S.SearchConfig(beam_width=256, max_depth=6, epsilon=1e-12, seed=4))
 
 
-def test_colliding_keys_dense_dim7_and_both_sides(colliding_keys):
+def test_dense_dim7_and_both_sides():
     rng = random.Random(86)
     x = AlternatingForm(7, 3, {k: rng.uniform(-1, 1) for k in all_keys(7, 3)})
     y = {k: rng.uniform(-1, 1) for k in constrained_keys(2)}
@@ -232,7 +235,7 @@ def test_colliding_keys_dense_dim7_and_both_sides(colliding_keys):
                 S.SearchConfig(beam_width=64, max_depth=4, both_sides=True))
 
 
-def test_colliding_keys_sparse_form_and_plateau(colliding_keys):
+def test_sparse_form_and_plateau():
     rng = random.Random(87)
     x = AlternatingForm(6, 3, {k: rng.uniform(-1, 1) for k in all_keys(6, 3)
                                if rng.random() < 0.4})
@@ -244,12 +247,37 @@ def test_colliding_keys_sparse_form_and_plateau(colliding_keys):
     assert res.trace == [1.0] * 5
 
 
+@pytest.fixture(params=["zeros", "mod3"])
+def colliding_keys(request, monkeypatch):
+    # every tie-break hash collides (zeros) or most do (values 0, 1, 2), in the program and
+    # the oracle alike: the order of a tie group must then rest on the word alone
+    class Digest:
+        def __init__(self, data, digest_size):
+            value = 0 if request.param == "zeros" else sum(data) % 3
+            self.value = value.to_bytes(digest_size, "big")
+
+        def digest(self):
+            return self.value
+
+    monkeypatch.setattr(hashlib, "blake2b", Digest)
+
+
+def test_colliding_keys_dim4_beam256(colliding_keys):
+    test_dim4_beam256_depth6()
+
+
+def test_colliding_keys_dense_dim7_and_both_sides(colliding_keys):
+    test_dense_dim7_and_both_sides()
+
+
+def test_colliding_keys_sparse_form_and_plateau(colliding_keys):
+    test_sparse_form_and_plateau()
+
+
 def test_dim10_two_form():
-    # 100 basis entries: the key needs a multiplier per entry
     rng = random.Random(88)
     x = AlternatingForm(10, 2, {k: rng.uniform(-1, 1) for k in all_keys(10, 2)})
     y = {k: rng.uniform(-1, 1) for k in constrained_keys(3, 5)}
-    assert S._key_multipliers(5).shape == (5, 5) and S._key_multipliers(10).shape == (10, 10)
     assert_same(x, y, S.SearchConfig(beam_width=16, max_depth=3, epsilon=1e-12, seed=9))
 
 
@@ -259,6 +287,70 @@ def test_dim8_two_form():
     y = {k: rng.uniform(-1, 1) for k in constrained_keys(3, 4)}
     assert_same(x, y, S.SearchConfig(beam_width=32, max_depth=4, epsilon=1e-12, seed=10))
     assert_same(x, y, S.SearchConfig(beam_width=8, max_depth=3, both_sides=True, seed=10))
+
+
+def test_prefix_grows_past_copies_of_one_matrix():
+    # the beam of depth 1 is E_a, E_b with E_a E_b = E_b E_a, so at depth 2 the first
+    # 2 * beam = 4 ranked children are four copies of that product, by a right and by a left
+    # move from each parent.  The prefix must grow until it holds beam distinct children.
+    rng = random.Random(194)
+    x = AlternatingForm(4, 2, {k: rng.uniform(-1, 1) for k in all_keys(4, 2)})
+    heads = []
+    assert_same(x, planted(x, (11, 4, 20, 3), 3, 2),
+                S.SearchConfig(beam_width=2, max_depth=4, epsilon=0.0, both_sides=True), heads)
+    objs, distinct = heads[1]
+    assert len(objs) == 4 and len(distinct) == 1
+
+
+def test_tie_group_at_the_beam_boundary_reaches_past_the_first_prefix():
+    # on the case-1 plateau the first 2 * beam ranked children are distinct and tie with the
+    # beam-th: the prefix must grow until it holds the whole tie group, which the hash orders
+    w = make_rep("case1_w").as_float()
+    heads = []
+    res = assert_same(w, planted(w, (10, 48, 51, 4), 1), S.SearchConfig(beam_width=8, max_depth=4),
+                      heads)
+    objs, distinct = heads[0]
+    assert len(distinct) == len(objs) == 16 and objs[-1] == distinct[7]
+    assert res.trace == [1.0] * 4 + [0.0] and res.candidate.word == (37, 37, 4, 51)
+
+
+@pytest.mark.parametrize("dim", (4, 6, 7))
+def test_sibling_pairs_under_both_sides(dim):
+    # a left pair E_ij(+-1) adds +-rcoef m3 per row set, a right pair +-ccoef m2: each
+    # sibling must take its own sign
+    rng = random.Random(93 + dim)
+    deg, case, n = (2, 3, 2) if dim == 4 else (3, dim - 5, None)
+    x = AlternatingForm(dim, deg, {k: rng.uniform(-1, 1) for k in all_keys(dim, deg)})
+    y = {k: rng.uniform(-1, 1) for k in constrained_keys(case, n)}
+    beam = {4: 32, 6: 16, 7: 8}[dim]
+    assert_same(x, y, S.SearchConfig(beam_width=beam, max_depth=3, both_sides=True, seed=dim))
+
+
+def test_random_small_configurations():
+    rng = random.Random(91)
+    shapes = {4: (2, 3, 2), 6: (3, 1, None), 7: (3, 2, None), 8: (2, 3, 4)}
+    for _ in range(100):
+        dim = rng.choice((4, 4, 6, 6, 7, 8))
+        deg, case, n = shapes[dim]
+        r = rng.random()
+        if r < 0.2 and dim in (6, 7):
+            x = make_rep("case1_w" if dim == 6 else "case2_w").as_float()
+        else:
+            # dense integer (ties), dense or sparse real coefficients
+            density, ints = (1.0, r < 0.5) if r < 0.7 else (0.4, False)
+            x = AlternatingForm(dim, deg, {
+                k: float(rng.randint(-2, 2)) if ints else rng.uniform(-1, 1)
+                for k in all_keys(dim, deg) if rng.random() < density})
+        if rng.random() < 0.5:
+            y = {k: rng.choice((rng.uniform(-1, 1), float(rng.randint(-1, 1))))
+                 for k in constrained_keys(case, n)}
+        else:
+            y = planted(x, [rng.randrange(2 * dim * (dim - 1)) for _ in range(rng.randint(1, 3))],
+                        case, n)
+        assert_same(x, y, S.SearchConfig(beam_width=rng.choice((1, 2, 3, 5, 8)),
+                                         max_depth=rng.randint(0, 3), seed=rng.randrange(100),
+                                         epsilon=rng.choice((0.0, 1e-9)),
+                                         both_sides=rng.random() < 0.4))
 
 
 @pytest.mark.parametrize("both_sides, y", [
