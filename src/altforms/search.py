@@ -94,6 +94,9 @@ def _targets(x, y):
     missing = [k for k in keys if k not in vals]
     if missing:
         raise ValueError(f"target missing keys {missing[:3]}")
+    for k in keys:
+        if not math.isfinite(float(vals[k])):
+            raise ValueError(f"non-finite target value {vals[k]!r} at {','.join(map(str, k))!r}")
     return [([i - 1 for i in k], float(vals[k])) for k in keys]
 
 
@@ -141,13 +144,19 @@ def approximate(x, y, config=None):
 
     A depth scores every child, named by (parent, move), from its parent's exact minors
     det h[K, I], updated by the move on the target columns the move changes, as the sum over
-    x's coefficients c of c det h[K, I] that multilinear.evaluate forms; the other columns keep
-    the parent's values.  The sibling moves E_ij(+1), E_ij(-1) change the same columns by
-    opposite amounts, so one gather serves both.  A score is a fixed-order sum over exact
-    minors, so the copies of one matrix score the same bit for bit and the stable ranking
-    holds them in expansion order: duplicates are dropped after ranking, by content, from a
-    prefix of the ranking that grows until it holds the beam and the whole tie group at its
-    end.  Child matrices are built only for that prefix.
+    x's coefficients c of c det h[K, I] that multilinear.evaluate forms.  The sibling moves
+    E_ij(+1), E_ij(-1) change the same columns by opposite amounts, so one gather serves both.
+    A child's objective is the larger of two maxima, taken per sibling pair: its parent's
+    deviations on the targets the pair leaves alone, and its own on the targets the pair
+    changes; no array of every child's values is built, and values are carried only for the
+    children that enter the beam.  A score is a fixed-order sum over exact minors, so the
+    copies of one matrix score the same bit for bit and the stable ranking holds them in
+    expansion order: duplicates are dropped after ranking, by content (np.unique over one
+    byte row per matrix, first copies kept), from a prefix of the ranking that grows until it
+    holds the beam and the whole tie group at its end.  Child matrices are built only for that
+    prefix.  One lexsort orders the children reaching into the beam by (objective, hash,
+    parent word, move), and hashes only the children that tie with another; the minors of the
+    beam are its parents' minors plus each move's term where the move changes them.
     """
     import hashlib  # lazily: it loads OpenSSL, which commands without a search do not need
     config = config or SearchConfig()
@@ -163,16 +172,34 @@ def approximate(x, y, config=None):
     # one item per (sibling pair 2q, 2q + 1; target column the pair changes; left moves: all),
     # the same for every parent.  Per row set the pair adds +-e to the parent's minor m1:
     # e = ccoef m2 (m2 the minor at csrc) for a right move, rcoef m3 for a left one.
-    pq, pt = np.nonzero((ccoef[::2, tcols] != 0) | (np.arange(0, nm, 2) >= nr)[:, None])
-    mq, tc = 2 * pq, tcols[pt]  # mq: the pair's first move, E_ij(+1)
+    changed = (ccoef[::2, tcols] != 0) | (np.arange(0, nm, 2) >= nr)[:, None]
+    pq, pt = np.nonzero(changed)
+    uq, ut = np.nonzero(~changed)  # the targets a pair leaves alone
+    mq, tc, ni = 2 * pq, tcols[pt], len(pq)  # mq: the pair's first move, E_ij(+1)
     a2, c2 = ccoef[mq, tc].astype(float), csrc[mq, tc]
     # without left moves e = m2, and m1 + e goes to the sibling whose ccoef is +1
     flip = 0 if both else (a2 < 0)
-    at_plus, at_minus = (mq + flip) * nt + pt, (mq + 1 - flip) * nt + pt
+    # route[m, t]: where child move m reads target t, k (plus) or ni + k (minus) for item k,
+    # -1 for the parent's value
+    route = np.full((nm, nt), -1)
+    route[mq + flip, pt], route[mq + 1 - flip, pt] = np.arange(ni), ni + np.arange(ni)
     if both:
         rs, rc = rsrc[mq][:, krows], rcoef[mq][:, krows].astype(float)
     salt = int(config.seed).to_bytes(8, "little", signed=True)
     nb = 8 * n * n
+
+    def per_pair(q):
+        """The max of an array's columns per sibling pair, for columns of pairs q (ascending);
+        0 for a pair without columns: deviations are >= 0."""
+        starts = np.flatnonzero(np.diff(q, prepend=-1))
+
+        def reduce(a):
+            out = np.zeros((len(a), nm // 2))
+            if len(q):
+                out[:, q[starts]] = np.maximum.reduceat(a, starts, axis=1)
+            return out
+        return reduce
+    kept_max, changed_max = per_pair(uq), per_pair(pq)
 
     def children(H, p, m):
         """The child matrices of parents p under moves m."""
@@ -184,7 +211,7 @@ def approximate(x, y, config=None):
     minors = np.eye(nc, dtype=np.int64)[list(range(nc)) if both else kpos][:, None, :]
     vals = sum((c * minors[r][:, tcols] for r, (_, c) in zip(krows, items)),
                np.zeros((1, nt)))
-    H, words = np.eye(n, dtype=np.int64)[None], [()]
+    H, words = np.eye(n, dtype=np.int64)[None], np.zeros((1, 0), dtype=np.intp)
     trace = [float(np.abs(vals - tvals).max())]
     best = BasisCandidate(H[0].copy(), (), trace[0])
 
@@ -213,53 +240,58 @@ def approximate(x, y, config=None):
             m1 *= c
             plus += m1e
             minus += m1
-        del i1, i2, fm  # before the children's values: peak memory
-        vals = np.repeat(vals, nm, axis=0)
-        offset = (np.arange(len(H)) * (nm * nt))[:, None]
-        vals.reshape(-1)[offset + at_plus] = plus
-        vals.reshape(-1)[offset + at_minus] = minus
-        del plus, minus
-        objs = np.abs(vals - tvals).max(axis=1)
+        del i1, i2, fm  # before the deviations: peak memory
+        # a child's objective: the larger of its parent's deviations on the targets its pair
+        # leaves alone and its own on the targets the pair changes (a max is exact)
+        keep = kept_max(np.abs(vals - tvals)[:, ut])
+        dp, dm = np.abs(plus - tvals[pt]), np.abs(minus - tvals[pt])
+        dp, dm = np.where(flip, dm, dp), np.where(flip, dp, dm)
+        objs = np.empty((len(H), nm // 2, 2))
+        np.maximum(keep, changed_max(dp), out=objs[:, :, 0])
+        np.maximum(keep, changed_max(dm), out=objs[:, :, 1])
+        del keep, dp, dm
+        objs = objs.reshape(-1)
 
         order = np.argsort(objs, kind="stable")
         ranked = objs[order]
         # the first copy of each matrix, over a prefix of the ranking that holds beam distinct
         # children and ends past the objective of the last of them (its whole tie group)
-        first, blocks, stop = {}, [], 0
+        blocks, stop = [], 0
         while stop < len(order):
             start, stop = stop, min(2 * max(stop, beam), len(order))
             blocks.append(children(H, *np.divmod(order[start:stop], nm)))
-            raw = blocks[-1].tobytes()
-            for k in range(stop - start):
-                first.setdefault(raw[k * nb:(k + 1) * nb], start + k)
-            if len(first) >= beam and ranked[stop - 1] > ranked[list(first.values())[beam - 1]]:
+            top = np.concatenate(blocks)
+            rows = top.reshape(stop, nb // 8).view(np.dtype((np.void, nb))).ravel()
+            pos = np.sort(np.unique(rows, return_index=True)[1])
+            if len(pos) >= beam and ranked[stop - 1] > ranked[pos[beam - 1]]:
                 break
-        pos = np.fromiter(first.values(), np.intp, len(first))
         order, ranked = order[pos], ranked[pos]
         cut = min(beam, len(order))
         end = int(np.searchsorted(ranked, ranked[cut - 1], side="right"))
-        order = order[:end]
-        top = np.concatenate(blocks)[pos[:end]]  # every child reaching into the beam, in order
-        for a, size in zip(*np.unique(ranked[:end], return_index=True, return_counts=True)[1:]):
-            if size > 1:
-                # (hash, parent word, move) sorts as (hash, word): words share a length
-                tp, tm = np.divmod(order[a:a + size], nm)
-                raw = top[a:a + size].tobytes()
-                keys = [(hashlib.blake2b(salt + raw[k * nb:(k + 1) * nb], digest_size=8)
-                         .digest(), words[pk], mk)
-                        for k, (pk, mk) in enumerate(zip(tp.tolist(), tm.tolist()))]
-                idx = a + np.array(sorted(range(size), key=keys.__getitem__))
-                order[a:a + size], top[a:a + size] = order[idx], top[idx]
-        sel = order[:cut]
+        top = top[pos[:end]]  # every child reaching into the beam, in order
+        # ties in objective go by (seeded hash, word): the parent's word, then the move
+        pk, mk = np.divmod(order[:end], nm)
+        _, run, size = np.unique(ranked[:end], return_inverse=True, return_counts=True)
+        tied, raw = np.flatnonzero(size[run] > 1).tolist(), top.tobytes()
+        digest = np.zeros(end, dtype=np.uint64)
+        digest[tied] = np.frombuffer(b"".join(
+            hashlib.blake2b(salt + raw[k * nb:(k + 1) * nb], digest_size=8).digest()
+            for k in tied), dtype=">u8")
+        idx = np.lexsort((mk, *words[pk].T[::-1], digest, run))[:cut]
+        ps, mm = pk[idx], mk[idx]
 
-        ps, mm = np.divmod(sel, nm)
-        new = minors[:, ps, :] + ccoef[mm] * minors[:, ps[:, None], csrc[mm]]
+        new = minors.take(ps, axis=1)
+        kk, cc = np.nonzero(ccoef[mm])
+        new[:, kk, cc] += ccoef[mm[kk], cc] * minors[:, ps[kk], csrc[mm[kk], cc]]
         if both:
-            new += rcoef[mm].T[:, :, None] * minors[rsrc[mm].T, ps[None, :], :]
-        minors, H, vals = np.ascontiguousarray(new), top[:cut], vals[sel]
-        words = [words[i] + (k,) for i, k in zip(ps.tolist(), mm.tolist())]
-        if objs[sel[0]] < best.objective:
-            best = BasisCandidate(H[0].copy(), words[0], float(objs[sel[0]]))
+            kk, rr = np.nonzero(rcoef[mm])
+            new[rr, kk, :] += rcoef[mm[kk], rr][:, None] * minors[rsrc[mm[kk], rr], ps[kk], :]
+        r = route[mm]
+        k = ps[:, None] * ni + r % ni
+        vals = np.where(r < 0, vals[ps], np.where(r < ni, plus.take(k), minus.take(k)))
+        minors, H, words = new, top[idx], np.concatenate([words[ps], mm[:, None]], axis=1)
+        if ranked[idx[0]] < best.objective:
+            best = BasisCandidate(H[0].copy(), tuple(words[0].tolist()), float(ranked[idx[0]]))
         trace.append(best.objective)
         if not trace[-1] <= trace[-2] + 1e-15:
             raise ArithmeticError("best-so-far must be non-increasing")

@@ -97,6 +97,23 @@ def test_repeat_runs_agree_bit_for_bit():
     assert r1.trace == r2.trace
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_target_values_are_rejected(bad):
+    # a NaN target used to trip the monotone-trace check, an inf one to run the whole search
+    # and return objective inf
+    y = {(1, 2): 0.5, (1, 3): bad, (2, 3): 1.0}
+    message = f"non-finite target value {bad!r} at '1,3'"
+    for target in (y, PartialTarget(3, y, n=2)):
+        with pytest.raises(ValueError, match=message):
+            S.approximate(IRRATIONAL_X4, target, S.SearchConfig(beam_width=4, max_depth=2))
+        with pytest.raises(ValueError, match=message):
+            S.deviations(IRRATIONAL_X4, target, np.eye(4))
+    y7 = {k: 0.1 for k in constrained_keys(2)}
+    y7[(1, 2, 7)] = bad  # not in the constrained set: never read
+    x7 = make_rep("case2_w").as_float()
+    assert S.approximate(x7, y7, S.SearchConfig(beam_width=2, max_depth=1)).trace[0] < math.inf
+
+
 def test_candidate_determinant_maintained():
     y = {(1, 2): 0.5, (1, 3): 0.5, (2, 3): 0.5}
     res = S.approximate(IRRATIONAL_X4, y, S.SearchConfig(beam_width=16, max_depth=6))

@@ -3,12 +3,19 @@ search it replaced.
 
 ``loop_approximate`` expands each beam entry move by move with ``h @ E``,
 dedupes through a ``seen`` set of matrix bytes, scores every child with
-float 2x2/3x3 determinants of the basis matrix (``batch_objective``), hashes
-every candidate and ranks with one tuple sort.  The program carries exact
-integer minors instead, scores every child before it drops the copies of a
-matrix (from a prefix of its ranking only) and hashes only ties that reach
-into the beam; the results must agree bit for bit: word, basis, objective
-and trace.
+float 2x2/3x3 determinants of the basis matrix (``batch_objective``) and the
+max over all targets, hashes every candidate and ranks with one tuple sort
+on (objective, digest bytes, word).  The program carries exact integer
+minors instead and takes each child's objective as the larger of two
+per-sibling-pair maxima (its parent's deviations on the targets the pair
+leaves alone, its own on the targets the pair changes), carrying values only
+for the beam.  It scores every child before it drops the copies of a matrix
+(``np.unique`` over a prefix of its ranking), and orders the children that
+reach into the beam with one ``np.lexsort`` on (objective run, digest as a
+big-endian integer, word columns, move), hashing only ties.  The results
+must agree bit for bit: word (Python ints), basis, objective and trace.  The
+``colliding_keys`` fixture makes the digests collide, so that tie order
+rests on the word columns.
 ``loop_move_tables`` builds the move tables with the sort_sign loop that
 ``_move_tables`` ran before it read ``multilinear.entry_moves``; the tables
 must be equal.
@@ -121,6 +128,7 @@ def assert_same(x, y, config, heads=None):
     (h, word, objective), trace = loop_approximate(x, y, config, heads)
     res = S.approximate(x, y, config)
     assert res.candidate.word == word
+    assert all(type(m) is int for m in res.candidate.word)
     assert np.array_equal(res.candidate.h, h)
     assert res.candidate.objective == objective
     assert res.trace == trace
@@ -351,6 +359,42 @@ def test_random_small_configurations():
                                          max_depth=rng.randint(0, 3), seed=rng.randrange(100),
                                          epsilon=rng.choice((0.0, 1e-9)),
                                          both_sides=rng.random() < 0.4))
+
+
+def deep_configurations():
+    # depths 4-6 and beams 4-32 (the dim-7 oracle is slow: beam 4, depth 4-5): tie runs at
+    # depth >= 3 reach the parent's word columns when hashes collide; dense, sparse and plateau
+    # forms, random and planted targets
+    rng = random.Random(96)
+    shapes = {4: (2, 3, 2), 6: (3, 1, None), 7: (3, 2, None)}
+    plateaus = {4: ("case3_w", 2), 6: ("case1_w", None), 7: ("case2_w", None)}
+    for i in range(60):
+        dim = (4, 4, 4, 6, 7)[i % 5]
+        deg, case, n = shapes[dim]
+        kind = i // 5 % 4
+        if kind == 0:
+            x = make_rep(plateaus[dim][0], n=plateaus[dim][1]).as_float()
+        else:
+            x = AlternatingForm(dim, deg, {k: rng.uniform(-1, 1) for k in all_keys(dim, deg)
+                                           if kind != 1 or rng.random() < 0.4})
+        if kind == 3:
+            y = {k: rng.uniform(-1, 1) for k in constrained_keys(case, n)}
+        else:
+            y = planted(x, [rng.randrange(2 * dim * (dim - 1)) for _ in range(rng.randint(2, 5))],
+                        case, n)
+        beam = rng.choice({4: (4, 8, 16, 32), 6: (4, 8, 16), 7: (4,)}[dim])
+        yield x, y, S.SearchConfig(beam_width=beam, max_depth=rng.randint(4, 5 if dim == 7 else 6),
+                                   seed=rng.randrange(1000), epsilon=0.0,
+                                   both_sides=i % 2 == 1)
+
+
+def test_deep_configurations():
+    for x, y, config in deep_configurations():
+        assert_same(x, y, config)
+
+
+def test_colliding_keys_deep_configurations(colliding_keys):
+    test_deep_configurations()
 
 
 @pytest.mark.parametrize("both_sides, y", [
