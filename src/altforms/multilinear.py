@@ -201,18 +201,15 @@ def gl_action(g, x):
     n = x.dim
     if len(g) != n or any(len(row) != n for row in g):
         raise ValueError("matrix dimension mismatch")
-    cols = []
-    for c in range(n):
-        cols.append({(r + 1,): g[r][c] for r in range(n) if not (g[r][c] == 0)})
+    cols = [{(r + 1,): g[r][c] for r in range(n) if not (g[r][c] == 0)} for c in range(n)]
     out = {}
     for key, v in x.coeffs.items():
-        prods = [(key2, val) for key2, val in _wedge_cols(cols, key, x.dim)]
-        for key2, val in prods:
+        for key2, val in _wedge_cols(cols, key):
             out[key2] = out.get(key2, 0) + v * val
     return AlternatingForm(x.dim, x.degree, _clean(out))
 
 
-def _wedge_cols(cols, key, dim):
+def _wedge_cols(cols, key):
     acc = {(): 1}
     for idx in key:
         nxt = {}

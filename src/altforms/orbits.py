@@ -55,13 +55,13 @@ class GrassmannPoint:
         self.plucker1, self.plucker2 = plucker(self.basis1), plucker(self.basis2)
 
 
-def classify_real(x, tol=1e-9, q=None):
+def classify_real(x, tol=1e-9):
     """OrbitReport for a form of any of the three shapes.
 
     Exact coefficients give exact verdicts; float coefficients compare
     against tol scaled by the coefficient magnitude, and NaN/inf
     coefficients or an overflowing float invariant raise ValueError.  A
-    dim-7 form is classified by its Q_x (q, if built), kept as report.q.
+    dim-7 form is classified by its Q_x, kept as report.q.
     """
     case = case_of(x)
     is_float = x.scalar_kind() == "float"
@@ -80,7 +80,7 @@ def classify_real(x, tol=1e-9, q=None):
             rep.field_d = squarefree_part(d)[0]  # field_kx(x), without building S_x
         return rep
     if case == 2:
-        q = q_case2(x) if q is None else q
+        q = q_case2(x)
         kind = q.definiteness(tol=_cutoff(x, tol, 3) if is_float else None)
         delta, _ = _delta_from_q(q, x.scalar_kind())
         if kind == "degenerate":

@@ -22,11 +22,7 @@ from functools import lru_cache
 @lru_cache(maxsize=None)
 def _is_squarefree(d):
     """d != 0, 1 with no square factor; cached, as every QuadExt checks its d."""
-    if d in (0, 1):
-        return False
-    from sympy import factorint
-
-    return all(e == 1 for e in factorint(abs(d)).values())
+    return d not in (0, 1) and squarefree_part(d)[1] == 1
 
 
 class QuadExt:

@@ -80,7 +80,11 @@ def _unimodular_check(h):
 
 
 def _x_items(x):
-    return [([i - 1 for i in key], float(v)) for key, v in sorted(x.coeffs.items())]
+    items = [(key, float(v)) for key, v in sorted(x.coeffs.items())]
+    for key, v in items:
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite coefficient {v!r} at {','.join(map(str, key))!r}")
+    return [([i - 1 for i in key], v) for key, v in items]
 
 
 def _targets(x, y):
@@ -148,15 +152,17 @@ def approximate(x, y, config=None):
     E_ij(+1), E_ij(-1) change the same columns by opposite amounts, so one gather serves both.
     A child's objective is the larger of two maxima, taken per sibling pair: its parent's
     deviations on the targets the pair leaves alone, and its own on the targets the pair
-    changes; no array of every child's values is built, and values are carried only for the
-    children that enter the beam.  A score is a fixed-order sum over exact minors, so the
-    copies of one matrix score the same bit for bit and the stable ranking holds them in
-    expansion order: duplicates are dropped after ranking, by content (np.unique over one
-    byte row per matrix, first copies kept), from a prefix of the ranking that grows until it
-    holds the beam and the whole tie group at its end.  Child matrices are built only for that
-    prefix.  One lexsort orders the children reaching into the beam by (objective, hash,
-    parent word, move), and hashes only the children that tie with another; the minors of the
-    beam are its parents' minors plus each move's term where the move changes them.
+    changes; no array of every child's values is built.  A score is a fixed-order sum over
+    exact minors, so the copies of one matrix score the same bit for bit and the stable
+    ranking holds them in expansion order: duplicates are dropped after ranking, by content
+    (np.unique over one byte row per matrix, first copies kept), from a prefix of the ranking
+    that grows until it holds the beam and the whole tie group at its end.  Child matrices
+    are built only for that prefix.  One lexsort orders the children reaching into the beam
+    by (objective, hash, parent word, move), and hashes only the children that tie with
+    another.  The minors of the beam are its parents' minors plus each move's term where the
+    move changes them.  Each depth sums its parents' values from their minors, from zeros in
+    the order that scored them: exact integer minors make these the floats their objectives
+    were taken from, so no values are carried from one depth to the next.
     """
     import hashlib  # lazily: it loads OpenSSL, which commands without a search do not need
     config = config or SearchConfig()
@@ -175,14 +181,10 @@ def approximate(x, y, config=None):
     changed = (ccoef[::2, tcols] != 0) | (np.arange(0, nm, 2) >= nr)[:, None]
     pq, pt = np.nonzero(changed)
     uq, ut = np.nonzero(~changed)  # the targets a pair leaves alone
-    mq, tc, ni = 2 * pq, tcols[pt], len(pq)  # mq: the pair's first move, E_ij(+1)
+    mq, tc = 2 * pq, tcols[pt]  # mq: the pair's first move, E_ij(+1)
     a2, c2 = ccoef[mq, tc].astype(float), csrc[mq, tc]
     # without left moves e = m2, and m1 + e goes to the sibling whose ccoef is +1
     flip = 0 if both else (a2 < 0)
-    # route[m, t]: where child move m reads target t, k (plus) or ni + k (minus) for item k,
-    # -1 for the parent's value
-    route = np.full((nm, nt), -1)
-    route[mq + flip, pt], route[mq + 1 - flip, pt] = np.arange(ni), ni + np.arange(ni)
     if both:
         rs, rc = rsrc[mq][:, krows], rcoef[mq][:, krows].astype(float)
     salt = int(config.seed).to_bytes(8, "little", signed=True)
@@ -207,12 +209,17 @@ def approximate(x, y, config=None):
         out[k, dst[m]] += sign[m, None] * out[k, src[m]]
         return out.reshape(-1, n, n)
 
-    # minors[r, b, c] = det h_b[row set r, sets[c]]; vals[b, t] = x(h_b) on target t
+    def devs(minors):
+        """[b, t]: |x(h_b) - y_t|, x(h_b) summed over x's items from zeros as scores are."""
+        out, term = np.zeros((minors.shape[1], nt)), np.empty((minors.shape[1], nt))
+        for r, (_, c) in zip(krows, items):
+            out += np.multiply(minors[r][:, tcols], c, out=term)
+        return np.abs(out - tvals)
+
+    # minors[r, b, c] = det h_b[row set r, sets[c]]
     minors = np.eye(nc, dtype=np.int64)[list(range(nc)) if both else kpos][:, None, :]
-    vals = sum((c * minors[r][:, tcols] for r, (_, c) in zip(krows, items)),
-               np.zeros((1, nt)))
     H, words = np.eye(n, dtype=np.int64)[None], np.zeros((1, 0), dtype=np.intp)
-    trace = [float(np.abs(vals - tvals).max())]
+    trace = [float(devs(minors).max())]
     best = BasisCandidate(H[0].copy(), (), trace[0])
 
     for depth in range(1, config.max_depth + 1):
@@ -243,7 +250,7 @@ def approximate(x, y, config=None):
         del i1, i2, fm  # before the deviations: peak memory
         # a child's objective: the larger of its parent's deviations on the targets its pair
         # leaves alone and its own on the targets the pair changes (a max is exact)
-        keep = kept_max(np.abs(vals - tvals)[:, ut])
+        keep = kept_max(devs(minors)[:, ut])
         dp, dm = np.abs(plus - tvals[pt]), np.abs(minus - tvals[pt])
         dp, dm = np.where(flip, dm, dp), np.where(flip, dp, dm)
         objs = np.empty((len(H), nm // 2, 2))
@@ -286,9 +293,6 @@ def approximate(x, y, config=None):
         if both:
             kk, rr = np.nonzero(rcoef[mm])
             new[rr, kk, :] += rcoef[mm[kk], rr][:, None] * minors[rsrc[mm[kk], rr], ps[kk], :]
-        r = route[mm]
-        k = ps[:, None] * ni + r % ni
-        vals = np.where(r < 0, vals[ps], np.where(r < ni, plus.take(k), minus.take(k)))
         minors, H, words = new, top[idx], np.concatenate([words[ps], mm[:, None]], axis=1)
         if ranked[idx[0]] < best.objective:
             best = BasisCandidate(H[0].copy(), tuple(words[0].tolist()), float(ranked[idx[0]]))

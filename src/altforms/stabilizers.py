@@ -17,22 +17,15 @@ from .scalars import QuadExt, _reduced, clear_denominators
 
 
 class LieSubalgebra:
-    """A subspace of n x n matrices given by a basis; label is a human tag.
+    """A subspace of n x n matrices, held as `entries`: {row-major index
+    i * n + j: value} of the nonzero entries of each basis matrix, which the
+    checks read.  `.basis` is made from them on first read (`matrix` makes
+    one), its zeros of the type 0 + 0 * v for an entry v not a Fraction, if
+    any.  `inexact` marks a float entry, read off the entries once."""
 
-    Held as `entries`, {row-major index i * n + j: value} of the nonzero
-    entries of each basis matrix, which the checks read.  Dense matrices
-    given are read once and kept as `.basis`; else `.basis` is made on first
-    read (`matrix` makes one), its zeros of the type 0 + 0 * v for an entry v
-    not a Fraction, if any.  `inexact` marks a float entry, 0.0 included.
-    """
-
-    def __init__(self, ambient_dim, basis, label="", entries=None, inexact=False):
-        self.ambient_dim, self.label = ambient_dim, label
-        if entries is None:
-            self.basis, flat = basis, [[v for row in M for v in row] for M in basis]
-            entries = [{e: v for e, v in enumerate(f) if v} for f in flat]
-            inexact = any(isinstance(v, float) for f in flat for v in f)
-        self.entries, self.inexact = entries, inexact
+    def __init__(self, ambient_dim, entries):
+        self.ambient_dim, self.entries = ambient_dim, entries
+        self.inexact = any(isinstance(v, float) for nz in entries for v in nz.values())
 
     dim = property(lambda self: len(self.entries))
 
@@ -42,8 +35,6 @@ class LieSubalgebra:
 
     def matrix(self, a):
         """Basis matrix a, as .basis holds it, without making the whole .basis."""
-        if "basis" in vars(self):
-            return self.basis[a]
         nz, n = self.entries[a], self.ambient_dim
         zero = _ZERO + 0 * next((v for v in nz.values() if type(v) is not Fraction), 0)
         return [[nz.get(i * n + j, zero) for j in range(n)] for i in range(n)]
@@ -55,7 +46,7 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 def sl_basis(n):
     """Basis of trace-zero n x n matrices: off-diagonal units then E11 - Eii."""
     units = [_entries_from({b: 1}, n) for b in range(n * n - 1)]
-    return LieSubalgebra(n, None, "sl", units).basis
+    return LieSubalgebra(n, units).basis
 
 
 def stab_lie_algebra(x):
@@ -76,8 +67,7 @@ def stab_lie_algebra(x):
     else:
         rows = stab_system(integral_multiple(x)[1])
         entries = [_entries_from(v, n, v[fc]) for fc, v in linalg.int_nullspace(rows, m)]
-    label = "stab(float)" if kind == "float" else "stab"
-    return LieSubalgebra(n, None, label, entries, kind == "float" and len(entries) > 0)
+    return LieSubalgebra(n, entries)
 
 
 def stab_system(x):
@@ -278,9 +268,7 @@ def subalgebra_closed(L):
 
 def span_dim(subalgebras):
     """Dimension of the sum of the given subspaces (exact rank; floats raise)."""
-    mats = [nz for L in subalgebras for nz in L.entries]
-    if any(type(v) is float for nz in mats for v in nz.values()):
-        raise ValueError("span_dim needs exact entries; float forms are not supported")
+    mats = [nz for L in subalgebras for nz in _exact(L, "span_dim")]
     return len(_span(mats, subalgebras[-1].ambient_dim)[1]) if mats else 0
 
 
@@ -291,28 +279,24 @@ def h1_case1():
     entries = [d for b in (0, 3) for d in
                [{(b + i) * 6 + b + j: _ONE} for i in range(3) for j in range(3) if i != j]
                + [{b * 7: _ONE, (b + i) * 7: -_ONE} for i in (1, 2)]]
-    return LieSubalgebra(6, None, "h1", entries)
+    return LieSubalgebra(6, entries)
 
 
 def u1_case1():
     """Strictly upper-right 3x3 block (dimension 9)."""
-    return LieSubalgebra(6, None, "u1", [{i * 6 + j: _ONE} for i in range(3) for j in range(3, 6)])
+    return LieSubalgebra(6, [{i * 6 + j: _ONE} for i in range(3) for j in range(3, 6)])
 
 
 def u2_case1():
     """Strictly lower-left 3x3 block (dimension 9)."""
-    return LieSubalgebra(6, None, "u2", [{i * 6 + j: _ONE} for i in range(3, 6) for j in range(3)])
+    return LieSubalgebra(6, [{i * 6 + j: _ONE} for i in range(3, 6) for j in range(3)])
 
 
 def t_case1():
     """The line through diag(I3, -I3)."""
-    return LieSubalgebra(6, None, "t", [{i * 7: _ONE if i < 3 else -_ONE for i in range(6)}])
+    return LieSubalgebra(6, [{i * 7: _ONE if i < 3 else -_ONE for i in range(6)}])
 
 
 def join(*subs):
-    """The subalgebras' bases in order; kept dense if every one is dense already."""
-    L = LieSubalgebra(subs[0].ambient_dim, None, "+".join(s.label for s in subs),
-                      [nz for s in subs for nz in s.entries], any(s.inexact for s in subs))
-    if all("basis" in vars(s) for s in subs):
-        L.basis = [M for s in subs for M in s.basis]
-    return L
+    """The subalgebras' bases in order."""
+    return LieSubalgebra(subs[0].ambient_dim, [nz for s in subs for nz in s.entries])

@@ -31,6 +31,12 @@ from test_linalg_oracles import rand_matrix, rand_scalar
 
 # -------------------------------------------------------------- oracle ----
 
+def dense_algebra(n, mats):
+    """The LieSubalgebra of the given dense n x n matrices, held by their nonzero entries."""
+    return LieSubalgebra(n, [{e: v for e, v in enumerate(v for row in M for v in row) if v}
+                             for M in mats])
+
+
 def dense_gauss_jordan(M, ncols):
     nr = len(M)
     pivots = []
@@ -365,7 +371,7 @@ def test_int_and_fraction_rows_among_quadext_rows(d):
 def test_mixed_basis_closure_and_span():
     h = QuadExt(1, 1, 2)
     E12, E21, H = [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[h, 0], [0, -h]]
-    L = LieSubalgebra(2, [E12, E21, H])
+    L = dense_algebra(2, [E12, E21, H])
     assert subalgebra_closed(L) == (True, None)
     assert span_dim([L]) == 3
 

@@ -124,7 +124,7 @@ def old_stab(x):
     n, m = x.dim, x.dim * x.dim - 1
     dense = [[row.get(b, Fraction(0)) for b in range(m)] for row in stabilizers.stab_system(x)]
     null = [enumerate(c) for c in dense_nullspace(dense, m)]
-    return LieSubalgebra(n, None, "stab", [old_sl_entries(c, n) for c in null])
+    return LieSubalgebra(n, [old_sl_entries(c, n) for c in null])
 
 
 def typed(entries):

@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 from altforms.invariants import delta_case1
 from altforms.multilinear import AlternatingForm, all_keys
 from altforms.scalars import QuadExt, demote
-from altforms.stabilizers import (LieSubalgebra, fixed_space, h1_case1, join, sl_basis,
-                                  stab_lie_algebra, subalgebra_closed, u1_case1, u2_case1)
+from altforms.stabilizers import (fixed_space, h1_case1, join, sl_basis, stab_lie_algebra,
+                                  subalgebra_closed, u1_case1, u2_case1)
+from test_elimination_oracles import dense_algebra
 
 SETTINGS = settings(max_examples=15, deadline=None, database=None)
 DS = (2, -3, 5)
@@ -58,7 +59,7 @@ def types(mats):
 
 
 def scaled(L, cs):
-    return LieSubalgebra(L.ambient_dim, [[[c * v for v in row] for row in M]
+    return dense_algebra(L.ambient_dim, [[[c * v for v in row] for row in M]
                                          for c, M in zip(cs, L.basis)])
 
 
@@ -136,7 +137,7 @@ def bases():
                              join(*blocks)))
     units = st.lists(st.integers(0, 14), min_size=2, max_size=6, unique=True).flatmap(
         lambda idx: st.lists(coeff, min_size=16, max_size=16).map(
-            lambda vs: LieSubalgebra(4, [sl_basis(4)[i] for i in idx]
+            lambda vs: dense_algebra(4, [sl_basis(4)[i] for i in idx]
                                      + [[vs[4 * i:4 * i + 4] for i in range(4)]])))
     stabs = rational_forms(4, 2).map(stab_lie_algebra)
     return st.one_of(joins, units, stabs)

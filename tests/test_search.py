@@ -114,6 +114,24 @@ def test_non_finite_target_values_are_rejected(bad):
     assert S.approximate(x7, y7, S.SearchConfig(beam_width=2, max_depth=1)).trace[0] < math.inf
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficients_are_rejected(bad):
+    # a NaN coefficient used to trip the monotone-trace check, which names no input
+    sparse = AlternatingForm(4, 2, {(1, 2): bad, (3, 4): 1.0})
+    forms = [(sparse, (1, 2))]
+    for x in (IRRATIONAL_X4, make_rep("case1_w").as_float(), make_rep("case2_w").as_float()):
+        key = sorted(x.coeffs)[-1]
+        forms.append((AlternatingForm(x.dim, x.degree, {**x.coeffs, key: bad}), key))
+    for x, key in forms:
+        case = {4: 3, 6: 1, 7: 2}[x.dim]
+        y = {k: 0.5 for k in constrained_keys(case, 2 if case == 3 else None)}
+        message = f"non-finite coefficient {bad!r} at {','.join(map(str, key))!r}"
+        for both in (False, True):
+            with pytest.raises(ValueError) as err:
+                S.approximate(x, y, S.SearchConfig(beam_width=4, max_depth=2, both_sides=both))
+            assert str(err.value) == message
+
+
 def test_candidate_determinant_maintained():
     y = {(1, 2): 0.5, (1, 3): 0.5, (2, 3): 0.5}
     res = S.approximate(IRRATIONAL_X4, y, S.SearchConfig(beam_width=16, max_depth=6))

@@ -31,8 +31,8 @@ from altforms.serialize import form_to_dict
 from altforms.stabilizers import (LieSubalgebra, fixed_space, h1_case1, join, sl_basis,
                                   span_dim, stab_lie_algebra, subalgebra_closed, t_case1,
                                   u1_case1, u2_case1)
-from test_elimination_oracles import (STAB_FORMS, dense_nullspace, dense_rref, quad_form, same,
-                                      stab_system, types)
+from test_elimination_oracles import (STAB_FORMS, dense_algebra, dense_nullspace, dense_rref,
+                                      quad_form, same, stab_system, types)
 
 
 def unit(n, *entries):
@@ -128,7 +128,7 @@ def test_fixed_space_matches_stacked_rref(name, x):
 
 
 def test_fixed_space_of_empty_and_full_algebras():
-    for L, shape in ((LieSubalgebra(4, []), (4, 2)), (LieSubalgebra(3, sl_basis(3)), (3, 2))):
+    for L, shape in ((LieSubalgebra(4, []), (4, 2)), (dense_algebra(3, sl_basis(3)), (3, 2))):
         assert ([form_to_dict(f) for f in fixed_space(L, shape)]
                 == [form_to_dict(f) for f in stacked_fixed_space(L, shape)])
 
@@ -152,7 +152,7 @@ def test_stabilizers_are_closed_as_dense_check_says(name, x):
 def test_block_closures_and_witness_match_dense_check():
     h1, u1, u2, t = h1_case1(), u1_case1(), u2_case1(), t_case1()
     for L in (join(h1, t), join(h1, u1, u2), t):
-        assert _same(subalgebra_closed(L), dense_closed(L)), L.label
+        assert _same(subalgebra_closed(L), dense_closed(L))
     assert not subalgebra_closed(join(h1, u1, u2))[0]
 
 
@@ -162,7 +162,7 @@ def test_failing_closure_makes_only_its_witness():
     h1, u1, u2 = h1_case1(), u1_case1(), u2_case1()
     x = quad_form(random.Random(3), -3)
     algebras = [join(h1, u1, u2), join(u1, u2),
-                LieSubalgebra(6, None, "s", stab_lie_algebra(x).entries + u1.entries)]
+                LieSubalgebra(6, stab_lie_algebra(x).entries + u1.entries)]
     for L in algebras:
         closed, (X, Y) = subalgebra_closed(L)
         assert not closed and "basis" not in vars(L)
@@ -179,14 +179,14 @@ def test_witness_matches_on_spans_of_a_dense_stabilizer():
     # paired with the added unit matrix, after 15 pairs that reduce to zero
     E = sl_basis(6)[7]
     for _, x in FORMS[4:6]:
-        span = LieSubalgebra(6, stab_lie_algebra(x).basis + [E])
+        span = dense_algebra(6, stab_lie_algebra(x).basis + [E])
         got = subalgebra_closed(span)
-        assert not got[0] and got[1][1] is E
+        assert not got[0] and got[1][1] == E
         assert _same(got, dense_closed(span))
     # shifted by unit matrices, every pair fails: the order of the pairs decides
     shifted = [[[a + b for a, b in zip(rx, ru)] for rx, ru in zip(X, U)]
                for X, U in zip(stab_lie_algebra(FORMS[4][1]).basis, sl_basis(6)[:4])]
-    span = LieSubalgebra(6, shifted)
+    span = dense_algebra(6, shifted)
     assert _same(subalgebra_closed(span), dense_closed(span))
 
 
@@ -343,27 +343,40 @@ SPARSE_BASES = list(_sparse_bases())
 
 @pytest.mark.parametrize("name,basis", SPARSE_BASES, ids=[n for n, _ in SPARSE_BASES])
 def test_closure_on_sparse_bases_matches_dense_check(name, basis):
-    L = LieSubalgebra(len(basis[0]), basis)
+    L = dense_algebra(len(basis[0]), basis)
     got = subalgebra_closed(L)
     assert _same(got, dense_closed(L))
     if name == "borel":
         assert got == (True, None)
     if name in ("late witness", "cancelling"):
-        assert got[1][0] is basis[-2] and got[1][1] is basis[-1]
+        assert got[1] == (basis[-2], basis[-1])
 
 
-def test_float_zero_entries_are_rejected():
-    # a basis whose only float entries are 0.0 is still a float basis
+def assert_rejected(L, shape):
+    """fixed_space, subalgebra_closed and span_dim each refuse L, in one wording."""
+    for name, check in (("fixed_space", lambda: fixed_space(L, shape)),
+                        ("subalgebra_closed", lambda: subalgebra_closed(L)),
+                        ("span_dim", lambda: span_dim([L]))):
+        with pytest.raises(ValueError) as err:
+            check()
+        assert str(err.value) == f"{name} needs an exact basis; float forms are not supported"
+
+
+def test_float_entries_are_rejected():
+    # a 0.0 leaves no entry behind: a basis whose only float entries are 0.0 is
+    # exact, alone and joined; a float entry proper is refused, alone and joined
     X = unit(3, (0, 1, 1))
     X[2][2] = 0.0
-    L = LieSubalgebra(3, [X, unit(3, (1, 0, 1))])
-    with pytest.raises(ValueError, match="exact basis"):
-        fixed_space(L, (3, 2))
-    with pytest.raises(ValueError, match="exact basis"):
-        subalgebra_closed(L)
+    exact, Z = LieSubalgebra(3, [{3: Fraction(1)}]), dense_algebra(3, [X])
+    assert Z.entries == [{1: Fraction(1)}]
+    for L in (Z, join(exact, Z), join(Z, exact)):
+        assert not L.inexact and span_dim([L]) == L.dim
+    L = dense_algebra(3, [X, unit(3, (1, 0, 1))])
+    assert subalgebra_closed(L) == (False, (unit(3, (0, 1, 1)), unit(3, (1, 0, 1))))
     X[2][2] = 0.5  # a float entry proper: the exact span has no meaning for it
-    with pytest.raises(ValueError, match="span_dim needs exact entries"):
-        span_dim([LieSubalgebra(3, [X])])
+    F = dense_algebra(3, [X])
+    for L in (F, join(exact, F), join(F, exact)):
+        assert_rejected(L, (3, 2))
 
 
 # ------------------------------------------ algebras held by their entries ----
@@ -446,9 +459,9 @@ def _three_ways(x, extra=()):
     entries = stab_lie_algebra(x).entries + [old_nonzeros(M) for M in extra]
     dense = old + list(extra)
     k = len(dense) // 2
-    return {"entries": LieSubalgebra(n, None, "e", entries),
-            "dense": LieSubalgebra(n, dense, "d"),
-            "join": join(LieSubalgebra(n, None, "a", entries[:k]), LieSubalgebra(n, dense[k:]))}
+    return {"entries": LieSubalgebra(n, entries),
+            "dense": dense_algebra(n, dense),
+            "join": join(LieSubalgebra(n, entries[:k]), dense_algebra(n, dense[k:]))}
 
 
 def _index(L, pair):
@@ -482,39 +495,30 @@ def test_checks_agree_on_entries_dense_and_joined_algebras(name, x):
 def test_block_pieces_are_their_dense_units():
     # the dense unit matrices the pieces were built from before
     E = unit
-    want = {"h1": [M for b in (0, 3) for M in
-                   [E(6, (b + i, b + j, 1)) for i in range(3) for j in range(3) if i != j]
-                   + [E(6, (b, b, 1), (b + i, b + i, -1)) for i in range(1, 3)]],
-            "u1": [E(6, (i, j + 3, 1)) for i in range(3) for j in range(3)],
-            "u2": [E(6, (i + 3, j, 1)) for i in range(3) for j in range(3)],
-            "t": [E(6, *((i, i, 1) for i in range(3)), *((i, i, -1) for i in range(3, 6)))]}
-    for L in (h1_case1(), u1_case1(), u2_case1(), t_case1()):
-        same(L.basis, want[L.label])
-        assert _typed(L.entries) == _typed([old_nonzeros(M) for M in want[L.label]])
-    # a join of pieces whose dense bases exist keeps those very matrices
+    want = {h1_case1: [M for b in (0, 3) for M in
+                       [E(6, (b + i, b + j, 1)) for i in range(3) for j in range(3) if i != j]
+                       + [E(6, (b, b, 1), (b + i, b + i, -1)) for i in range(1, 3)]],
+            u1_case1: [E(6, (i, j + 3, 1)) for i in range(3) for j in range(3)],
+            u2_case1: [E(6, (i + 3, j, 1)) for i in range(3) for j in range(3)],
+            t_case1: [E(6, *((i, i, 1) for i in range(3)), *((i, i, -1) for i in range(3, 6)))]}
+    for piece, mats in want.items():
+        L = piece()
+        same(L.basis, mats)
+        assert _typed(L.entries) == _typed([old_nonzeros(M) for M in mats])
+    # a join is its pieces' entries in order, its basis made on first read
     h1, u1 = h1_case1(), u1_case1()
     J = join(h1, u1)
-    assert "basis" not in vars(J)
-    assert h1.basis and u1.basis
-    J = join(h1, u1)
-    assert all(a is b for a, b in zip(J.basis, h1.basis + u1.basis))
+    assert "basis" not in vars(J) and J.entries == h1.entries + u1.entries
+    same(J.basis, h1.basis + u1.basis)
 
 
-def test_float_zero_entries_are_rejected_through_join():
-    # the 0.0 leaves no entry behind, but the algebra remembers it, and so
-    # does every join it is part of
-    X = unit(3, (0, 1, 1))
-    X[2][2] = 0.0
-    F = LieSubalgebra(3, [X])
-    assert F.entries == [{1: Fraction(1)}] and F.inexact
-    exact = LieSubalgebra(3, None, "e", [{3: Fraction(1)}])
-    assert not exact.inexact and not join(exact, exact).inexact
+def test_float_stabilizer_is_rejected_through_join():
+    # a float entry makes the algebra inexact, and every join it is part of
+    F = stab_lie_algebra(make_rep("case1_w").as_float())
+    exact = LieSubalgebra(6, [{3: Fraction(1)}])
+    assert F.inexact and not exact.inexact and not join(exact, exact).inexact
     for L in (F, join(exact, F), join(F, exact)):
-        with pytest.raises(ValueError, match="exact basis"):
-            fixed_space(L, (3, 2))
-        with pytest.raises(ValueError, match="exact basis"):
-            subalgebra_closed(L)
-        assert span_dim([L]) == L.dim
+        assert_rejected(L, (6, 3))
 
 
 @pytest.mark.parametrize("name,x", ENTRY_FORMS[:3] + ENTRY_FORMS[-4:],

@@ -7,10 +7,10 @@ from altforms import linalg
 from altforms.invariants import q_case2
 from altforms.multilinear import gl_action, lie_action
 from altforms.representatives import make_rep
-from altforms.stabilizers import (LieSubalgebra, bracket, fixed_space, h1_case1,
-                                  join, sl_basis, span_dim, stab_lie_algebra,
-                                  subalgebra_closed, t_case1, u1_case1, u2_case1)
-from test_elimination_oracles import dense_rref
+from altforms.stabilizers import (bracket, fixed_space, h1_case1, join, sl_basis, span_dim,
+                                  stab_lie_algebra, subalgebra_closed, t_case1, u1_case1,
+                                  u2_case1)
+from test_elimination_oracles import dense_algebra, dense_rref
 
 
 def rand_matrix(rng, n, span=2):
@@ -132,7 +132,7 @@ def test_direct_sum_dimension():
     pieces = [h1_case1(), u1_case1(), u2_case1(), t_case1()]
     assert span_dim(pieces) == 35
     assert sum(p.dim for p in pieces) == 35
-    assert span_dim([LieSubalgebra(6, sl_basis(6))]) == 35
+    assert span_dim([dense_algebra(6, sl_basis(6))]) == 35
 
 
 def test_case2_stabilizer_inside_orthogonal_algebra():
