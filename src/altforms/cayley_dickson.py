@@ -29,6 +29,7 @@ from functools import lru_cache
 from . import linalg
 from .invariants import QuadraticForm, _delta_from_q, q_case2
 from .multilinear import AlternatingForm, gl_action, integral_multiple, sort_sign
+from .orbits import float_signature
 from .scalars import clear_denominators
 
 
@@ -336,8 +337,9 @@ def octonion_from_form(x, q=None):
     The imaginary product u.v solves gram(Q) * (u.v) = 3 x(., u, v); the real
     part is -Q(u, v)/delta and the norm of v is Q(v)/delta.  A caller that has
     built Q = q_case2(x) passes it as q.  Raises ValueError("not semistable")
-    when Q is degenerate, and ValueError on Q(sqrt d) coefficients, whose
-    delta is only computed as a float.
+    exactly when classify_real at its default tol calls x degenerate (for
+    floats, both ask orbits.float_signature), and ValueError on Q(sqrt d)
+    coefficients, whose delta is only computed as a float.
     """
     if x.dim != 7 or x.degree != 3:
         raise ValueError("octonion_from_form needs dim 7, degree 3")
@@ -348,7 +350,7 @@ def octonion_from_form(x, q=None):
     Q = q_case2(x) if q is None else q
     is_float = kind == "float"
     delta, _ = _delta_from_q(Q, kind)
-    if (not is_float and delta == 0) or (is_float and abs(delta) < 1e-12 * max(1.0, x.max_abs()) ** 7):
+    if float_signature(x, Q)[2] if is_float else delta == 0:
         raise ValueError("not semistable")
     gram7 = [list(r) for r in Q.gram]
     if is_float:

@@ -57,20 +57,10 @@ class QuadraticForm:
         """Exact (n_plus, n_minus, n_zero); rational gram only."""
         return linalg.congruent_signature(self.gram)
 
-    def definiteness(self, tol=None):
-        """'positive', 'negative', 'indefinite', or 'degenerate'.
-
-        Exact for rational grams; floats need a tolerance scaled by the
-        caller (absolute eigenvalue cutoff).
-        """
-        if tol is None:
-            npos, nneg, nzero = self.signature()
-        else:
-            import numpy as np
-            eig = np.linalg.eigvalsh(np.array(self.gram, dtype=float))
-            npos = int((eig > tol).sum())
-            nneg = int((eig < -tol).sum())
-            nzero = self.dim - npos - nneg
+    def definiteness(self):
+        """'positive', 'negative', 'indefinite', or 'degenerate', from the exact
+        signature; orbits.float_signature reads the Q_x of a float form."""
+        npos, nneg, nzero = self.signature()
         if nzero > 0:
             return "degenerate"
         if npos == self.dim:
@@ -185,7 +175,8 @@ def delta_case1_explicit(z):
     b = z.coeff(4, 5, 6)
     tr = sum(X[i][k] * Y[k][i] for i in range(3) for k in range(3))
     mix = sum(_minor(X, i, j) * _minor(Y, j, i) for i in range(3) for j in range(3))
-    return (a * b - tr) ** 2 + 4 * a * _small_det(Y) + 4 * b * _small_det(X) - 4 * mix
+    u = a * b - tr  # squared as a product: a float that overflows gives inf, not OverflowError
+    return u * u + 4 * a * _small_det(Y) + 4 * b * _small_det(X) - 4 * mix
 
 
 def s_case2(x):
@@ -233,15 +224,17 @@ def delta_case2(x):
 
 
 def _delta_from_q(q, kind):
-    """delta_case2 from a built Q_x of a form with the given scalar kind."""
+    """delta_case2 from a built Q_x of a form with the given scalar kind; ValueError
+    when a float delta overflows."""
     if kind == "rational":
         root = cube_root_rational(q.det() / QCASE2_DET_RATIO)
         if root is None:
             raise ArithmeticError("det gram / (81/4) must be a perfect cube for rational input")
         return root, True
     import numpy as np
-    det = float(np.linalg.det(np.array([[float(v) for v in r] for r in q.gram])))
-    return float(np.cbrt(det / float(QCASE2_DET_RATIO))), False
+    with np.errstate(over="ignore"):  # an overflowing det is reported by _finite below
+        det = float(np.linalg.det(np.array([[float(v) for v in r] for r in q.gram])))
+    return _finite(float(np.cbrt(det / float(QCASE2_DET_RATIO)))), False
 
 
 def pfaffian(x):
@@ -338,8 +331,7 @@ def invariant_report(x):
     if case == 2:
         q = q_case2(x)
         d, exact = _delta_from_q(q, x.scalar_kind())
-        return InvariantReport(case=2, delta=d if exact else _finite(d), delta_exact=exact,
-                               q_form=q)
+        return InvariantReport(case=2, delta=d, delta_exact=exact, q_form=q)
     pf = pfaffian(x)
     return InvariantReport(case=3, delta_exact=not is_float,
                            pfaffian=_finite(pf) if is_float else pf)

@@ -20,26 +20,19 @@ from .multilinear import _small_det, all_keys
 from .scalars import (QuadExt, clear_denominators, demote, rational_reconstruct, rational_sqrt,
                       real_sign, squarefree_part)
 
-# Real rank of the identity component of the special stabilizer is positive
-# on every orbit except the definite dim-7 one; table-driven by design.
-_RANK_POSITIVE = {
-    "case1_positive": True,
-    "case1_negative": True,
-    "case2_split": True,
-    "case2_nonsplit": False,
-    "case3_nondegenerate": True,
-    "degenerate": False,
-}
-
-
 @dataclass
 class OrbitReport:
     case: int
     real_orbit: str
     field_d: int = None          # squarefree d with k(x) = Q(sqrt(d)); 1 means Q
-    real_rank_positive: bool = False
     delta: object = None
     q: object = field(default=None, repr=False, compare=False)  # Q_x of a dim-7 form
+
+    @property
+    def real_rank_positive(self):
+        """Real rank of the identity component of the special stabilizer: positive
+        on every semistable orbit except the definite dim-7 one."""
+        return self.real_orbit not in ("case2_nonsplit", "degenerate")
 
 
 @dataclass
@@ -58,52 +51,74 @@ class GrassmannPoint:
 def classify_real(x, tol=1e-9):
     """OrbitReport for a form of any of the three shapes.
 
-    Exact coefficients give exact verdicts; float coefficients compare
-    against tol scaled by the coefficient magnitude, and NaN/inf
-    coefficients or an overflowing float invariant raise ValueError.  A
-    dim-7 form is classified by its Q_x, kept as report.q.
+    Exact coefficients give exact verdicts.  Float ones go by float_zero: delta
+    at degree 4, the Pfaffian at degree n, and the eigenvalues of Q_x read as
+    Bryant's B_x = Q_x / 6 (float_signature); so t * x gets the verdict of x for
+    every t > 0.  NaN/inf coefficients or an overflowing float invariant
+    raise ValueError.  A dim-7 form is classified by its Q_x, kept as report.q.
     """
     case = case_of(x)
     is_float = x.scalar_kind() == "float"
     if is_float and not all(math.isfinite(v) for v in x.coeffs.values()):
         raise ValueError("classify_real needs finite float coefficients")
+
+    def zero(v, degree):
+        return float_zero(_finite(v), x.max_abs(), degree, tol) if is_float else v == 0
+
     if case == 1:
         d = delta_case1_explicit(x)
-        if (d == 0) if not is_float else (abs(_finite(d)) <= _cutoff(x, tol, 4)):
+        if zero(d, 4):
             orbit = "degenerate"
         elif real_sign(d) > 0:
             orbit = "case1_positive"
         else:
             orbit = "case1_negative"
-        rep = OrbitReport(1, orbit, real_rank_positive=_RANK_POSITIVE[orbit], delta=d)
+        rep = OrbitReport(1, orbit, delta=d)
         if orbit != "degenerate" and x.scalar_kind() == "rational":
             rep.field_d = squarefree_part(d)[0]  # field_kx(x), without building S_x
         return rep
     if case == 2:
         q = q_case2(x)
-        kind = q.definiteness(tol=_cutoff(x, tol, 3) if is_float else None)
+        npos, nneg, nzero = float_signature(x, q, tol) if is_float else q.signature()
         delta, _ = _delta_from_q(q, x.scalar_kind())
-        if kind == "degenerate":
+        if nzero:
             orbit = "degenerate"
-        elif kind in ("positive", "negative"):
-            orbit = "case2_nonsplit"
-        else:
+        elif npos and nneg:
             orbit = "case2_split"
-        return OrbitReport(2, orbit, real_rank_positive=_RANK_POSITIVE[orbit], delta=delta, q=q)
+        else:
+            orbit = "case2_nonsplit"
+        return OrbitReport(2, orbit, delta=delta, q=q)
     pf = pfaffian(x)
-    if (pf == 0) if not is_float else (abs(_finite(pf)) <= _cutoff(x, tol, x.dim // 2)):
+    if zero(pf, x.dim // 2):
         orbit = "degenerate"
     else:
         orbit = "case3_nondegenerate"
-    return OrbitReport(3, orbit, real_rank_positive=_RANK_POSITIVE[orbit], delta=pf)
+    return OrbitReport(3, orbit, delta=pf)
 
 
-def _cutoff(x, tol, degree):
-    """tol * max(1, |x|)^degree: the zero cutoff of a float invariant of that degree."""
-    try:
-        return tol * max(1.0, x.max_abs()) ** degree
-    except OverflowError:
-        raise ValueError("float coefficients too large: an invariant overflows") from None
+def float_zero(value, s, degree, tol):
+    """Whether a float invariant of x of the given degree is zero: |value| <= tol * s^degree
+    with s = x.max_abs(), i.e. |inv(x / s)| <= tol, so the verdict holds on the cone of t * x,
+    t > 0, and the zero form is zero.  |value| is divided by s one factor at a time, so
+    s^degree is never formed and neither overflows nor underflows."""
+    if s == 0:
+        return value == 0
+    r = abs(float(value))
+    for _ in range(degree):
+        r /= s
+    return r <= tol
+
+
+def float_signature(x, q, tol=1e-9):
+    """QuadraticForm.signature of the Q_x of a float dim-7 form, read as Bryant's
+    B_x = Q_x / 6: an eigenvalue of B_x counts as zero by float_zero at degree 3.
+    The default tol is classify_real's."""
+    import numpy as np
+    eig = [float(e) / 6 for e in np.linalg.eigvalsh(np.array(q.gram, dtype=float))]
+    s = x.max_abs()
+    zero = [float_zero(e, s, 3, tol) for e in eig]
+    return (sum(e > 0 and not z for e, z in zip(eig, zero)),
+            sum(e < 0 and not z for e, z in zip(eig, zero)), sum(zero))
 
 
 def field_kx(x):
@@ -151,8 +166,8 @@ def eigenspaces(x, tol=1e-9):
 def _eigenspaces_float(x, tol):
     import numpy as np
     S = np.array([[float(v) for v in row] for row in s_case1(x)])
-    delta = float(delta_case1_explicit(x))
-    if abs(delta) <= _cutoff(x, tol, 4):
+    delta = _finite(float(delta_case1_explicit(x)))
+    if float_zero(delta, x.max_abs(), 4, tol):
         raise ValueError("not semistable")
     lam = np.sqrt(complex(delta))
     bases = []

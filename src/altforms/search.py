@@ -84,6 +84,9 @@ def _x_items(x):
     for key, v in items:
         if not math.isfinite(v):
             raise ValueError(f"non-finite coefficient {v!r} at {','.join(map(str, key))!r}")
+    # the depth guard keeps every minor below 2^53, so every value x(h) is finite when this is
+    if not math.isfinite(sum(abs(v) for _, v in items) * 2.0 ** 53):
+        raise ValueError("coefficients too large: sum |c| * 2^53 overflows")
     return [([i - 1 for i in key], v) for key, v in items]
 
 

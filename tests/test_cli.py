@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 
@@ -677,6 +678,26 @@ def test_cli_invariant_overflow_is_an_error(tmp_path, capsys, dim, degree):
     code, out, err = run(capsys, "invariant", path)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "too large" in err
+
+
+@pytest.mark.parametrize("command", ("invariant", "classify"))
+def test_cli_an_overflowing_square_gets_the_overflow_message(tmp_path, capsys, command):
+    # the float (ab - tr) ** 2 of delta raised OverflowError, printed as
+    # "error: (34, 'Numerical result out of range')"
+    doc = {"dim": 6, "degree": 3, "scalar": "float", "coeffs": {"1,2,3": 1e80, "4,5,6": 1e80}}
+    _rejected(tmp_path, capsys, (command,), doc,
+              "float coefficients too large: an invariant overflows")
+
+
+@pytest.mark.parametrize("command", ("invariant", "classify"))
+def test_cli_an_overflowing_dim7_delta_is_an_error(tmp_path, capsys, command):
+    # Q_x of 1e20 * case2_w is finite but its det is not: classify printed
+    # "delta": Infinity (not JSON) and exited 0, after a numpy RuntimeWarning
+    x = make_rep("case2_w").as_float().scale(1e20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _rejected(tmp_path, capsys, (command,), form_to_dict(x),
+                  "float coefficients too large: an invariant overflows")
 
 
 def test_cli_invariant_case3_float_is_not_exact(tmp_path, capsys):

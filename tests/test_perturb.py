@@ -144,6 +144,21 @@ def test_case2_target_restriction_of_split_rep():
     assert cert.orbit.real_orbit == "case2_split"
 
 
+@pytest.mark.parametrize("key, value, eps", (((1, 2, 4), 2.0, 0.1), ((1, 3, 5), 2.0, 0.01),
+                                             ((1, 4, 5), 1.0, 0.01), ((4, 5, 6), 2.0, 0.1)))
+def test_case2_certificates_clear_the_cutoff_on_bryants_b(key, value, eps):
+    # one-entry targets whose case2_split certificates had a B_x = Q_x / 6 within
+    # 1e-9 * s^3 of singular: the Q_x cutoff was 6 times looser than the same rule on B_x;
+    # each now certifies a form clear of that cutoff (23 others of the 33 now exit 1)
+    import numpy as np
+    from altforms.invariants import q_case2
+    y = {k: (value if k == key else 0.0) for k in constrained_keys(2)}
+    x = extend_case2(y, eps).form
+    eig = np.linalg.eigvalsh(np.array(q_case2(x).gram, dtype=float)) / 6
+    assert np.abs(eig).min() > 1e-9 * x.max_abs() ** 3
+    assert eig.min() < 0 < eig.max()
+
+
 def test_case3_trivial_and_zero():
     vals = {k: 0.0 for k in constrained_keys(3, 2)}
     vals[(1, 2)] = 1.0

@@ -132,6 +132,30 @@ def test_non_finite_coefficients_are_rejected(bad):
             assert str(err.value) == message
 
 
+def test_an_overflowing_form_is_rejected_before_the_search(tmp_path, capsys):
+    # the search ran every depth with numpy overflow warnings and returned objective 1e308;
+    # the CLI exited 1 only after it, from hypothesis_check
+    import json
+    import warnings
+    from altforms.cli import main
+    from altforms.serialize import form_to_dict
+    x = AlternatingForm(4, 2, {(1, 2): 1e308, (3, 4): 1e308, (1, 3): 0.5})
+    y = {(1, 2): 0.5, (1, 3): 0.0, (2, 3): 1.0}
+    message = "coefficients too large: sum |c| * 2^53 overflows"
+    xpath, ypath = tmp_path / "x.json", tmp_path / "y.json"
+    xpath.write_text(json.dumps(form_to_dict(x)))
+    ypath.write_text(json.dumps({"case": 3, "n": 2, "values": {"1,2": 0.5, "1,3": 0.0,
+                                                               "2,3": 1.0}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError) as err:
+            S.approximate(x, y, S.SearchConfig(beam_width=4, max_depth=3))
+        assert str(err.value) == message
+        code = main(["approximate", str(xpath), str(ypath), "--beam", "4", "--depth", "3"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (1, "", f"error: {message}\n")
+
+
 def test_candidate_determinant_maintained():
     y = {(1, 2): 0.5, (1, 3): 0.5, (2, 3): 0.5}
     res = S.approximate(IRRATIONAL_X4, y, S.SearchConfig(beam_width=16, max_depth=6))
