@@ -14,6 +14,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+# hashlib.blake2b is this function (CPython never takes blake2 from OpenSSL), and importing
+# hashlib loads OpenSSL
+from _blake2 import blake2b
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,16 +161,24 @@ def approximate(x, y, config=None):
     changes; no array of every child's values is built.  A score is a fixed-order sum over
     exact minors, so the copies of one matrix score the same bit for bit and the stable
     ranking holds them in expansion order: duplicates are dropped after ranking, by content
-    (np.unique over one byte row per matrix, first copies kept), from a prefix of the ranking
-    that grows until it holds the beam and the whole tie group at its end.  Child matrices
-    are built only for that prefix.  One lexsort orders the children reaching into the beam
-    by (objective, hash, parent word, move), and hashes only the children that tie with
-    another.  The minors of the beam are its parents' minors plus each move's term where the
-    move changes them.  Each depth sums its parents' values from their minors, from zeros in
-    the order that scored them: exact integer minors make these the floats their objectives
-    were taken from, so no values are carried from one depth to the next.
+    (a stable argsort over one byte row per matrix, first copies kept), from a prefix of the
+    ranking that grows until it holds the beam and the whole tie group at its end.  Child
+    matrices are built only for that prefix.  One lexsort orders the children reaching into
+    the beam by (objective, hash, parent word, move), and hashes only the children that tie
+    with another; the digest is _blake2.blake2b, the function hashlib.blake2b names, taken
+    without hashlib, which loads OpenSSL.  The minors of the beam are its parents' minors
+    plus each move's term where the move changes them.  Each depth sums its parents' values
+    from their minors, from zeros in the order that scored them: exact integer minors make
+    these the floats their objectives were taken from, so no values are carried from one
+    depth to the next.
+
+    The minors are float64 from the start: the depth guard keeps deg! max|h|^deg, which
+    bounds every minor of every child, below 2^53, so each minor, each parent's minor plus
+    or minus a move's term, and each sum of the update is an integer that float64 holds
+    exactly.  Parents are scored a block at a
+    time, the scores and the ranking are freed before the update, and the update allocates
+    one new minors array.
     """
-    import hashlib  # lazily: it loads OpenSSL, which commands without a search do not need
     config = config or SearchConfig()
     n, deg, both, beam = x.dim, x.degree, config.both_sides, config.beam_width
     items, targets = _x_items(x), _targets(x, y)
@@ -186,8 +197,9 @@ def approximate(x, y, config=None):
     uq, ut = np.nonzero(~changed)  # the targets a pair leaves alone
     mq, tc = 2 * pq, tcols[pt]  # mq: the pair's first move, E_ij(+1)
     a2, c2 = ccoef[mq, tc].astype(float), csrc[mq, tc]
-    # without left moves e = m2, and m1 + e goes to the sibling whose ccoef is +1
-    flip = 0 if both else (a2 < 0)
+    # without left moves e = m2, and m1 + e goes to the sibling whose ccoef is +1: on the
+    # columns flip (a2 < 0) that is E_ij(-1)
+    flip = np.flatnonzero((a2 < 0) & (not both))
     if both:
         rs, rc = rsrc[mq][:, krows], rcoef[mq][:, krows].astype(float)
     salt = int(config.seed).to_bytes(8, "little", signed=True)
@@ -219,60 +231,56 @@ def approximate(x, y, config=None):
             out += np.multiply(minors[r][:, tcols], c, out=term)
         return np.abs(out - tvals)
 
-    # minors[r, b, c] = det h_b[row set r, sets[c]]
-    minors = np.eye(nc, dtype=np.int64)[list(range(nc)) if both else kpos][:, None, :]
-    H, words = np.eye(n, dtype=np.int64)[None], np.zeros((1, 0), dtype=np.intp)
-    trace = [float(devs(minors).max())]
-    best = BasisCandidate(H[0].copy(), (), trace[0])
-
-    for depth in range(1, config.max_depth + 1):
-        # max |child entry|: a move adds one row (column) entry to another of the same row (column)
-        hmax = np.sort(np.abs(H), axis=2)[:, :, -2:].sum(2).max()
-        if both:
-            hmax = max(hmax, np.sort(np.abs(H), axis=1)[:, -2:, :].sum(1).max())
-        if math.factorial(deg) * int(hmax) ** deg >= 2 ** 53:
-            raise ArithmeticError("basis entries too large for exact float minors")
-
-        # the minors and every child's minor are integers below 2^53 (the guard), so m1 +- e
-        # and these float sums are the exact integer ones, added in _x_items order
-        base = (np.arange(len(H)) * nc)[:, None]
-        i1, i2 = base + tc, base + c2
-        fm = minors.reshape(len(minors), len(H) * nc).astype(float)
-        plus, minus = np.zeros(i1.shape), np.zeros(i1.shape)
-        for k, (r, (_, c)) in enumerate(zip(krows, items)):
-            m1, e = fm[r].take(i1), fm[r].take(i2)
-            if both:
-                e *= a2
-                e += rc[:, k] * fm[rs[:, k], i1]
-            m1e = m1 + e
-            m1 -= e
-            m1e *= c
-            m1 *= c
-            plus += m1e
-            minus += m1
-        del i1, i2, fm  # before the deviations: peak memory
+    def scores(minors):
+        """Every child's objective, child p * nm + m for parent p and move m.  Parents are
+        scored a block at a time, on buffers of at most 2^14 items: a child's sums do not
+        depend on the other children."""
+        nh = minors.shape[1]
+        flat = minors.reshape(len(minors), nh * nc)
         # a child's objective: the larger of its parent's deviations on the targets its pair
         # leaves alone and its own on the targets the pair changes (a max is exact)
         keep = kept_max(devs(minors)[:, ut])
-        dp, dm = np.abs(plus - tvals[pt]), np.abs(minus - tvals[pt])
-        dp, dm = np.where(flip, dm, dp), np.where(flip, dp, dm)
-        objs = np.empty((len(H), nm // 2, 2))
-        np.maximum(keep, changed_max(dp), out=objs[:, :, 0])
-        np.maximum(keep, changed_max(dm), out=objs[:, :, 1])
-        del keep, dp, dm
-        objs = objs.reshape(-1)
+        objs = np.empty((nh, nm // 2, 2))
+        step = min(nh, max(1, 2 ** 14 // max(1, len(pq))))
+        bufs = np.empty((5, step, len(pq)))
+        for lo in range(0, nh, step):
+            hi = min(lo + step, nh)
+            base = (np.arange(lo, hi) * nc)[:, None]
+            i1, i2 = base + tc, base + c2
+            plus, minus, m1, e, m1e = bufs[:, :hi - lo]
+            plus.fill(0)
+            minus.fill(0)
+            for k, (r, (_, c)) in enumerate(zip(krows, items)):
+                flat[r].take(i1, out=m1, mode="clip")  # in range: clip takes into m1 unbuffered
+                flat[r].take(i2, out=e, mode="clip")
+                if both:
+                    e *= a2
+                    e += rc[:, k] * flat[rs[:, k], i1]
+                np.add(m1, e, out=m1e)
+                m1 -= e
+                m1e *= c
+                m1 *= c
+                plus += m1e
+                minus += m1
+            for d in (plus, minus):
+                d -= tvals[pt]
+                np.abs(d, out=d)
+            plus[:, flip], minus[:, flip] = minus[:, flip], plus[:, flip]
+            np.maximum(keep[lo:hi], changed_max(plus), out=objs[lo:hi, :, 0])
+            np.maximum(keep[lo:hi], changed_max(minus), out=objs[lo:hi, :, 1])
+        return objs.reshape(-1)
 
+    def select(objs, H, words):
+        """The beam's parents, moves and matrices, and the objective of its first child."""
         order = np.argsort(objs, kind="stable")
         ranked = objs[order]
         # the first copy of each matrix, over a prefix of the ranking that holds beam distinct
         # children and ends past the objective of the last of them (its whole tie group)
-        blocks, stop = [], 0
+        top, stop = H[:0], 0
         while stop < len(order):
             start, stop = stop, min(2 * max(stop, beam), len(order))
-            blocks.append(children(H, *np.divmod(order[start:stop], nm)))
-            top = np.concatenate(blocks)
-            rows = top.reshape(stop, nb // 8).view(np.dtype((np.void, nb))).ravel()
-            pos = np.sort(np.unique(rows, return_index=True)[1])
+            top = np.concatenate([top, children(H, *np.divmod(order[start:stop], nm))])
+            pos = _first_copies(top.reshape(stop, nb // 8).view(np.dtype((np.void, nb))).ravel())
             if len(pos) >= beam and ranked[stop - 1] > ranked[pos[beam - 1]]:
                 break
         order, ranked = order[pos], ranked[pos]
@@ -285,20 +293,48 @@ def approximate(x, y, config=None):
         tied, raw = np.flatnonzero(size[run] > 1).tolist(), top.tobytes()
         digest = np.zeros(end, dtype=np.uint64)
         digest[tied] = np.frombuffer(b"".join(
-            hashlib.blake2b(salt + raw[k * nb:(k + 1) * nb], digest_size=8).digest()
+            blake2b(salt + raw[k * nb:(k + 1) * nb], digest_size=8).digest()
             for k in tied), dtype=">u8")
         idx = np.lexsort((mk, *words[pk].T[::-1], digest, run))[:cut]
-        ps, mm = pk[idx], mk[idx]
+        return pk[idx], mk[idx], top[idx], float(ranked[idx[0]])
 
-        new = minors.take(ps, axis=1)
+    def update(minors, ps, mm):
+        """The minors of the children (ps, mm): their parents' minors, in one new array, with
+        each move's term added where the move changes them."""
         kk, cc = np.nonzero(ccoef[mm])
-        new[:, kk, cc] += ccoef[mm[kk], cc] * minors[:, ps[kk], csrc[mm[kk], cc]]
+        right = minors[:, ps[kk], csrc[mm[kk], cc]]
+        right *= ccoef[mm[kk], cc]
+        right += minors[:, ps[kk], cc]
         if both:
-            kk, rr = np.nonzero(rcoef[mm])
-            new[rr, kk, :] += rcoef[mm[kk], rr][:, None] * minors[rsrc[mm[kk], rr], ps[kk], :]
-        minors, H, words = new, top[idx], np.concatenate([words[ps], mm[:, None]], axis=1)
-        if ranked[idx[0]] < best.objective:
-            best = BasisCandidate(H[0].copy(), tuple(words[0].tolist()), float(ranked[idx[0]]))
+            lk, rr = np.nonzero(rcoef[mm])
+            left = minors[rsrc[mm[lk], rr], ps[lk], :]
+            left *= rcoef[mm[lk], rr][:, None]
+            left += minors[rr, ps[lk], :]
+        new = minors.take(ps, axis=1)
+        new[:, kk, cc] = right
+        if both:
+            new[rr, lk, :] = left
+        return new
+
+    # minors[r, b, c] = det h_b[row set r, sets[c]], held as floats: integers below 2^53
+    minors = np.eye(nc)[list(range(nc)) if both else kpos][:, None, :]
+    H, words = np.eye(n, dtype=np.int64)[None], np.zeros((1, 0), dtype=np.intp)
+    trace = [float(devs(minors).max())]
+    best = BasisCandidate(H[0].copy(), (), trace[0])
+
+    for depth in range(1, config.max_depth + 1):
+        # max |child entry|: a move adds one row (column) entry to another of the same row (column)
+        hmax = np.sort(np.abs(H), axis=2)[:, :, -2:].sum(2).max()
+        if both:
+            hmax = max(hmax, np.sort(np.abs(H), axis=1)[:, -2:, :].sum(1).max())
+        if math.factorial(deg) * int(hmax) ** deg >= 2 ** 53:
+            raise ArithmeticError("basis entries too large for exact float minors")
+        # so the minors and every child's minor are integers below 2^53: m1 +- e, the terms the
+        # update adds, and the score sums are exact
+        ps, mm, H, first = select(scores(minors), H, words)
+        minors, words = update(minors, ps, mm), np.concatenate([words[ps], mm[:, None]], axis=1)
+        if first < best.objective:
+            best = BasisCandidate(H[0].copy(), tuple(words[0].tolist()), first)
         trace.append(best.objective)
         if not trace[-1] <= trace[-2] + 1e-15:
             raise ArithmeticError("best-so-far must be non-increasing")
@@ -307,6 +343,16 @@ def approximate(x, y, config=None):
 
     _unimodular_check(best.h)
     return SearchResult(best, best.objective < config.epsilon, trace)
+
+
+def _first_copies(rows):
+    """np.sort(np.unique(rows, return_index=True)[1]), the index of the first copy of each
+    value in index order, with one copy of rows where np.unique makes three."""
+    perm = rows.argsort(kind="stable")
+    ordered = rows[perm]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return np.sort(perm[first])
 
 
 @functools.lru_cache(maxsize=None)

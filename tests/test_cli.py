@@ -470,6 +470,31 @@ sys.exit("numpy" in sys.modules)
     assert (p.returncode, p.stderr) == (0, b"")
 
 
+def test_approximate_does_not_import_openssl(tmp_path):
+    # the search took its tie-break digest from hashlib, which loads OpenSSL (_hashlib)
+    import subprocess
+    import sys
+
+    import altforms
+    src = os.path.dirname(os.path.dirname(altforms.__file__))
+    script = """
+import contextlib, io, sys
+from altforms.cli import main
+xpath, tpath = sys.argv[1:]
+for extra in ([], ["--both-sides"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["approximate", xpath, tpath, "--depth", "3", "--beam", "8", *extra]) == 0
+sys.exit("_hashlib" in sys.modules)
+"""
+    xpath = write_json(tmp_path, "w.json", form_to_dict(make_rep("case3_w", n=2).as_float()))
+    tpath = write_json(tmp_path, "t.json",
+                       {"case": 3, "n": 2, "values": {"1,2": 0.25, "1,3": 0.0, "2,3": -1.0}})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    p = subprocess.run([sys.executable, "-c", script, xpath, tpath], env=env,
+                       capture_output=True, timeout=120)
+    assert (p.returncode, p.stderr) == (0, b"")
+
+
 def test_cli_rejects_non_squarefree_discriminant(tmp_path, capsys):
     path = write_json(tmp_path, "d4.json",
                       {"dim": 6, "degree": 3, "scalar": "quadext", "d": 4,

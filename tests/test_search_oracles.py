@@ -225,6 +225,29 @@ def test_overflow_guard():
     assert_same(IRRATIONAL_X4, y, S.SearchConfig(beam_width=1, max_depth=depth))
 
 
+def test_overflow_guard_at_degree_3():
+    # test_overflow_guard on a dense dim-6 trivector: one target of 1e16 pulls the basis
+    # entries up until 6 * max|h|^3 reaches 2^53.  The last depth that passes is the one
+    # nearest the bound, and there the float minors must still give the oracle's result
+    rng = random.Random(95)
+    x = AlternatingForm(6, 3, {k: rng.uniform(-1, 1) for k in all_keys(6, 3)})
+    y = {k: 1e16 if k == (1, 2, 3) else x.coeffs[k] for k in constrained_keys(1)}
+    config = S.SearchConfig(beam_width=1, max_depth=200, both_sides=True)
+    with pytest.raises(ArithmeticError, match="too large for exact float minors"):
+        S.approximate(x, y, config)
+    depth = 0
+    while True:
+        try:
+            config.max_depth = depth + 1
+            res = S.approximate(x, y, config)
+        except ArithmeticError:
+            break
+        depth += 1
+    assert 2 ** 50 <= 6 * int(np.abs(res.candidate.h).max()) ** 3 < 2 ** 53
+    config.max_depth = depth
+    assert_same(x, y, config)
+
+
 def test_dim4_beam256_depth6():
     rng = random.Random(85)
     y = {k: rng.uniform(-1, 1) for k in constrained_keys(3, 2)}
@@ -258,7 +281,10 @@ def test_sparse_form_and_plateau():
 @pytest.fixture(params=["zeros", "mod3"])
 def colliding_keys(request, monkeypatch):
     # every tie-break hash collides (zeros) or most do (values 0, 1, 2), in the program and
-    # the oracle alike: the order of a tie group must then rest on the word alone
+    # the oracle alike: the order of a tie group must then rest on the word alone.  Returns
+    # the list of the program's digest calls, which each test checks is not empty.
+    calls = []
+
     class Digest:
         def __init__(self, data, digest_size):
             value = 0 if request.param == "zeros" else sum(data) % 3
@@ -267,19 +293,34 @@ def colliding_keys(request, monkeypatch):
         def digest(self):
             return self.value
 
+    class ProgramDigest(Digest):
+        def __init__(self, data, digest_size):
+            calls.append(data)
+            super().__init__(data, digest_size)
+
     monkeypatch.setattr(hashlib, "blake2b", Digest)
+    monkeypatch.setattr(S, "blake2b", ProgramDigest)
+    return calls
+
+
+def test_the_program_digest_is_hashlib_blake2b():
+    # the program's tie-break digest is the function hashlib.blake2b names, without hashlib
+    assert S.blake2b is hashlib.blake2b
 
 
 def test_colliding_keys_dim4_beam256(colliding_keys):
     test_dim4_beam256_depth6()
+    assert colliding_keys
 
 
 def test_colliding_keys_dense_dim7_and_both_sides(colliding_keys):
     test_dense_dim7_and_both_sides()
+    assert colliding_keys
 
 
 def test_colliding_keys_sparse_form_and_plateau(colliding_keys):
     test_sparse_form_and_plateau()
+    assert colliding_keys
 
 
 def test_dim10_two_form():
