@@ -5,8 +5,11 @@ The word alphabet is the elementary matrices E_ij(+-1), i != j (their
 inverses are in the set).  Words extend a candidate by right multiplication
 (refining the basis); left extension can be enabled as well.  Selection is a
 stable sort on (objective, seeded hash, word), and the copies of a matrix are
-dropped after it, by content, so runs are reproducible bit for bit.  The
-search runs in one thread and has no thread setting.
+dropped after it, by content, so runs are reproducible bit for bit.  Each depth
+ranks its children on screen values with a proven error bound and re-scores
+exactly only those the bound cannot order, so every result is that of exact
+scoring (see approximate).  The search runs in one thread and has no thread
+setting.
 """
 
 from __future__ import annotations
@@ -136,74 +139,105 @@ def objective_matrix(x, y, h):
 
 @dataclass
 class SearchResult:
+    """The best candidate, whether it met epsilon, the best objective after each depth, and,
+    per depth, the children scored, the children re-scored exactly, the copies of a matrix
+    dropped from the ranking prefix and the tie-break digests taken."""
     candidate: BasisCandidate
     success: bool
     trace: list
+    scored: list
+    rescored: list
+    dropped: list
+    digests: list
 
 
 def approximate(x, y, config=None):
     """Beam search for a unimodular basis minimizing the target deviation.
 
-    Deterministic for a given config: candidates are ranked by
-    (objective, seeded content hash, word), duplicates are pruned by matrix
-    content, and the best-so-far objective is non-increasing in depth
-    (checked).  The seeded hash spreads exact objective ties uniformly
-    instead of biasing the beam toward low-index generators, which matters
-    on the large plateaus the sparse representatives produce; the word order
-    remains the final tie-break, so runs with one seed agree bit for bit.
+    Deterministic for a given config: candidates are ranked by (objective, seeded content
+    hash, word), duplicates are pruned by matrix content, and the best-so-far objective is
+    non-increasing in depth (checked).  The seeded hash spreads exact objective ties
+    uniformly instead of biasing the beam toward low-index generators, which matters on the
+    large plateaus the sparse representatives produce; the word order remains the final
+    tie-break, so runs with one seed agree bit for bit.
 
-    A depth scores every child, named by (parent, move), from its parent's exact minors
-    det h[K, I], updated by the move on the target columns the move changes, as the sum over
-    x's coefficients c of c det h[K, I] that multilinear.evaluate forms.  The sibling moves
-    E_ij(+1), E_ij(-1) change the same columns by opposite amounts, so one gather serves both.
-    A child's objective is the larger of two maxima, taken per sibling pair: its parent's
-    deviations on the targets the pair leaves alone, and its own on the targets the pair
-    changes; no array of every child's values is built.  A score is a fixed-order sum over
-    exact minors, so the copies of one matrix score the same bit for bit and the stable
-    ranking holds them in expansion order: duplicates are dropped after ranking, by content
-    (a stable argsort over one byte row per matrix, first copies kept), from a prefix of the
-    ranking that grows until it holds the beam and the whole tie group at its end.  Child
-    matrices are built only for that prefix.  One lexsort orders the children reaching into
-    the beam by (objective, hash, parent word, move), and hashes only the children that tie
-    with another; the digest is _blake2.blake2b, the function hashlib.blake2b names, taken
-    without hashlib, which loads OpenSSL.  The minors of the beam are its parents' minors
-    plus each move's term where the move changes them.  Each depth sums its parents' values
-    from their minors, from zeros in the order that scored them: exact integer minors make
-    these the floats their objectives were taken from, so no values are carried from one
-    depth to the next.
+    A child, named by (parent, move), has exact integer minors det h[K, I]: its parent's,
+    plus the move's term where the move changes them.  Its exact value at a target is the
+    fixed-order sum over x's coefficients c_k of c_k times its minor on row set K_k (the sum
+    multilinear.evaluate forms), and its objective is its largest |value - target|; the
+    copies of one matrix have one exact objective.
+
+    A depth screens every child instead of summing its minors.  Per parent, P = sum_k c_k
+    minors[K_k] is one row over every column, exact at the targets.  A child's value at a
+    target its sibling pair changes is P[tc] +- P[c2] (c2 the column a right move reads), or
+    P[tc] +- one small matmul of the coefficients with the parent's minors on the row sets a
+    left move reads; at the others it is its parent's.  Its screen objective, the larger of
+    its parent's deviations on the targets the pair leaves alone (keep) and its screen
+    deviations on the others, is within delta of its exact objective (_delta derives it from
+    Higham's gamma_n bound on sums of rounded products).  A child whose screen deviations
+    plus delta are at most keep is certain: its objective is keep, exactly.  Two children
+    whose screen objectives differ by more than 2 delta are in the order of their exact ones.
+
+    The ranking is a prefix of the children by (screen objective, child index), grown a
+    block at a time (one argpartition, then the block sorted) until it holds beam distinct
+    matrices and ends more than 2 delta past the first copy of the beam-th: every child past
+    it is exactly worse than beam distinct matrices, so the prefix holds every copy of every
+    matrix that can reach the beam.  Each block's byte rows are looked up in a dict of the
+    distinct rows already found, so no row is deduped twice.  A matrix keeps its lowest
+    child index among its copies, the copy a stable sort on exact objectives keeps, and that
+    child's screen objective.  In a cluster of the prefix (a run with steps of at most
+    2 delta) that holds two or more matrices, up to 2 delta past the beam-th objective, and
+    for the first matrix, an uncertain child is re-scored by the fixed-order sum.  Sorting
+    the matrices by (objective, child index) is then, up to the beam's tie group, the stable
+    sort of the exact objectives over first copies, and the first objective, which the
+    trace records, is exact: words, bases, objectives and traces are those of scoring every
+    child exactly.
+
+    The children reaching into the beam are put in order by one lexsort on (objective, hash,
+    parent word, move), hashing only the children that tie with another; the digest is
+    _blake2.blake2b, the function hashlib.blake2b names, taken without hashlib, which loads
+    OpenSSL.  Each depth sums its parents' values from their minors, so no values are
+    carried from one depth to the next.
 
     The minors are float64 from the start: the depth guard keeps deg! max|h|^deg, which
     bounds every minor of every child, below 2^53, so each minor, each parent's minor plus
     or minus a move's term, and each sum of the update is an integer that float64 holds
-    exactly.  Parents are scored a block at a
-    time, the scores and the ranking are freed before the update, and the update allocates
-    one new minors array.
+    exactly.  The screen and the re-scoring work on arrays of at most 2^14 items, and the
+    update allocates one new minors array.  The result counts, per depth, the children
+    screened and re-scored, the copies dropped from the prefix and the digests taken.
     """
     config = config or SearchConfig()
     n, deg, both, beam = x.dim, x.degree, config.both_sides, config.beam_width
     items, targets = _x_items(x), _targets(x, y)
     sets, dst, src, sign, csrc, ccoef, rsrc, rcoef = _move_tables(n, deg, both)
-    nm, nc, nt = len(csrc), len(sets), len(targets)
-    nr = nm // 2 if both else nm
+    nm, nc, nt, nk = len(csrc), len(sets), len(targets), len(items)
+    nr, npair = (nm // 2 if both else nm), nm // 2
     kpos = [sets.index(tuple(k)) for k, _ in items]
-    krows = kpos if both else range(len(items))
+    krows = np.array(kpos if both else range(nk), dtype=np.intp)
+    coefs = np.array([c for _, c in items])
     tcols = np.array([sets.index(tuple(k)) for k, _ in targets], dtype=np.intp)
     tvals = np.array([v for _, v in targets])
-    # one item per (sibling pair 2q, 2q + 1; target column the pair changes; left moves: all),
-    # the same for every parent.  Per row set the pair adds +-e to the parent's minor m1:
-    # e = ccoef m2 (m2 the minor at csrc) for a right move, rcoef m3 for a left one.
-    changed = (ccoef[::2, tcols] != 0) | (np.arange(0, nm, 2) >= nr)[:, None]
+    # the screen's items: one per (sibling pair 2q, 2q + 1; target column the pair changes;
+    # left moves: all), the same for every parent.  The pair adds +-e to the parent's minor on
+    # each row set: e = ccoef m2 (m2 the minor at csrc) for a right move, rcoef m3 (m3 on row
+    # set rsrc) for a left one; the first sibling, E_ij(+1), adds +e
+    changed = (ccoef[::2, tcols] != 0) | (np.arange(npair) >= nr // 2)[:, None]
     pq, pt = np.nonzero(changed)
     uq, ut = np.nonzero(~changed)  # the targets a pair leaves alone
     mq, tc = 2 * pq, tcols[pt]  # mq: the pair's first move, E_ij(+1)
-    a2, c2 = ccoef[mq, tc].astype(float), csrc[mq, tc]
-    # without left moves e = m2, and m1 + e goes to the sibling whose ccoef is +1: on the
-    # columns flip (a2 < 0) that is E_ij(-1)
-    flip = np.flatnonzero((a2 < 0) & (not both))
+    a2, c2 = ccoef[mq, tc], csrc[mq, tc]
+    nright = np.searchsorted(pq, nr // 2)  # the items of right moves come first
+    c2n = c2[:nright] + nc * (a2[:nright] < 0)  # the screen reads a2 P[c2] from [P, -P]
     if both:
-        rs, rc = rsrc[mq][:, krows], rcoef[mq][:, krows].astype(float)
+        # a left pair's e on every target, sum_k c_k rcoef m3 = lw minors[:, b, tc]: the row
+        # sets rsrc of one move are distinct where rcoef is not 0
+        lm = np.arange(nr, nm, 2)
+        lq, lk = np.nonzero(rcoef[lm][:, krows])
+        lw = np.zeros((len(lm), nc))
+        lw[lq, rsrc[lm[lq], krows[lk]]] = coefs[lk] * rcoef[lm[lq], krows[lk]]
     salt = int(config.seed).to_bytes(8, "little", signed=True)
     nb = 8 * n * n
+    void = np.dtype((np.void, nb))
 
     def per_pair(q):
         """The max of an array's columns per sibling pair, for columns of pairs q (ascending);
@@ -211,7 +245,7 @@ def approximate(x, y, config=None):
         starts = np.flatnonzero(np.diff(q, prepend=-1))
 
         def reduce(a):
-            out = np.zeros((len(a), nm // 2))
+            out = np.zeros((len(a), npair))
             if len(q):
                 out[:, q[starts]] = np.maximum.reduceat(a, starts, axis=1)
             return out
@@ -224,71 +258,103 @@ def approximate(x, y, config=None):
         out[k, dst[m]] += sign[m, None] * out[k, src[m]]
         return out.reshape(-1, n, n)
 
-    def devs(minors):
-        """[b, t]: |x(h_b) - y_t|, x(h_b) summed over x's items from zeros as scores are."""
-        out, term = np.zeros((minors.shape[1], nt)), np.empty((minors.shape[1], nt))
-        for r, (_, c) in zip(krows, items):
-            out += np.multiply(minors[r][:, tcols], c, out=term)
-        return np.abs(out - tvals)
-
-    def scores(minors):
-        """Every child's objective, child p * nm + m for parent p and move m.  Parents are
-        scored a block at a time, on buffers of at most 2^14 items: a child's sums do not
-        depend on the other children."""
-        nh = minors.shape[1]
-        flat = minors.reshape(len(minors), nh * nc)
-        # a child's objective: the larger of its parent's deviations on the targets its pair
-        # leaves alone and its own on the targets the pair changes (a max is exact)
-        keep = kept_max(devs(minors)[:, ut])
-        objs = np.empty((nh, nm // 2, 2))
+    def screen(minors):
+        """Every child's screen objective and whether it is uncertain (child p * nm + m for
+        parent p and move m), and delta.  Parents are screened a block at a time, on
+        buffers of at most 2^14 items."""
+        P = values(minors)
+        keep = kept_max(np.abs(P[:, tcols] - tvals)[:, ut])
+        nh, delta = P.shape[0], _delta(coefs, minors, tvals)
+        flat = np.concatenate([P, -P], axis=1).ravel()
+        objs, unsure = np.empty((nh, npair, 2)), np.empty((nh, npair, 2), dtype=bool)
         step = min(nh, max(1, 2 ** 14 // max(1, len(pq))))
-        bufs = np.empty((5, step, len(pq)))
+        both_signs, e = np.empty((2, step, len(pq))), np.empty((step, len(pq)))
         for lo in range(0, nh, step):
             hi = min(lo + step, nh)
-            base = (np.arange(lo, hi) * nc)[:, None]
-            i1, i2 = base + tc, base + c2
-            plus, minus, m1, e, m1e = bufs[:, :hi - lo]
-            plus.fill(0)
-            minus.fill(0)
-            for k, (r, (_, c)) in enumerate(zip(krows, items)):
-                flat[r].take(i1, out=m1, mode="clip")  # in range: clip takes into m1 unbuffered
-                flat[r].take(i2, out=e, mode="clip")
-                if both:
-                    e *= a2
-                    e += rc[:, k] * flat[rs[:, k], i1]
-                np.add(m1, e, out=m1e)
-                m1 -= e
-                m1e *= c
-                m1 *= c
-                plus += m1e
-                minus += m1
-            for d in (plus, minus):
-                d -= tvals[pt]
-                np.abs(d, out=d)
-            plus[:, flip], minus[:, flip] = minus[:, flip], plus[:, flip]
-            np.maximum(keep[lo:hi], changed_max(plus), out=objs[lo:hi, :, 0])
-            np.maximum(keep[lo:hi], changed_max(minus), out=objs[lo:hi, :, 1])
-        return objs.reshape(-1)
+            base = (np.arange(lo, hi) * 2 * nc)[:, None]
+            v, d = both_signs[:, :hi - lo], e[:hi - lo]
+            flat.take(base + tc, out=v[0], mode="clip")  # in range: clip takes unbuffered
+            flat.take(base + c2n, out=d[:, :nright], mode="clip")
+            if both:
+                left = np.matmul(lw, minors[:, lo:hi, tcols].transpose(1, 0, 2))
+                d[:, nright:] = left.reshape(hi - lo, -1)
+            np.subtract(v[0], d, out=v[1])
+            v[0] += d
+            v -= tvals[pt]
+            np.abs(v, out=v)
+            high = changed_max(v.reshape(-1, len(pq))).reshape(2, hi - lo, npair)
+            high = high.transpose(1, 2, 0)  # [parent, pair, sibling], as objs
+            np.maximum(keep[lo:hi, :, None], high, out=objs[lo:hi])
+            np.greater(high + delta, keep[lo:hi, :, None], out=unsure[lo:hi])
+        return objs.reshape(-1), unsure.reshape(-1), delta
 
-    def select(objs, H, words):
-        """The beam's parents, moves and matrices, and the objective of its first child."""
-        order = np.argsort(objs, kind="stable")
-        ranked = objs[order]
-        # the first copy of each matrix, over a prefix of the ranking that holds beam distinct
-        # children and ends past the objective of the last of them (its whole tie group)
-        top, stop = H[:0], 0
-        while stop < len(order):
-            start, stop = stop, min(2 * max(stop, beam), len(order))
-            top = np.concatenate([top, children(H, *np.divmod(order[start:stop], nm))])
-            pos = _first_copies(top.reshape(stop, nb // 8).view(np.dtype((np.void, nb))).ravel())
-            if len(pos) >= beam and ranked[stop - 1] > ranked[pos[beam - 1]]:
+    def exact(minors, kids):
+        """The objectives of children kids by the fixed-order sum: the largest |value - target|
+        over the targets, from the child's minors on the target columns, its parent's plus the
+        move's term as update adds it.  A block of at most 2^14 minors at a time."""
+        flat = minors.reshape(len(minors), minors.shape[1] * nc)
+        out = np.empty(len(kids))
+        step = max(1, 2 ** 14 // (max(1, len(flat)) * nt))
+        for lo in range(0, len(kids), step):
+            p, m = np.divmod(kids[lo:lo + step], nm)
+            at = p[:, None] * nc
+            own = flat.take(at + tcols, axis=1)
+            z = flat.take(at + csrc[m][:, tcols], axis=1)[krows]
+            z *= ccoef[m][:, tcols]
+            if both:
+                rows = rsrc[m][:, krows].T[:, :, None]
+                z += rcoef[m][:, krows].T[:, :, None] * np.take_along_axis(own, rows, axis=0)
+            z += own[krows]  # exact: at most one term is not 0, and the sum is a minor
+            out[lo:lo + step] = np.abs(_fixed_sum(z, coefs, z.shape[1:]) - tvals).max(axis=1)
+        return out
+
+    def select(objs, unsure, delta, minors, H, words):
+        """The beam's parents, moves and matrices, the objective of its first child, and the
+        counts of children screened and re-scored, copies dropped and digests taken."""
+        # a prefix of the ranking that holds beam distinct matrices and ends 2 delta past the
+        # first copy of the beam-th, grown a block at a time: its objectives, the first
+        # position of each matrix in it, and at that position the lowest child index among the
+        # matrix's copies.  seen maps each distinct byte row found to its first position, so a
+        # block is deduped against the rows before it without sorting them again
+        stop, ranked, seen = 0, np.empty(0), {}
+        first, lowest = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        while stop < len(objs):
+            start, stop = stop, min(2 * max(stop, beam), len(objs))
+            # the first stop children by (objective, child index), the order of a stable sort
+            part = np.argpartition(objs, stop - 1)[:stop]
+            bound = objs[part].max()
+            less = part[objs[part] < bound]
+            kids = np.concatenate([less, np.flatnonzero(objs == bound)[:stop - len(less)]])
+            kids = kids[np.lexsort((kids, objs[kids]))][start:]
+            rows = children(H, *np.divmod(kids, nm)).reshape(len(kids), nb // 8)
+            rows = rows.view(void).ravel().tolist()
+            key = np.fromiter(map(seen.setdefault, rows, range(start, stop)), np.intp, len(kids))
+            ranked, lowest = np.concatenate([ranked, objs[kids]]), np.concatenate([lowest, kids])
+            np.minimum.at(lowest, key, kids)
+            first = np.concatenate([first, start + np.flatnonzero(key == np.arange(start, stop))])
+            if len(first) >= beam and ranked[-1] > ranked[first[beam - 1]] + 2 * delta:
                 break
-        order, ranked = order[pos], ranked[pos]
-        cut = min(beam, len(order))
+        # a matrix takes its lowest child index, the copy a stable sort on exact objectives
+        # keeps, and that child's screen objective.  In a cluster (a run of the prefix with
+        # steps of at most 2 delta) of two or more matrices, up to 2 delta past the beam-th
+        # screen objective (no matrix past it reaches the beam), and first, a matrix whose
+        # child is uncertain is re-scored exactly: then every two matrices whose objectives
+        # are 2 delta or less apart and may reach the beam have exact objectives
+        cluster = np.cumsum(np.append(True, ranked[1:] - ranked[:-1] > 2 * delta))[first]
+        low = lowest[first]
+        vals, cut = objs[low], min(beam, len(low))
+        many = np.bincount(cluster)[cluster] > 1
+        many &= vals <= vals[np.argpartition(vals, cut - 1)[cut - 1]] + 2 * delta
+        many[0] = True  # the first objective is the trace's
+        redo = np.flatnonzero(many & unsure[low])
+        if len(redo):
+            vals[redo] = exact(minors, low[redo])
+        o = np.lexsort((low, vals))
+        kids, ranked = low[o], vals[o]
         end = int(np.searchsorted(ranked, ranked[cut - 1], side="right"))
-        top = top[pos[:end]]  # every child reaching into the beam, in order
+        pk, mk = np.divmod(kids[:end], nm)
+        top = children(H, pk, mk)  # every child reaching into the beam, in order
         # ties in objective go by (seeded hash, word): the parent's word, then the move
-        pk, mk = np.divmod(order[:end], nm)
         _, run, size = np.unique(ranked[:end], return_inverse=True, return_counts=True)
         tied, raw = np.flatnonzero(size[run] > 1).tolist(), top.tobytes()
         digest = np.zeros(end, dtype=np.uint64)
@@ -296,7 +362,8 @@ def approximate(x, y, config=None):
             blake2b(salt + raw[k * nb:(k + 1) * nb], digest_size=8).digest()
             for k in tied), dtype=">u8")
         idx = np.lexsort((mk, *words[pk].T[::-1], digest, run))[:cut]
-        return pk[idx], mk[idx], top[idx], float(ranked[idx[0]])
+        counts = len(objs), len(redo), stop - len(first), len(tied)
+        return pk[idx], mk[idx], top[idx], float(ranked[idx[0]]), counts
 
     def update(minors, ps, mm):
         """The minors of the children (ps, mm): their parents' minors, in one new array, with
@@ -316,11 +383,16 @@ def approximate(x, y, config=None):
             new[rr, lk, :] = left
         return new
 
+    def values(minors):
+        """[b, c]: x(h_b) on column c, P = sum_k c_k minors[K_k]."""
+        return _fixed_sum([minors[r] for r in krows], coefs, minors.shape[1:])
+
     # minors[r, b, c] = det h_b[row set r, sets[c]], held as floats: integers below 2^53
     minors = np.eye(nc)[list(range(nc)) if both else kpos][:, None, :]
     H, words = np.eye(n, dtype=np.int64)[None], np.zeros((1, 0), dtype=np.intp)
-    trace = [float(devs(minors).max())]
+    trace = [float(np.abs(values(minors)[:, tcols] - tvals).max())]
     best = BasisCandidate(H[0].copy(), (), trace[0])
+    scored, rescored, dropped, digests = [], [], [], []
 
     for depth in range(1, config.max_depth + 1):
         # max |child entry|: a move adds one row (column) entry to another of the same row (column)
@@ -330,8 +402,10 @@ def approximate(x, y, config=None):
         if math.factorial(deg) * int(hmax) ** deg >= 2 ** 53:
             raise ArithmeticError("basis entries too large for exact float minors")
         # so the minors and every child's minor are integers below 2^53: m1 +- e, the terms the
-        # update adds, and the score sums are exact
-        ps, mm, H, first = select(scores(minors), H, words)
+        # update adds, and the exact sums' terms are exact
+        ps, mm, H, first, counts = select(*screen(minors), minors, H, words)
+        for total, count in zip((scored, rescored, dropped, digests), counts):
+            total.append(count)
         minors, words = update(minors, ps, mm), np.concatenate([words[ps], mm[:, None]], axis=1)
         if first < best.objective:
             best = BasisCandidate(H[0].copy(), tuple(words[0].tolist()), first)
@@ -342,17 +416,35 @@ def approximate(x, y, config=None):
             break
 
     _unimodular_check(best.h)
-    return SearchResult(best, best.objective < config.epsilon, trace)
+    return SearchResult(best, best.objective < config.epsilon, trace, scored, rescored, dropped,
+                        digests)
 
 
-def _first_copies(rows):
-    """np.sort(np.unique(rows, return_index=True)[1]), the index of the first copy of each
-    value in index order, with one copy of rows where np.unique makes three."""
-    perm = rows.argsort(kind="stable")
-    ordered = rows[perm]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    return np.sort(perm[first])
+def _fixed_sum(rows, coefs, shape):
+    """sum_k coefs[k] rows[k] (arrays of the given shape), from zeros in the order of the
+    coefficients: the sum multilinear.evaluate forms, and the one by which the search takes
+    every exact value."""
+    out, term = np.zeros(shape), np.empty(shape)
+    for row, c in zip(rows, coefs):
+        out += np.multiply(row, c, out=term)
+    return out
+
+
+def _delta(coefs, minors, targets):
+    """A bound on |screen deviation - exact deviation| for every child of minors, doubled.
+
+    With u = 2^-53, K = len(coefs) and M = sum |c_k| max |minor|, which bounds
+    sum_k |c_k| |m_k| for every column of minors a value reads, the fixed-order sum
+    sum_k c_k (m1_k +- e_k) and the screen value P[tc] +- P[c2] (or P[tc] +- the left term)
+    are each within gamma_K 2M + u 2M (1 + gamma_K) of the real value: gamma_n = nu/(1 - nu)
+    bounds the error of a sum of n rounded products in any order (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1), a zero term adds none, and the
+    screen rounds its +- once more.  Subtracting a target t rounds each once more, so the two
+    deviations differ by at most (2 gamma_K + 3u(1 + gamma_K)) 2M + 2u max|t|, which is below
+    2(K + 4) u (2M + max|t|) for K below 10^6.  The other half of delta covers the rounding
+    of M and of the comparisons made with delta."""
+    bound = np.abs(coefs).sum() * max(minors.max(initial=0.0), -minors.min(initial=0.0))
+    return 4 * (len(coefs) + 4) * 2.0 ** -53 * (2 * bound + np.abs(targets).max(initial=0.0))
 
 
 @functools.lru_cache(maxsize=None)

@@ -9,8 +9,9 @@ on (objective, digest bytes, word).  The program carries exact integer
 minors instead and takes each child's objective as the larger of two
 per-sibling-pair maxima (its parent's deviations on the targets the pair
 leaves alone, its own on the targets the pair changes), carrying values only
-for the beam.  It scores every child before it drops the copies of a matrix
-(``np.unique`` over a prefix of its ranking), and orders the children that
+for the beam.  It screens every child with a value within delta of that
+objective, re-scores exactly the near ties the screen cannot order, drops the
+copies of a matrix over a prefix of its ranking, and orders the children that
 reach into the beam with one ``np.lexsort`` on (objective run, digest as a
 big-endian integer, word columns, move), hashing only ties.  The results
 must agree bit for bit: word (Python ints), basis, objective and trace.  The
@@ -496,3 +497,111 @@ def test_move_tables_match_the_sort_sign_loop(n, deg, both_sides):
     assert got[0] == want[0]
     for g, w in zip(got[1:], want[1:]):
         assert (g is None and w is None) or (g.dtype == w.dtype and np.array_equal(g, w))
+
+
+# The screen: every child is ranked on a value within delta of its fixed-order sum, and the
+# matrices whose screen objectives are 2 delta or less apart are re-scored exactly.  Where
+# delta is large (large minors) or the objectives are close (planted targets, whose best
+# children all score near 0), screen and exact values order children differently, and only
+# the re-scoring keeps the results the oracle's.
+
+@pytest.mark.parametrize("both_sides", [False, True])
+def test_screen_at_the_beam_boundary_with_large_minors(both_sides):
+    # targets of 1e12 pull the basis entries up to about 1e6 and the minors to about 1e12,
+    # where a screen value is off its fixed-order sum by up to 1e-4
+    rng = random.Random(311 + both_sides)
+    for seed in range(3):
+        x = AlternatingForm(4, 2, {k: rng.uniform(-1, 1) for k in all_keys(4, 2)})
+        y = {k: rng.choice((1e12, -1e12, 3e11, 0.5)) for k in constrained_keys(3, 2)}
+        assert_same(x, y, S.SearchConfig(beam_width=16, max_depth=24, seed=seed,
+                                         both_sides=both_sides))
+
+
+@pytest.mark.parametrize("dim", [6, 7])
+def test_screen_at_the_beam_boundary_with_planted_targets(dim):
+    # a planted word's matrix and its neighbours score within rounding of 0, and of each
+    # other, on a dense form: their order is the exact sums'
+    rng = random.Random(320 + dim)
+    case = dim - 5
+    for i in range(4):
+        x = AlternatingForm(dim, 3, {k: rng.uniform(-1, 1) for k in all_keys(dim, 3)})
+        word = [rng.randrange(2 * dim * (dim - 1)) for _ in range(3)]
+        assert_same(x, planted(x, word, case), S.SearchConfig(
+            beam_width=8 if dim == 7 else 16, max_depth=4, epsilon=0.0, seed=i,
+            both_sides=i % 2 == 1))
+
+
+DECIMALS = (0.1, 0.2, 1 / 3, -0.7, 2.0)
+# forms with decimal coefficients (one character per key of all_keys(dim, deg): an index into
+# DECIMALS, or '.' for none) and planted words.  Near the planted matrix, sums of these
+# coefficients times integer minors fall within rounding of each other, and screen and exact
+# objectives order children differently: with delta 0, which re-scores only exact screen
+# ties, each of these returns another word or trace.  (dim, coefficients, planted word, beam,
+# depth, seed, both_sides)
+NEAR_TIES = [
+    (4, ".040..", (21, 3), 3, 4, 27, True),
+    (8, "0.310303102.2000.100..041324", (6, 3, 3, 33), 3, 5, 51, False),
+    (7, "42.......2.31234......0.30.334.33.0", (65, 22, 24), 1, 3, 73, False),
+    (4, "0443.0", (18, 7), 1, 3, 85, False),
+    (7, "1212..40......1.1.4.4..302..34.03..", (63, 17), 1, 3, 58, False),
+    (6, ".3.30.13.1024.23113.", (7, 29, 32, 15), 8, 4, 4, False),
+    (7, "23110.12210...043.0..41.42141.33122", (60, 73, 50), 2, 4, 32, True),
+]
+
+
+@pytest.mark.parametrize("dim, code, word, beam, depth, seed, both_sides", NEAR_TIES)
+def test_screen_near_ties_of_decimal_coefficients(dim, code, word, beam, depth, seed, both_sides):
+    deg, case, n = {4: (2, 3, 2), 6: (3, 1, None), 7: (3, 2, None), 8: (2, 3, 4)}[dim]
+    x = AlternatingForm(dim, deg, {k: DECIMALS[int(c)] for k, c in zip(all_keys(dim, deg), code)
+                                   if c != "."})
+    res = assert_same(x, planted(x, word, case, n), S.SearchConfig(
+        beam_width=beam, max_depth=depth, seed=seed, epsilon=0.0, both_sides=both_sides))
+    assert sum(res.rescored) > 0
+
+
+def test_dense_dim7_rescores_few_children():
+    # the configuration of test_dense_dim7_beam128_depth4: past depth 1 (84 children, so 84
+    # parents at depth 2) the screen leaves at most 5% of the children to the exact sum
+    rng = random.Random(82)
+    x = AlternatingForm(7, 3, {k: rng.uniform(-1, 1) for k in all_keys(7, 3)})
+    y = {k: rng.uniform(-1, 1) for k in constrained_keys(2)}
+    res = S.approximate(x, y, S.SearchConfig(beam_width=128, max_depth=4, epsilon=1e-12, seed=2))
+    assert res.scored == [84, 84 * 84, 128 * 84, 128 * 84]
+    assert all(r <= 0.05 * s for r, s in zip(res.rescored[1:], res.scored[1:]))
+
+
+def loop_tied_counts(x, y, config):
+    """Per depth of loop_approximate (right moves), the number of distinct children reaching
+    into the beam (objective at most the beam-th's) whose objective another of them shares:
+    those the ranking hashes."""
+    moves = S.generator_moves(x.dim)
+    items, targets = S._x_items(x), S._targets(x, y)
+    salt = int(config.seed).to_bytes(8, "little", signed=True)
+    beam, counts = [((), np.eye(x.dim, dtype=np.int64))], []
+    for _ in range(config.max_depth):
+        kids, seen = [], set()
+        for word, h in beam:
+            for m, g in enumerate(moves):
+                if (h @ g).tobytes() not in seen:
+                    seen.add((h @ g).tobytes())
+                    kids.append((word + (m,), h @ g))
+        objs = batch_objective(items, targets, np.stack([h for _, h in kids]))
+        cut = np.sort(objs)[min(config.beam_width, len(kids)) - 1]
+        _, size = np.unique(objs[objs <= cut], return_counts=True)
+        counts.append(int(size[size > 1].sum()))
+        order = sorted(range(len(kids)), key=lambda i: (
+            objs[i], hashlib.blake2b(salt + kids[i][1].tobytes(), digest_size=8).digest(),
+            kids[i][0]))
+        beam = [kids[i] for i in order[:config.beam_width]]
+    return counts
+
+
+def test_digests_on_the_tie_plateau_are_the_tied_children():
+    # every target 0.3 on case1_w: whole depths tie, and a digest is taken for each child
+    # reaching into the beam that ties with another, no more
+    x = make_rep("case1_w").as_float()
+    y = {k: 0.3 for k in constrained_keys(1)}
+    config = S.SearchConfig(beam_width=64, max_depth=6, seed=7)
+    res = assert_same(x, y, config)
+    assert res.digests == loop_tied_counts(x, y, config)
+    assert res.digests[0] == 60 and all(d > 64 for d in res.digests[1:])  # 60 moves at depth 1
