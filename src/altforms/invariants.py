@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .multilinear import _small_det, d3, integral_multiple, sort_sign
-from .scalars import clear_denominators, cube_root_rational
+from .multilinear import AlternatingForm, _small_det, all_keys, d3, sort_sign
+from .scalars import clear_denominators, cube_root_rational, finite_float
 
 # det gram(Q_x) = QCASE2_DET_RATIO * delta(x)^3, pinned at x = w.
 QCASE2_DET_RATIO = Fraction(81, 4)
@@ -77,43 +77,76 @@ def _check_shape(x, dim, degree, what):
 
 
 @lru_cache(maxsize=None)
-def _complement_table(dim):
-    """{(triple, pair): (comp, sign)} over disjoint index triples and pairs, with
-    comp the rest of 1..dim and e_triple ^ e_pair ^ e_comp = sign * e_1..dim."""
-    table = {}
-    for triple in itertools.combinations(range(1, dim + 1), 3):
-        rest = [m for m in range(1, dim + 1) if m not in triple]
-        for pair in itertools.combinations(rest, 2):
-            comp = tuple(m for m in rest if m not in pair)
-            table[triple, pair] = comp, sort_sign(triple + pair + comp)[1]
-    return table
+def _s_plan(dim):
+    """The integer contraction plan of S_x, from d3 and the complement pairing.
+
+    polar: {triple: ((pair, vec, sign), ...)}, the terms sign * e_pair (x) e_vec
+    of D3(e_triple), vec 0-based.  pairing: {pair: ((triple, comp, sign), ...)}
+    over the triples disjoint from pair, comp the rest of 1..dim, with
+    e_triple ^ e_pair ^ e_comp = sign * e_1..dim.  In dim 7 a (pair, comp)
+    fixes its triple, and in dim 6 a (pair, j) does.
+    """
+    polar = {K: tuple((pair, vec - 1, s) for (pair, (vec,)), s
+                      in d3(AlternatingForm(dim, 3, {K: 1})).items())
+             for K in all_keys(dim, 3)}
+    pairing = {}
+    for pair in all_keys(dim, 2):
+        rest = [m for m in range(1, dim + 1) if m not in pair]
+        pairing[pair] = tuple(
+            (triple, comp, sort_sign(triple + pair + comp)[1])
+            for triple in itertools.combinations(rest, 3)
+            for comp in [tuple(m for m in rest if m not in triple)])
+    return polar, pairing
 
 
-def _complement_terms(x, dx):
-    """(vec, c, comp, v) over the terms c e_pair (x) e_vec of dx = D3(x) and the
-    terms of x ^ e_pair, v being the coefficient of e_1..dim in x ^ e_pair ^ e_comp."""
-    table = _complement_table(x.dim)
-    for (pair, (vec,)), c in dx.items():
-        for triple, xv in x.coeffs.items():
-            hit = table.get((triple, pair))
-            if hit is not None:
-                comp, s = hit
-                yield vec, c, comp, s * xv
+def _s_matrix(x):
+    """S_x = sum_pair D3(x)_pair (x) T_pair, with T_pair = sum_comp v e_comp . D3(x)_comp in
+    dim 7 and -sum_j v e_j in dim 6, v the coefficient of e_1..dim in x ^ e_pair ^ e_comp.
+
+    One integer run for every scalar kind, driven by the coefficients x has: x is
+    scaled by the common denominator D of its coefficients, a float taken as its
+    exact binary64 value, to ints or Z[sqrt d] (clear_denominators), and S_{Dx}
+    is divided by D^2 (dim 6) or D^3 (dim 7) once: exactly (linalg._over), or,
+    for a float form, by int true division, so each entry is correctly rounded.
+    ValueError when a float coefficient is not finite or a float entry overflows.
+    """
+    n, is_float = x.dim, x.scalar_kind() == "float"
+    D, values = clear_denominators(Fraction(finite_float(v)) if isinstance(v, float) else v
+                                   for v in x.coeffs.values())
+    coeffs = dict(zip(x.coeffs, values))
+    polar, pairing = _s_plan(n)
+    dx = {}  # D3(Dx) by pair: [(vec, coefficient)]
+    for K, v in coeffs.items():
+        for pair, vec, s in polar[K]:
+            dx.setdefault(pair, []).append((vec, s * v))
+    # dim 6 pairs x ^ e_pair with e_j by e_j ^ e_1..5 = -e_1..5 ^ e_j: hence the -1
+    partner = dx if n == 7 else {(j,): ((j - 1, -1),) for j in range(1, 7)}
+    S = [[0] * n for _ in range(n)]
+    for pair, d1 in dx.items():
+        T = {}
+        for triple, comp, s in pairing[pair]:
+            xt = coeffs.get(triple)
+            if xt is not None and comp in partner:
+                v = s * xt
+                for v2, c2 in partner[comp]:
+                    T[v2] = T.get(v2, 0) + v * c2
+        for v1, c1 in d1:
+            row = S[v1]
+            for v2, t in T.items():
+                row[v2] += c1 * t
+    Dk = D ** (2 if n == 6 else 3)  # S_x is quadratic in x in dim 6, cubic in dim 7
+    if not is_float:
+        return [[linalg._over(v, Dk) for v in row] for row in S]
+    try:
+        return [[v / Dk for v in row] for row in S]
+    except OverflowError:
+        raise ValueError("float coefficients too large: an invariant overflows") from None
 
 
 def s_case1(x):
-    """S_x = x ^ D3(x) as a 6x6 matrix, quadratic in x.
-
-    x ^ e_pair pairs with e_j by e_j ^ e_1..5 = -e_1..5 ^ e_j: hence the minus.
-    An exact x is built as S_{D x} over Z or Z[sqrt d] and divided by D^2.
-    """
+    """S_x = x ^ D3(x) as a 6x6 matrix, quadratic in x (_s_matrix)."""
     _check_shape(x, 6, 3, "s_case1")
-    D, xd = integral_multiple(x) or (None, x)
-    zero = Fraction(0) if D is None else 0
-    S = [[zero] * 6 for _ in range(6)]
-    for vec, c, (j,), v in _complement_terms(xd, d3(xd)):
-        S[vec - 1][j - 1] = S[vec - 1][j - 1] - c * v
-    return S if D is None else [[linalg._over(v, D * D) for v in row] for row in S]
+    return _s_matrix(x)
 
 
 def delta_case1(x):
@@ -180,25 +213,13 @@ def delta_case1_explicit(z):
 
 
 def s_case2(x):
-    """S_x in wedge^7 W (x) W (x) W as a 7x7 matrix, cubic in x.
+    """S_x in wedge^7 W (x) W (x) W as a 7x7 matrix, cubic in x (_s_matrix).
 
     wedge^7 W ~ k via the coefficient of e_1..7.  The second contraction only
-    pairs a 5-form with the 2-form on its complementary indices, so terms are
-    matched by complement lookup instead of a full double loop.  An exact x
-    is built as S_{D x} over Z or Z[sqrt d] and divided by D^3.
+    pairs a 5-form with the 2-form on its complementary indices.
     """
     _check_shape(x, 7, 3, "s_case2")
-    D, xd = integral_multiple(x) or (None, x)
-    dx = d3(xd)
-    zero = Fraction(0) if D is None else 0
-    S = [[zero] * 7 for _ in range(7)]
-    by_pair = {}
-    for (pair, (vec,)), c in dx.items():
-        by_pair.setdefault(pair, []).append((vec, c))
-    for v1, c1, comp, v in _complement_terms(xd, dx):
-        for v2, c2 in by_pair.get(comp, ()):
-            S[v1 - 1][v2 - 1] = S[v1 - 1][v2 - 1] + c1 * c2 * v
-    return S if D is None else [[linalg._over(v, D ** 3) for v in row] for row in S]
+    return _s_matrix(x)
 
 
 def q_case2(x):

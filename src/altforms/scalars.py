@@ -259,12 +259,10 @@ def squarefree_part(q):
     q = Fraction(q)
     if q == 0:
         raise ValueError("squarefree_part of zero")
-    from sympy import factorint
-
     n = q.numerator * q.denominator
     sign = -1 if n < 0 else 1
     d = sign
-    for p, e in factorint(abs(n)).items():
+    for p, e in _factor(abs(n)).items():
         if e % 2:
             d *= p
     r2 = q / d
@@ -274,6 +272,36 @@ def squarefree_part(q):
     if r * r * d != q:
         raise ArithmeticError(f"squarefree part of {q} does not recompose (internal bug)")
     return d, r
+
+
+@lru_cache(maxsize=None)
+def _small_primes():
+    """The primes below 2^12, by a sieve."""
+    sieve = [True] * 4096
+    for p in range(2, 64):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, 4096, p))
+    return [p for p in range(2, 4096) if sieve[p]]
+
+
+def _factor(n):
+    """{prime: exponent} of an int n >= 1, by trial division by the primes below
+    2^12.  A cofactor left below 2^24 has no prime factor below its square root,
+    so it is prime; only a larger one goes to sympy's factorint, so sympy is
+    imported only for such numbers."""
+    out = {}
+    for p in _small_primes():
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+    if n >= 2 ** 24:
+        from sympy import factorint
+        out.update(factorint(n))
+    elif n > 1:
+        out[n] = 1
+    return out
 
 
 def _isqrt_exact(n):

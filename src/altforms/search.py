@@ -235,7 +235,13 @@ def approximate(x, y, config=None):
         lq, lk = np.nonzero(rcoef[lm][:, krows])
         lw = np.zeros((len(lm), nc))
         lw[lq, rsrc[lm[lq], krows[lk]]] = coefs[lk] * rcoef[lm[lq], krows[lk]]
-    salt = int(config.seed).to_bytes(8, "little", signed=True)
+    salted_state = blake2b(int(config.seed).to_bytes(8, "little", signed=True), digest_size=8)
+
+    def salted(raw):
+        """The digest of salt + raw: a copy of the salted state, updated by raw."""
+        h = salted_state.copy()
+        h.update(raw)
+        return h.digest()
     nb = 8 * n * n
     void = np.dtype((np.void, nb))
 
@@ -314,8 +320,9 @@ def approximate(x, y, config=None):
         # a prefix of the ranking that holds beam distinct matrices and ends 2 delta past the
         # first copy of the beam-th, grown a block at a time: its objectives, the first
         # position of each matrix in it, and at that position the lowest child index among the
-        # matrix's copies.  seen maps each distinct byte row found to its first position, so a
-        # block is deduped against the rows before it without sorting them again
+        # matrix's copies.  seen maps each distinct byte row found to its first position, in
+        # the order of first, so a block is deduped against the rows before it without sorting
+        # them again, and holds the bytes of every matrix the beam can take
         stop, ranked, seen = 0, np.empty(0), {}
         first, lowest = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
         while stop < len(objs):
@@ -353,14 +360,14 @@ def approximate(x, y, config=None):
         kids, ranked = low[o], vals[o]
         end = int(np.searchsorted(ranked, ranked[cut - 1], side="right"))
         pk, mk = np.divmod(kids[:end], nm)
-        top = children(H, pk, mk)  # every child reaching into the beam, in order
+        distinct = list(seen)
+        rows = [distinct[k] for k in o[:end].tolist()]  # every child reaching into the beam
+        top = np.frombuffer(b"".join(rows), dtype=H.dtype).reshape(end, n, n)
         # ties in objective go by (seeded hash, word): the parent's word, then the move
         _, run, size = np.unique(ranked[:end], return_inverse=True, return_counts=True)
-        tied, raw = np.flatnonzero(size[run] > 1).tolist(), top.tobytes()
+        tied = np.flatnonzero(size[run] > 1)
         digest = np.zeros(end, dtype=np.uint64)
-        digest[tied] = np.frombuffer(b"".join(
-            blake2b(salt + raw[k * nb:(k + 1) * nb], digest_size=8).digest()
-            for k in tied), dtype=">u8")
+        digest[tied] = np.frombuffer(b"".join(salted(rows[k]) for k in tied.tolist()), dtype=">u8")
         idx = np.lexsort((mk, *words[pk].T[::-1], digest, run))[:cut]
         counts = len(objs), len(redo), stop - len(first), len(tied)
         return pk[idx], mk[idx], top[idx], float(ranked[idx[0]]), counts

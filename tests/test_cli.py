@@ -873,3 +873,15 @@ def test_classify_builds_its_covariant_once(monkeypatch, capsys, tmp_path):
         assert (code, out, err) == (0, doc, "")
         assert json.loads(out)["real_orbit"] != "degenerate"
         assert calls == ["s_case1" if x.dim == 6 else "s_case2"]
+
+
+@pytest.mark.parametrize("name", ["case1_w", "case1_w1", "case2_w", "case2_w1"])
+def test_float_invariant_matrices_are_json_numbers(capsys, tmp_path, name):
+    # a sparse float form leaves most S_x entries untouched; they printed as the string "0"
+    doc = form_to_dict(make_rep(name))
+    doc = dict(doc, scalar="float", coeffs={k: float(Fraction(v)) for k, v in doc["coeffs"].items()})
+    code, out, err = run(capsys, "invariant", write_json(tmp_path, "x.json", doc))
+    assert (code, err) == (0, "")
+    out = json.loads(out)
+    matrix = out["s_matrix" if out["case"] == 1 else "q_gram"]
+    assert all(type(v) is float for row in matrix for v in row)

@@ -16,10 +16,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from altforms import cayley_dickson as cd
-from altforms import invariants, linalg
+from altforms import linalg
 from altforms.invariants import (QCASE2_DET_RATIO, delta_case1, delta_case2, q_case2,
                                  s_case1, s_case2)
-from altforms.multilinear import AlternatingForm, all_keys, d3, gl_action
+from altforms.multilinear import AlternatingForm, all_keys, d3, gl_action, sort_sign
 from altforms.scalars import QuadExt, clear_denominators
 from test_elimination_oracles import (dense_det, dense_nullspace, dense_solve_block, kernel,
                                       same, types)
@@ -147,10 +147,22 @@ def test_s_matrices_on_mixed_denominators_match_the_wedge_builders():
             same(new(x), old(x))
 
 
+def complement_terms(x, dx):
+    """(vec, c, comp, v) over the terms c e_pair (x) e_vec of dx = D3(x) and the
+    terms of x ^ e_pair, v being the coefficient of e_1..dim in x ^ e_pair ^ e_comp:
+    the join of every D3 term against every coefficient that S_x was built from
+    before its contraction plan."""
+    for (pair, (vec,)), c in dx.items():
+        for triple, xv in x.coeffs.items():
+            if set(triple).isdisjoint(pair):
+                comp = tuple(m for m in range(1, x.dim + 1) if m not in triple + pair)
+                yield vec, c, comp, sort_sign(triple + pair + comp)[1] * xv
+
+
 def generic_s_case1(x):
     """s_case1 as it ran on Q(sqrt d) forms before, uncleared: Fraction zeros."""
     S = [[Fraction(0)] * 6 for _ in range(6)]
-    for vec, c, (j,), v in invariants._complement_terms(x, d3(x)):
+    for vec, c, (j,), v in complement_terms(x, d3(x)):
         S[vec - 1][j - 1] = S[vec - 1][j - 1] - c * v
     return S
 
@@ -160,7 +172,7 @@ def generic_s_case2(x):
     dx, S, by_pair = d3(x), [[Fraction(0)] * 7 for _ in range(7)], {}
     for (pair, (vec,)), c in dx.items():
         by_pair.setdefault(pair, []).append((vec, c))
-    for v1, c1, comp, v in invariants._complement_terms(x, dx):
+    for v1, c1, comp, v in complement_terms(x, dx):
         for v2, c2 in by_pair.get(comp, ()):
             S[v1 - 1][v2 - 1] = S[v1 - 1][v2 - 1] + c1 * c2 * v
     return S

@@ -164,14 +164,13 @@ def test_scalar_and_signature_guards_run_under_python_O():
     code = (
         "from fractions import Fraction\n"
         "assert False, 'asserts are on'\n"
-        "import sympy\n"
         "from altforms import linalg, scalars\n"
-        "real_factorint, real_isqrt = sympy.factorint, scalars._isqrt_exact\n"
+        "real_factor = scalars._factor\n"
         "def wrong_sign():\n"
-        "    sympy.factorint = lambda n: {-1: 1}\n"
+        "    scalars._factor = lambda n: {-1: 1}\n"
         "    scalars.squarefree_part(Fraction(12))\n"
         "def wrong_root():\n"
-        "    sympy.factorint, scalars._isqrt_exact = real_factorint, lambda n: 1\n"
+        "    scalars._factor, scalars._isqrt_exact = real_factor, lambda n: 1\n"
         "    scalars.squarefree_part(Fraction(12))\n"
         "def skew_gram():\n"
         "    linalg.congruent_signature([[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]])\n"

@@ -283,21 +283,28 @@ def test_sparse_form_and_plateau():
 def colliding_keys(request, monkeypatch):
     # every tie-break hash collides (zeros) or most do (values 0, 1, 2), in the program and
     # the oracle alike: the order of a tie group must then rest on the word alone.  Returns
-    # the list of the program's digest calls, which each test checks is not empty.
+    # the list of the program's digest calls, which each test checks is not empty.  The
+    # program hashes by copying a salted state and updating it, so the stand-in streams too.
     calls = []
 
     class Digest:
         def __init__(self, data, digest_size):
-            value = 0 if request.param == "zeros" else sum(data) % 3
-            self.value = value.to_bytes(digest_size, "big")
+            self.data, self.size = data, digest_size
+
+        def update(self, data):
+            self.data += data
+
+        def copy(self):
+            return type(self)(self.data, self.size)
 
         def digest(self):
-            return self.value
+            value = 0 if request.param == "zeros" else sum(self.data) % 3
+            return value.to_bytes(self.size, "big")
 
     class ProgramDigest(Digest):
-        def __init__(self, data, digest_size):
-            calls.append(data)
-            super().__init__(data, digest_size)
+        def digest(self):
+            calls.append(self.data)
+            return super().digest()
 
     monkeypatch.setattr(hashlib, "blake2b", Digest)
     monkeypatch.setattr(S, "blake2b", ProgramDigest)
