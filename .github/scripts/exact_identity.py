@@ -1,0 +1,107 @@
+"""Seeded identity sweep of the exact commands: prints one line per command run.
+
+Each line holds the command and its input, then the exit code and the sha256 of
+stdout and of stderr, each command run in-process through altforms.cli.main.
+The commands are stab, fixed, invariant, classify and octonion table, on two seeded
+dense and two 30%-sparse forms each of shapes (6, 3), (7, 3) and (8, 2) over Q and over
+Q(sqrt d) for d in {2, -3, 5, -1, 13}, and on every representative; then rep of
+every representative, and verify.  `fixed` is left out on the dense dim-7
+Q(sqrt d) forms, which take seconds each.  Two versions of the program print
+the same bytes on these commands when their sweeps are identical.
+
+    PYTHONPATH=src python .github/scripts/exact_identity.py > sweep.txt
+    python .github/scripts/exact_identity.py --compare a.txt b.txt
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from fractions import Fraction
+
+from altforms.cli import main as altforms
+from altforms.multilinear import AlternatingForm, all_keys
+from altforms.representatives import REP_NAMES, make_rep
+from altforms.scalars import QuadExt
+from altforms.serialize import form_to_dict
+from search_identity import compare  # the same line-by-line count
+
+SHAPES = ((6, 3), (7, 3), (8, 2))
+FIELDS = (None, 2, -3, 5, -1, 13)  # None: over Q
+COMMANDS = (("stab",), ("fixed",), ("invariant",), ("classify",), ("octonion", "table"))
+REP_KWARGS = {"case1_walpha": {"d": 2}, "case3_w": {"n": 3}}
+
+
+def rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6)))
+
+
+def forms():
+    """(name, form) pairs: the seeded forms, then the representatives."""
+    rng = random.Random(1996)
+    for dim, degree in SHAPES:
+        for d in FIELDS:
+            for density, draw in ((1.0, 1), (1.0, 2), (0.3, 1), (0.3, 2)):
+                coeffs = {}
+                for k in all_keys(dim, degree):
+                    if rng.random() < density:
+                        v = rational(rng) if d is None else QuadExt(rational(rng), rational(rng), d)
+                        if v:
+                            coeffs[k] = v
+                field = "Q" if d is None else f"Q(sqrt {d})"
+                kind = "dense" if density == 1.0 else "sparse"
+                yield f"{kind}{draw}-{dim}-{degree}-{field}", AlternatingForm(dim, degree, coeffs)
+    for name in REP_NAMES:
+        yield name, make_rep(name, **REP_KWARGS.get(name, {}))
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of altforms.cli.main(argv), in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = altforms(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def line(label, argv):
+    code, out, err = run(argv)
+    digest = [hashlib.sha256(s.encode()).hexdigest() for s in (out, err)]
+    return f"{label} exit={code} stdout={digest[0]} stderr={digest[1]}"
+
+
+def lines(workdir):
+    for name, x in forms():
+        path = os.path.join(workdir, f"{name}.json")
+        with open(path, "w") as f:
+            json.dump(form_to_dict(x), f)
+        skip_fixed = name.startswith("dense") and "-7-3-Q(sqrt" in name
+        for cmd in COMMANDS:
+            if cmd == ("fixed",) and skip_fixed:
+                continue
+            yield line(f"{' '.join(cmd)} {name}", [*cmd, path])
+    for name in REP_NAMES:
+        flags = [a for k, v in REP_KWARGS.get(name, {}).items() for a in (f"--{k}", str(v))]
+        yield line(f"rep {name}", ["rep", name, *flags])
+    yield line("verify", ["verify"])
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two sweep outputs line by line")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    with tempfile.TemporaryDirectory() as workdir:
+        for text in lines(workdir):
+            print(text, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -373,6 +373,10 @@ def octonion_from_form(x, q=None):
         def solve7(rhs):
             return [Fraction(v, Di * Dx) for v in linalg.mat_vec(inv, rhs)]
 
+    ratio = {}  # gram7 / delta, each of the 28 entries i <= j divided once
+    for i in range(7):
+        for j in range(i, 7):
+            ratio[i, j] = ratio[j, i] = gram7[i][j] / delta
     dim = 8
     table = [[None] * dim for _ in range(dim)]
     for i in range(dim):
@@ -380,14 +384,16 @@ def octonion_from_form(x, q=None):
         table[i][0] = tuple((1 if m == i else 0) for m in range(dim))
     for i in range(1, 8):
         for j in range(1, 8):
-            im = solve7([3 * xs.coeff(m, i, j) for m in range(1, 8)])
-            re = -gram7[i - 1][j - 1] / delta
-            table[i][j] = tuple([re] + list(im))
+            if is_float or i < j:  # a float solve of -rhs may print -0.0 where rhs gave 0.0
+                im = solve7([3 * xs.coeff(m, i, j) for m in range(1, 8)])
+            else:  # x is alternating: im(j, i) = -im(i, j) and im(i, i) = 0
+                im = [-v for v in table[j][i][1:]] if i > j else [Fraction(0)] * 7
+            table[i][j] = (-ratio[i - 1, j - 1], *im)
     gram = [[(0.0 if is_float else Fraction(0))] * dim for _ in range(dim)]
     gram[0][0] = 1.0 if is_float else Fraction(1)
     for i in range(7):
         for j in range(7):
-            gram[i + 1][j + 1] = gram7[i][j] / delta
+            gram[i + 1][j + 1] = ratio[i, j]
     return AlgebraStructure(8, table, gram, "O_x")
 
 

@@ -78,8 +78,13 @@ def _emit_pretty(obj, indent=0):
             else:
                 print(f"{pad}{str(k):<{width}}  {_flat(v)}")
     elif isinstance(obj, list):
-        for v in obj:
-            _emit_pretty(v, indent) if isinstance(v, (dict, list)) else print(f"{pad}{_flat(v)}")
+        for k, v in enumerate(obj):
+            if not isinstance(v, (dict, list)) or _is_flat(v):  # a scalar, or a row on one line
+                print(f"{pad}{_flat(v)}")
+                continue
+            if k and isinstance(v, list) and isinstance(obj[k - 1], list):
+                print()  # one blank line between consecutive matrices
+            _emit_pretty(v, indent)
     else:
         print(f"{pad}{_flat(obj)}")
 
@@ -139,7 +144,7 @@ def cmd_stab(args):
     x = serialize.parse_form(args.form)
     L = stabilizers.stab_lie_algebra(x)
     _emit({"dim": L.dim, "ambient": L.ambient_dim,
-           "basis": scalar_to_json(L.basis)}, args.pretty)
+           "basis": L.basis_json()}, args.pretty)
     return 0
 
 

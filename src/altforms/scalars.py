@@ -402,12 +402,24 @@ def scalar_to_json(x):
         except AttributeError:  # an entry not a Fraction: it has no _denominator
             return [scalar_to_json(v) for v in x]
     if isinstance(x, QuadExt):
-        return {"a": _ratio_json(x._A, x._D), "b": _ratio_json(x._B, x._D), "d": x.d}
+        return ratio_to_json(x)
     if isinstance(x, (int, Fraction)):
         return str(Fraction(x))
     if isinstance(x, float):
         return x
     raise TypeError(f"unsupported scalar {type(x).__name__}")
+
+
+def ratio_to_json(v, D=1):
+    """scalar_to_json(v / D) for an int D >= 1 and an int or a QuadExt v, written
+    from the ints (_ratio_json, one gcd per rational part): no Fraction or
+    QuadExt is made.  Another scalar v (D = 1) as scalar_to_json writes it."""
+    if type(v) is int:
+        return _ratio_json(v, D)
+    if type(v) is QuadExt:
+        D *= v._D
+        return {"a": _ratio_json(v._A, D), "b": _ratio_json(v._B, D), "d": v.d}
+    return scalar_to_json(v)
 
 
 def _ratio_json(p, q):

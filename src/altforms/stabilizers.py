@@ -2,7 +2,10 @@
 
 Group-level fixed points are handled at the algebra level throughout: a
 connected stabilizer fixes a vector exactly when the annihilator algebra
-does, and annihilators are exact nullspace computations.
+does, and annihilators are exact nullspace computations.  An exact algebra
+stays integral until it is printed: each basis matrix is one denominator and
+its integral entries, the kernel vector they came from as it is, and the
+checks and the stab JSON read those ints.
 """
 
 from __future__ import annotations
@@ -13,21 +16,43 @@ from functools import cached_property, lru_cache
 
 from . import linalg
 from .multilinear import AlternatingForm, all_keys, entry_moves, integral_multiple
-from .scalars import QuadExt, _reduced, clear_denominators
+from .scalars import QuadExt, _new, clear_denominators, ratio_to_json
 
 
 class LieSubalgebra:
-    """A subspace of n x n matrices, held as `entries`: {row-major index
-    i * n + j: value} of the nonzero entries of each basis matrix, which the
-    checks read.  `.basis` is made from them on first read (`matrix` makes
-    one), its zeros of the type 0 + 0 * v for an entry v not a Fraction, if
-    any.  `inexact` marks a float entry, read off the entries once."""
+    """A subspace of n x n matrices, held as `cleared`: for each basis matrix a
+    pair (D, nz), D >= 1 an int and nz the nonzero entries {row-major index
+    i * n + j: value} of D times the matrix, each an int or a QuadExt over
+    Z[sqrt d] (D = 1 in it); a float basis has D = 1 and its floats.  The
+    checks read this one copy.  `entries` (each nz divided by its D, into
+    Fractions, QuadExts or floats), `matrix(a)` and `.basis` (made on first
+    read) are views of it, their zeros of the type 0 + 0 * v for an entry v
+    not a Fraction, if any.  `inexact` marks a float entry.
+
+    LieSubalgebra(n, entries) takes the entries as `entries` gives them
+    (Fraction, QuadExt or float values) and clears each matrix once
+    (scalars.clear_denominators; a matrix with a float keeps D = 1);
+    LieSubalgebra.integral(n, cleared) takes the pairs as they are."""
 
     def __init__(self, ambient_dim, entries):
-        self.ambient_dim, self.entries = ambient_dim, entries
-        self.inexact = any(isinstance(v, float) for nz in entries for v in nz.values())
+        self._hold(ambient_dim, [_cleared(nz) for nz in entries])
 
-    dim = property(lambda self: len(self.entries))
+    @classmethod
+    def integral(cls, ambient_dim, cleared):
+        """The algebra of the pairs (D, nz) of the class docstring, as they are."""
+        L = cls.__new__(cls)
+        L._hold(ambient_dim, cleared)
+        return L
+
+    def _hold(self, ambient_dim, cleared):
+        self.ambient_dim, self.cleared = ambient_dim, cleared
+        self.inexact = any(isinstance(v, float) for _, nz in cleared for v in nz.values())
+
+    dim = property(lambda self: len(self.cleared))
+
+    @property
+    def entries(self):
+        return [_divided(D, nz) for D, nz in self.cleared]
 
     @cached_property
     def basis(self):
@@ -35,27 +60,60 @@ class LieSubalgebra:
 
     def matrix(self, a):
         """Basis matrix a, as .basis holds it, without making the whole .basis."""
-        nz, n = self.entries[a], self.ambient_dim
-        zero = _ZERO + 0 * next((v for v in nz.values() if type(v) is not Fraction), 0)
-        return [[nz.get(i * n + j, zero) for j in range(n)] for i in range(n)]
+        D, nz = self.cleared[a]
+        return _rows(self.ambient_dim, _divided(D, nz).items(), _zero(nz))
+
+    def basis_json(self):
+        """scalar_to_json(self.basis), written from the integral copy: each entry
+        v / D by scalars.ratio_to_json, with no Fraction or QuadExt made."""
+        return [_rows(self.ambient_dim, ((e, ratio_to_json(v, D)) for e, v in nz.items()),
+                      ratio_to_json(_zero(nz))) for D, nz in self.cleared]
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+def _rows(n, values, zero):
+    """The rows of the n x n matrix with the given (row-major index, value) pairs,
+    zero elsewhere."""
+    flat = [zero] * (n * n)
+    for e, v in values:
+        flat[e] = v
+    return [flat[i:i + n] for i in range(0, n * n, n)]
+
+
+def _cleared(nz):
+    """(D, D * nz) for entries {index: value}, D their least common denominator
+    (clear_denominators); (1, nz) if a value is a float."""
+    cleared = clear_denominators(nz.values())
+    return (1, nz) if cleared is None else (cleared[0], dict(zip(nz, cleared[1])))
+
+
+def _divided(D, nz):
+    """{index: v / D} over the entries of an integral copy (linalg._over: an int
+    gives a Fraction, a QuadExt a QuadExt, a float itself for D = 1)."""
+    return {e: linalg._over(v, D) for e, v in nz.items()}
+
+
+def _zero(nz):
+    """The zero of a basis matrix with the integral entries nz: 0 + 0 * v for the
+    first v not an int or a Fraction (a QuadExt or a float), if any."""
+    return _ZERO + 0 * next((v for v in nz.values() if type(v) not in (int, Fraction)), 0)
+
+
+_ZERO = Fraction(0)
 
 
 def sl_basis(n):
     """Basis of trace-zero n x n matrices: off-diagonal units then E11 - Eii."""
-    units = [_entries_from({b: 1}, n) for b in range(n * n - 1)]
-    return LieSubalgebra(n, units).basis
+    return _units(n, [_entries_from({b: 1}, n) for b in range(n * n - 1)]).basis
 
 
 def stab_lie_algebra(x):
     """Annihilator of x in sl(dim): all traceless X with lie_action(X, x) = 0.
 
-    An exact x is scaled to Z or Z[sqrt d] (integral_multiple), its system solved
-    by linalg.int_nullspace, and each vector's entries divided by its free
-    entry, once each (_entries_from).  Float forms use a numpy SVD nullspace
-    with a relative cutoff.
+    An exact x is scaled to Z or Z[sqrt d] (integral_multiple) and its system
+    solved by linalg.int_nullspace; each primitive vector v, free at fc, is
+    the basis matrix with D = v[fc] and the integral entries of v
+    (_entries_from), divided nowhere.  Float forms use a numpy SVD nullspace
+    with a relative cutoff (D = 1).
     """
     n, m, kind = x.dim, x.dim * x.dim - 1, x.scalar_kind()
     if kind == "float":
@@ -63,11 +121,12 @@ def stab_lie_algebra(x):
         A = np.array([[row.get(b, 0.0) for b in range(m)] for row in stab_system(x)], dtype=float)
         u, s, vh = np.linalg.svd(A)
         tol = max(A.shape) * (s[0] if len(s) else 0.0) * 1e-12
-        entries = [_entries_from(dict(enumerate(c.tolist())), n) for c in vh[int((s > tol).sum()):]]
+        cleared = [(1, _entries_from(dict(enumerate(c.tolist())), n))
+                   for c in vh[int((s > tol).sum()):]]
     else:
         rows = stab_system(integral_multiple(x)[1])
-        entries = [_entries_from(v, n, v[fc]) for fc, v in linalg.int_nullspace(rows, m)]
-    return LieSubalgebra(n, entries)
+        cleared = [(v[fc], _entries_from(v, n)) for fc, v in linalg.int_nullspace(rows, m)]
+    return LieSubalgebra.integral(n, cleared)
 
 
 def stab_system(x):
@@ -105,14 +164,14 @@ def _unit_moves(dim, degree):
     return {K: tuple(v) for K, v in out.items()}
 
 
-def _entries_from(v, n, m=1):
-    """The nonzero entries {row-major index: value} of sum_b v[b] / m * sl_basis(n)[b]
-    for a vector {b: v[b]} over Z (Fractions), over Z[sqrt d] (ints and QuadExts
-    with D = 1; every entry a QuadExt if one is) or of floats (m = 1, floats).
+def _entries_from(v, n):
+    """The nonzero entries {row-major index: value} of sum_b v[b] * sl_basis(n)[b]
+    for a vector {b: v[b]} over Z (ints), over Z[sqrt d] (ints and QuadExts
+    with D = 1; every entry a QuadExt if one is) or of floats.
 
     An off-diagonal v[b] is its unit's entry; E_11 - E_ii puts -v[b] at (i, i)
-    and adds v[b] at (0, 0), summed on the numerators.  Each entry is divided
-    by m once."""
+    and adds v[b] at (0, 0).  Nothing is divided: the vector's denominator is
+    the caller's D."""
     off, out, corner = n * (n - 1), {}, 0
     for b, c in v.items():
         if b < off:
@@ -124,9 +183,8 @@ def _entries_from(v, n, m=1):
     out[0] = corner
     d = next((c.d for c in v.values() if type(c) is QuadExt), None)
     if d is not None:
-        return {e: _reduced(c, 0, m, d) if type(c) is int else _reduced(c._A, c._B, m, d)
-                for e, c in sorted(out.items()) if c}
-    return {e: c if type(c) is float else Fraction(c, m) for e, c in sorted(out.items()) if c}
+        return {e: _new(c, 0, 1, d) if type(c) is int else c for e, c in sorted(out.items()) if c}
+    return {e: c for e, c in sorted(out.items()) if c}
 
 
 def fixed_space(L, shape):
@@ -139,14 +197,14 @@ def fixed_space(L, shape):
     (1 at one free column, 0 at the others): the RREF of the kernel rows
     with the column order reversed, whatever order cut the kernel down.
 
-    Each X acts through its entries, L.entries, alone (_images).  The basis
-    runs on Z or Z[sqrt d]: each matrix's entries are scaled by their common
-    denominator (clear_denominators; no kernel changes), the kernel vectors
-    are primitive, and each system is reduced by linalg.int_nullspace (a
-    Z[sqrt d] one realified onto ints).  The canonical basis is one
-    linalg.sparse_rref of the kernel rows on the reversed columns, each pivot
-    row divided by its pivot (_over), the only division.  Float bases are
-    rejected (_exact): an exact kernel of them is not the fixed space.
+    Each X acts through its integral entries, D X as L.cleared holds it,
+    alone (_images; scaling X changes no kernel).  The basis runs on Z or
+    Z[sqrt d]: the kernel vectors are primitive, and each system is reduced
+    by linalg.int_nullspace (a Z[sqrt d] one realified onto ints).  The
+    canonical basis is one linalg.sparse_rref of the kernel rows on the
+    reversed columns, each pivot row divided by its pivot (_over), the only
+    division.  Float bases are rejected (_exact): an exact kernel of them is
+    not the fixed space.
     """
     dim, degree = shape
     if L.ambient_dim != dim:
@@ -154,7 +212,7 @@ def fixed_space(L, shape):
     keys = all_keys(dim, degree)
     kernel = [{k: 1} for k in keys]
     for nz in _exact(L, "fixed_space"):
-        images = _images(dict(zip(nz, clear_denominators(nz.values())[1])), kernel, dim, degree)
+        images = _images(nz, kernel, dim, degree)
         hit = sorted({k for img in images for k in img})
         if not hit:
             continue
@@ -196,19 +254,20 @@ def _images(X, forms, dim, degree):
 
 
 def _exact(L, caller):
-    """L.entries; ValueError if L.inexact: exact zero tests on floats mislead."""
+    """The integral entries of L's matrices, without their denominators (no span
+    or kernel depends on them); ValueError if L.inexact: exact zero tests on
+    floats mislead."""
     if L.inexact:
         raise ValueError(f"{caller} needs an exact basis; float forms are not supported")
-    return L.entries
+    return [nz for _, nz in L.cleared]
 
 
 def _span(sparse, n):
-    """(mats, echelon) of n x n matrices given by their entries: mats holds them as
-    rows {i: {j: c}}, each times the lcm of its denominators, which changes no
-    span and no zero test (clear_denominators: ints, or values over Z[sqrt d]);
+    """(mats, echelon) of n x n matrices given by their integral entries (_exact:
+    ints, or values over Z[sqrt d]): mats holds them as rows {i: {j: c}};
     echelon maps each pivot (i, j) of the span, reduced once by sparse_rref,
     to (p, pivot row {(i, j): value}), p its int pivot."""
-    flat = [dict(zip(nz, clear_denominators(nz.values())[1])) for nz in sparse]
+    flat = [dict(nz) for nz in sparse]
     mats = [{} for _ in flat]  # filled before sparse_rref reduces flat in place
     for M, F in zip(mats, flat):
         for e, v in F.items():
@@ -276,27 +335,31 @@ def span_dim(subalgebras):
 
 def h1_case1():
     """Pairs of traceless 3x3 blocks on the diagonal (dimension 16)."""
-    entries = [d for b in (0, 3) for d in
-               [{(b + i) * 6 + b + j: _ONE} for i in range(3) for j in range(3) if i != j]
-               + [{b * 7: _ONE, (b + i) * 7: -_ONE} for i in (1, 2)]]
-    return LieSubalgebra(6, entries)
+    return _units(6, [d for b in (0, 3) for d in
+                      [{(b + i) * 6 + b + j: 1} for i in range(3) for j in range(3) if i != j]
+                      + [{b * 7: 1, (b + i) * 7: -1} for i in (1, 2)]])
 
 
 def u1_case1():
     """Strictly upper-right 3x3 block (dimension 9)."""
-    return LieSubalgebra(6, [{i * 6 + j: _ONE} for i in range(3) for j in range(3, 6)])
+    return _units(6, [{i * 6 + j: 1} for i in range(3) for j in range(3, 6)])
 
 
 def u2_case1():
     """Strictly lower-left 3x3 block (dimension 9)."""
-    return LieSubalgebra(6, [{i * 6 + j: _ONE} for i in range(3, 6) for j in range(3)])
+    return _units(6, [{i * 6 + j: 1} for i in range(3, 6) for j in range(3)])
 
 
 def t_case1():
     """The line through diag(I3, -I3)."""
-    return LieSubalgebra(6, [{i * 7: _ONE if i < 3 else -_ONE for i in range(6)}])
+    return _units(6, [{i * 7: 1 if i < 3 else -1 for i in range(6)}])
+
+
+def _units(n, entries):
+    """The algebra of matrices with the given int entries, D = 1 each."""
+    return LieSubalgebra.integral(n, [(1, nz) for nz in entries])
 
 
 def join(*subs):
     """The subalgebras' bases in order."""
-    return LieSubalgebra(subs[0].ambient_dim, [nz for s in subs for nz in s.entries])
+    return LieSubalgebra.integral(subs[0].ambient_dim, [p for s in subs for p in s.cleared])

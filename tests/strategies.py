@@ -1,6 +1,7 @@
-"""Hypothesis strategies for the covariance property tests: trivectors on 6-
-and 7-space over Q and Q(sqrt d), dense or sparse, and group elements acting on
-them, rational or g_alpha(d) h with h rational.
+"""Hypothesis strategies for the property tests: alternating forms (trivectors
+on 6- and 7-space, two-forms on 8-space) over Q and Q(sqrt d), dense or
+sparse, and group elements acting on them, rational or g_alpha(d) h with h
+rational.
 
 A form or a group element over Q(sqrt d) draws d from DS; the forms mix
 rational and irrational coefficients, as g_alpha-pushed forms do.
@@ -31,13 +32,18 @@ def scalars(d):
 
 
 @st.composite
-def trivectors(draw, dim, d=None):
-    """A trivector on dim-space over Q (d None) or Q(sqrt d): dense, or each
-    coefficient kept with probability 1/2."""
-    keys = all_keys(dim, 3)
+def alternating_forms(draw, dim, degree, d=None):
+    """A form of the given degree on dim-space over Q (d None) or Q(sqrt d):
+    dense, or each coefficient kept with probability 1/2."""
+    keys = all_keys(dim, degree)
     if not draw(st.booleans()):
         keys = [k for k in keys if draw(st.booleans())]
-    return AlternatingForm(dim, 3, {k: draw(scalars(d)) for k in keys})
+    return AlternatingForm(dim, degree, {k: draw(scalars(d)) for k in keys})
+
+
+def trivectors(dim, d=None):
+    """A trivector on dim-space, as alternating_forms draws it."""
+    return alternating_forms(dim, 3, d)
 
 
 @st.composite

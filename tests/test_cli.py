@@ -401,6 +401,37 @@ def test_cli_pretty_output(tmp_path, capsys):
     assert "dim" in out and "{" not in out.splitlines()[0]
 
 
+def test_pretty_prints_a_row_per_line_and_a_blank_line_between_matrices(tmp_path, capsys):
+    def block(lines, head):
+        """The indented lines under head, up to the next line that is not indented."""
+        start = lines.index(head) + 1
+        end = next((k for k in range(start, len(lines)) if lines[k] and lines[k][0] != " "),
+                   len(lines))
+        return lines[start:end]
+
+    for name, n, dim in (("case1_w", 6, 16), ("case2_w", 7, 14)):
+        _, out, _ = run(capsys, "rep", name)
+        path = write_json(tmp_path, f"{name}.json", json.loads(out))
+        code, out, _ = run(capsys, "stab", path, "--pretty")
+        basis = block(out.splitlines(), "basis:")
+        # dim matrices of n rows, each row one line "  [a, b, ...]", a blank line between two
+        assert code == 0 and len(basis) == dim * (n + 1) - 1
+        assert all(line == "" for line in basis[n::n + 1])
+        rows = [line for k, line in enumerate(basis) if k % (n + 1) != n]
+        assert all(line.startswith("  [") and line.endswith("]") and line.count(",") == n - 1
+                   for line in rows)
+    code, out, _ = run(capsys, "invariant", write_json(tmp_path, "w.json",
+                                                       form_to_dict(make_rep("case1_w"))), "--pretty")
+    assert block(out.splitlines(), "s_matrix:") == [
+        "  [" + ", ".join("1" if j == i < 3 else "-1" if j == i else "0" for j in range(6)) + "]"
+        for i in range(6)]
+    code, out, _ = run(capsys, "octonion", "table", path, "--pretty")
+    lines = out.splitlines()
+    table, gram = block(lines, "table:"), block(lines, "norm_gram:")
+    assert code == 0 and len(table) == 8 * 9 - 1 and len(gram) == 8
+    assert all(line == "" for line in table[8::9]) and all(line.count(",") == 7 for line in gram)
+
+
 def test_cli_approximate_via_orbit_and_threads(tmp_path, capsys):
     code, out, _ = run(capsys, "rep", "case3_w", "--n", "2")
     xpath = write_json(tmp_path, "x.json", json.loads(out))

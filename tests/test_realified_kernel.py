@@ -132,6 +132,31 @@ def typed(entries):
     return [(e, type(v), v) for e, v in entries.items()]
 
 
+def old_entries_from(v, n, m=1):
+    """stabilizers._entries_from as it was, dividing each entry by m once: the
+    matrix a kernel vector v with free entry m made before the algebra kept
+    the pair (m, integral entries)."""
+    off, out, corner = n * (n - 1), {}, 0
+    for b, c in v.items():
+        if b < off:
+            i, j = divmod(b, n - 1)
+            out[i * n + j + (j >= i)] = c
+        else:
+            corner += c
+            out[(b - off + 1) * (n + 1)] = -c
+    out[0] = corner
+    d = next((c.d for c in v.values() if type(c) is QuadExt), None)
+    if d is not None:
+        return {e: QuadExt(c, 0, d) / m if type(c) is int else c / m
+                for e, c in sorted(out.items()) if c}
+    return {e: c if type(c) is float else Fraction(c, m) for e, c in sorted(out.items()) if c}
+
+
+def held(v, n, m=1):
+    """The entries of the basis matrix held as (m, _entries_from(v, n))."""
+    return LieSubalgebra.integral(n, [(m, stabilizers._entries_from(v, n))]).entries[0]
+
+
 @pytest.mark.parametrize("d", [None, *DS])
 def test_sl_entries_divide_the_kernel_vector_as_the_old_per_coefficient_path(d):
     rng = random.Random(f"sl:{d}")
@@ -143,7 +168,14 @@ def test_sl_entries_divide_the_kernel_vector_as_the_old_per_coefficient_path(d):
             a, c = rng.randint(-40, 40) or 1, rng.choice((0, rng.randint(-40, 40)))
             v[b] = a if d is None or rng.random() < 0.2 else QuadExt(a, c, d)  # B = 0 too
         over = [(b, linalg._over(c, m)) for b, c in v.items()]
-        assert typed(stabilizers._entries_from(v, n, m)) == typed(old_sl_entries(over, n))
+        want = typed(old_sl_entries(over, n))
+        assert typed(old_entries_from(v, n, m)) == want
+        assert typed(held(v, n, m)) == want
+        # nothing is divided: the integral entries are v's, re-indexed
+        integral = stabilizers._entries_from(v, n)
+        assert all(type(c) in (int, QuadExt) and getattr(c, "_D", 1) == 1
+                   for c in integral.values())
+        assert integral == old_entries_from(v, n)
 
 
 def test_sl_entries_of_floats_and_of_the_units_match_the_old_path():
@@ -153,8 +185,9 @@ def test_sl_entries_of_floats_and_of_the_units_match_the_old_path():
         v = dict(enumerate(rng.choice((0.0, -0.0, 1e-300, rng.uniform(-3, 3)))
                            for _ in range(n * n - 1)))
         assert typed(stabilizers._entries_from(v, n)) == typed(old_sl_entries(v.items(), n))
+        assert typed(held(v, n)) == typed(old_entries_from(v, n))
     for n in (2, 3, 6):
-        assert [typed(stabilizers._entries_from({b: 1}, n)) for b in range(n * n - 1)] \
+        assert [typed(held({b: 1}, n)) for b in range(n * n - 1)] \
             == [typed(old_sl_entries([(b, Fraction(1))], n)) for b in range(n * n - 1)]
 
 
