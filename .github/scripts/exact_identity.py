@@ -4,10 +4,12 @@ Each line holds the command and its input, then the exit code and the sha256 of
 stdout and of stderr, each command run in-process through altforms.cli.main.
 The commands are stab, fixed, invariant, classify and octonion table, on two seeded
 dense and two 30%-sparse forms each of shapes (6, 3), (7, 3) and (8, 2) over Q and over
-Q(sqrt d) for d in {2, -3, 5, -1, 13}, and on every representative; then rep of
-every representative, and verify.  `fixed` is left out on the dense dim-7
-Q(sqrt d) forms, which take seconds each.  Two versions of the program print
-the same bytes on these commands when their sweeps are identical.
+Q(sqrt d) for d in {2, -3, 5, -1, 13}, on seeded forms g (e123 + e456) (delta a
+square: rational eigenspaces) and g w1 (delta < 0) with g rational, and on every
+representative; then octonion table on seeded float dim-7 forms, rep of every
+representative, and verify.  `fixed` is left out on the dense dim-7 Q(sqrt d)
+forms, which take seconds each.  Two versions of the program print the same
+bytes on these commands when their sweeps are identical.
 
     PYTHONPATH=src python .github/scripts/exact_identity.py > sweep.txt
     python .github/scripts/exact_identity.py --compare a.txt b.txt
@@ -25,7 +27,8 @@ import tempfile
 from fractions import Fraction
 
 from altforms.cli import main as altforms
-from altforms.multilinear import AlternatingForm, all_keys
+from altforms.linalg import mat_det
+from altforms.multilinear import AlternatingForm, all_keys, gl_action
 from altforms.representatives import REP_NAMES, make_rep
 from altforms.scalars import QuadExt
 from altforms.serialize import form_to_dict
@@ -56,8 +59,23 @@ def forms():
                 field = "Q" if d is None else f"Q(sqrt {d})"
                 kind = "dense" if density == 1.0 else "sparse"
                 yield f"{kind}{draw}-{dim}-{degree}-{field}", AlternatingForm(dim, degree, coeffs)
+    for name in ("case1_w", "case1_w1"):
+        for draw in (1, 2, 3):
+            while True:
+                g = [[Fraction(rng.randint(-2, 2)) for _ in range(6)] for _ in range(6)]
+                if mat_det(g):
+                    break
+            yield f"g{draw}-{name}", gl_action(g, make_rep(name))
     for name in REP_NAMES:
         yield name, make_rep(name, **REP_KWARGS.get(name, {}))
+
+
+def float_forms():
+    """(name, form) pairs: seeded dense and sparse float dim-7 forms."""
+    rng = random.Random(7)
+    for draw, density in enumerate((1.0, 1.0, 0.5, 0.5), 1):
+        coeffs = {k: round(rng.uniform(-3, 3), 3) for k in all_keys(7, 3) if rng.random() < density}
+        yield f"float{draw}-7-3", AlternatingForm(7, 3, coeffs)
 
 
 def run(argv):
@@ -84,6 +102,11 @@ def lines(workdir):
             if cmd == ("fixed",) and skip_fixed:
                 continue
             yield line(f"{' '.join(cmd)} {name}", [*cmd, path])
+    for name, x in float_forms():
+        path = os.path.join(workdir, f"{name}.json")
+        with open(path, "w") as f:
+            json.dump(form_to_dict(x), f)
+        yield line(f"octonion table {name}", ["octonion", "table", path])
     for name in REP_NAMES:
         flags = [a for k, v in REP_KWARGS.get(name, {}).items() for a in (f"--{k}", str(v))]
         yield line(f"rep {name}", ["rep", name, *flags])

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import linalg
 from .invariants import QuadraticForm, _delta_from_q, q_case2
@@ -114,13 +115,13 @@ def algebra_laws(A, seed=0):
     """(norm multiplicative on samples, unit law) for an algebra structure.
 
     N(uv) == N(u) N(v) is tried on 25 seeded pairs with coordinates in
-    -3..3.  A rational algebra runs it on integers: with the table T = T' / Dt
-    and the gram G = G' / Dg over common denominators, the law reads
-    Dg N'(u T' v) == Dt^2 N'(u) N'(v) with N'(w) = w^T G' w.  Float algebras
-    compare with a relative tolerance of 1e-9, other algebras exactly.
+    -3..3, on the table T = T' / Dt and the gram G = G' / Dg over common
+    denominators (integers for a rational algebra; Dt = Dg = 1 and the entries
+    as they are for a float one): the law reads Dg N'(uv) == Dt^2 N'(u) N'(v)
+    with (uv)_m = sum_ij u_i v_j T'[i][j][m] and N'(w) = w^T G' w.  The unit
+    law reads row 0 and column 0 of the table: T'[0][i] = T'[i][0] = Dt e_i.
+    Float algebras compare with a relative tolerance of 1e-9, others exactly.
     """
-    import random
-    rng = random.Random(seed)
     n = A.dim
     if any(isinstance(c, float) for row in A.gram for c in row):
         def eq(a, b):
@@ -128,30 +129,34 @@ def algebra_laws(A, seed=0):
     else:
         def eq(a, b):
             return a == b
-    table = clear_denominators(c for row in A.table for vec in row for c in vec)
-    gram = clear_denominators(c for row in A.gram for c in row)
-    if table and gram:
-        (Dt, T), (Dg, G) = table, gram
-        T = [[T[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
-        G = [G[i * n:(i + 1) * n] for i in range(n)]
-    else:
-        T, G, Dt, Dg = A.table, A.gram, 1, 1
-    norm_ok = True
-    for _ in range(25):
-        u = [rng.randint(-3, 3) for _ in range(n)]
-        v = [rng.randint(-3, 3) for _ in range(n)]
-        uv = _mul_coords(T, u, v)
-        if not eq(Dg * _inner_coords(G, uv, uv),
-                  Dt * Dt * _inner_coords(G, u, u) * _inner_coords(G, v, v)):
-            norm_ok = False
-            break
-    one = A.one
-    unit_ok = all(all(eq(a, b) for a, b in zip((one * A.basis_element(i)).coords,
-                                               A.basis_element(i).coords))
-                  and all(eq(a, b) for a, b in zip((A.basis_element(i) * one).coords,
-                                                   A.basis_element(i).coords))
-                  for i in range(n))
+    table = [c for row in A.table for vec in row for c in vec]
+    gram = [c for row in A.gram for c in row]
+    (Dt, table), (Dg, gram) = (clear_denominators(table) or (1, table),
+                               clear_denominators(gram) or (1, gram))
+    cols = [table[m::n] for m in range(n)]  # cols[m][i * n + j] = T'[i][j][m]
+    rows = [gram[i * n:(i + 1) * n] for i in range(n)]
+
+    def norm(w):
+        return sum(map(mul, w, [sum(map(mul, row, w)) for row in rows]))
+
+    def product(u, v):
+        uv = [a * b for a in u for b in v]
+        return [sum(map(mul, uv, col)) for col in cols]
+
+    norm_ok = all(eq(Dg * norm(product(u, v)), Dt * Dt * norm(u) * norm(v))
+                  for u, v in _samples(seed, n))
+    unit_ok = all(eq(table[j * n + m], Dt * (m == j)) and eq(table[j * n * n + m], Dt * (m == j))
+                  for j in range(n) for m in range(n))  # T'[0][j][m] and T'[j][0][m]
     return norm_ok, unit_ok
+
+
+@lru_cache(maxsize=None)
+def _samples(seed, n):
+    """The 25 seeded pairs (u, v) of algebra_laws."""
+    import random
+    rng = random.Random(seed)
+    return tuple(tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in "uv")
+                 for _ in range(25))
 
 
 @dataclass(frozen=True)

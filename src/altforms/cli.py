@@ -90,14 +90,24 @@ def _emit_pretty(obj, indent=0):
 
 
 def _is_flat(v):
+    """Whether v prints on one line: a Q(sqrt d) value, or a list of scalars and such values."""
     if isinstance(v, list):
-        return all(not isinstance(x, (dict, list)) for x in v)
-    return False
+        return all(not isinstance(x, (dict, list)) or _is_quad(x) for x in v)
+    return _is_quad(v)
+
+
+def _is_quad(v):
+    return isinstance(v, dict) and v.keys() == {"a", "b", "d"}
 
 
 def _flat(v):
+    """v on one line: a list as [x, y, ...], a Q(sqrt d) value as a + b sqrt(d)."""
     if isinstance(v, list):
-        return "[" + ", ".join(str(x) for x in v) + "]"
+        return "[" + ", ".join(_flat(x) for x in v) + "]"
+    if _is_quad(v):
+        b = str(v["b"])
+        return f"{v['a']} - {b[1:]} sqrt({v['d']})" if b.startswith("-") else \
+            f"{v['a']} + {b} sqrt({v['d']})"
     return str(v)
 
 

@@ -119,16 +119,18 @@ def int_nullspace(rows, ncols):
     order, the vector primitive and the canonical one (1 there, 0 at the other
     free columns) times its int entry there.  Int rows are reduced in place; a
     Z[sqrt d] system is solved realified (_realify), on ints, and the entries
-    of its vectors off the free column are QuadExts."""
+    of its vectors off the free column are QuadExts.  One lcm M of the pivots
+    serves every free column: its vector is M there and -r[fc] M / p_c at each
+    pivot column c (row r, pivot p_c), made primitive."""
     d = next((v.d for row in rows for v in row.values() if type(v) is QuadExt), None)
     if d is not None:
         rows, ncols = _realify(rows, d), 2 * ncols
     pivots, _ = sparse_rref(rows, ncols)
+    M = math.lcm(*(rows[i][c] for c, i in pivots))
+    terms = [(c, rows[i], M // rows[i][c]) for c, i in pivots]
     basis = []
     for fc in sorted(set(range(0, ncols, 1 if d is None else 2)) - {c for c, _ in pivots}):
-        terms = [(c, rows[i]) for c, i in pivots if fc in rows[i]]
-        m = math.lcm(*(r[c] for c, r in terms))
-        v = {fc: m, **{c: -r[fc] * (m // r[c]) for c, r in terms}}
+        v = {fc: M, **{c: -r[fc] * q for c, r, q in terms if fc in r}}
         _primitive(v)
         if d is not None:  # entry b is v[2b] + v[2b + 1] sqrt(d), and v[2fc + 1] = 0
             fc, v = fc // 2, {fc // 2: v[fc], **{b: _new(v.get(2 * b, 0), v.get(2 * b + 1, 0), 1, d)

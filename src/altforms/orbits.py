@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import add, sub
 
 from . import linalg
 from .invariants import (_delta_from_q, _delta_from_s, _finite, case_of, delta_case1,
@@ -37,15 +38,18 @@ class OrbitReport:
 
 @dataclass
 class GrassmannPoint:
-    """Unordered pair of 3-dimensional subspaces of a 6-space."""
+    """Unordered pair of 3-dimensional subspaces of a 6-space: a basis and a
+    Plücker vector of each (plucker's coordinate order).  An exact point has d,
+    the field Q(sqrt d) of its coordinates (d = 1: Q), and each coordinate as
+    an int pair (A, B) standing for A + B sqrt(d): the minors of its integral
+    kernel vectors, a common rational multiple of plucker(basis).  A float
+    point has d = None and plucker(basis)."""
 
     basis1: list
     basis2: list
-    plucker1: list = field(init=False)
-    plucker2: list = field(init=False)
-
-    def __post_init__(self):
-        self.plucker1, self.plucker2 = plucker(self.basis1), plucker(self.basis2)
+    plucker1: list
+    plucker2: list
+    d: int = None
 
 
 def classify_real(x, tol=1e-9):
@@ -137,7 +141,9 @@ def eigenspaces(x, tol=1e-9):
     """The two rank-3 eigenspaces of S_x for the eigenvalues +/- sqrt(delta).
 
     Exact over Q(sqrt(d)) for rational input (basis1 belongs to +sqrt(delta)):
-    the canonical kernel vectors of S_x -/+ sqrt(delta) I by linalg.int_nullspace.
+    the canonical kernel vectors of D (S_x -/+ sqrt(delta) I), D the common
+    denominator, by linalg.int_nullspace, and the Plücker vectors from the
+    primitive ones, on ints (_plucker_zd).
     Float input uses complex numpy arithmetic.  ValueError when sqrt(delta)
     lies outside Q and the field of S_x (a field tower).
     """
@@ -151,16 +157,18 @@ def eigenspaces(x, tol=1e-9):
     root = None if isinstance(delta, QuadExt) else rational_sqrt(delta)
     if root is None or isinstance(root, QuadExt) and fields - {root.d}:
         raise ValueError("eigenspaces need a rational invariant (no field towers)")
-    bases = []
-    for sign in (1, -1):
-        lam = sign * root
-        rows = [clear_denominators(S[i][j] - (lam if i == j else 0) for j in range(6))[1]
+    d = root.d if isinstance(root, QuadExt) else next(iter(fields), 1)
+    _, flat = clear_denominators([*(v for row in S for v in row), root])  # D S and D sqrt(delta)
+    bases, coords = [], []
+    for lam in (flat[36], -flat[36]):
+        rows = [{j: v for j in range(6) if (v := flat[6 * i + j] - (lam if i == j else 0))}
                 for i in range(6)]
-        ns = linalg.int_nullspace([{j: v for j, v in enumerate(row) if v} for row in rows], 6)
+        ns = linalg.int_nullspace(rows, 6)
         if len(ns) != 3:
             raise ArithmeticError("eigenspace dimension must be 3 (internal bug)")
         bases.append([[demote(linalg._over(v.get(b, 0), v[fc])) for b in range(6)] for fc, v in ns])
-    return GrassmannPoint(bases[0], bases[1])
+        coords.append(_plucker_zd([[_parts(v.get(b, 0)) for b in range(6)] for _, v in ns], d))
+    return GrassmannPoint(*bases, *coords, d)
 
 
 def _eigenspaces_float(x, tol):
@@ -178,7 +186,7 @@ def _eigenspaces_float(x, tol):
         if ns.shape[0] != 3:
             raise ArithmeticError("eigenspace dimension must be 3")
         bases.append([[complex(v) for v in row] for row in ns])
-    return GrassmannPoint(bases[0], bases[1])
+    return GrassmannPoint(*bases, plucker(bases[0]), plucker(bases[1]))
 
 
 def plucker(basis):
@@ -189,6 +197,31 @@ def plucker(basis):
     for cols in itertools.combinations(range(6), 3):
         out.append(_small_det([[basis[r][c] for c in cols] for r in range(3)]))
     return out
+
+
+def _plucker_zd(rows, d):
+    """plucker of 3 rows of int pairs (A, B) = A + B sqrt(d) over Z[sqrt d], as
+    pairs: each minor expanded along the last row, on the 2 x 2 minors of the
+    first two."""
+    r0, r1, r2 = rows
+    m2 = {(i, j): tuple(map(sub, _mul(r0[i], r1[j], d), _mul(r0[j], r1[i], d)))
+          for i, j in itertools.combinations(range(6), 2)}
+    return [tuple(a - b + c for a, b, c in zip(
+        _mul(r2[i], m2[j, k], d), _mul(r2[j], m2[i, k], d), _mul(r2[k], m2[i, j], d)))
+        for i, j, k in itertools.combinations(range(6), 3)]
+
+
+def _mul(p, q, d):
+    """The product of int pairs (A, B) = A + B sqrt(d)."""
+    return p[0] * q[0] + d * p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def _parts(v):
+    """(A, B) for an exact coordinate v, a positive rational multiple of A + B sqrt(d):
+    an int pair as it is, a QuadExt's ints (its denominator dropped), a rational as (v, 0)."""
+    if type(v) is tuple:
+        return v
+    return (v._A, v._B) if type(v) is QuadExt else (v, 0)
 
 
 def _normalize(vec):
@@ -217,16 +250,22 @@ class PointVerdict:
 def point_rationality(vec, max_den=1000, tol=1e-9):
     """Rationality of a projective point given by a coordinate vector.
 
-    Exact scalars: certified by normalizing and checking every coordinate is
-    rational.  Floats/complex: heuristic bounded-denominator reconstruction;
+    Exact coordinates (rationals, QuadExts, or the int pairs (A, B) of an exact
+    GrassmannPoint): certified by cross-multiplication, with no division: for
+    the first nonzero coordinate p, v / p is rational exactly when B_v A_p ==
+    A_v B_p.  Floats/complex: heuristic bounded-denominator reconstruction;
     for the verdict to discriminate, tol must be well below 1/max_den^2
     (a generic real reconstructs to ~1/q^2 at the best q <= max_den).
     """
-    is_float, nv = _normalize(vec)
-    if not is_float:
-        ok = all((not isinstance(v, QuadExt)) or v.is_rational for v in nv)
+    if not any(isinstance(v, (float, complex)) for v in vec):
+        parts = [_parts(v) for v in vec]
+        Ap, Bp = next((p for p in parts if p[0] or p[1]), (0, 0))
+        if not (Ap or Bp):
+            raise ValueError("zero vector has no projective normalization")
+        ok = all(B * Ap == A * Bp for A, B in parts)
         return PointVerdict(ok, "exact", "all coordinate ratios rational" if ok
                             else "some coordinate ratio lies outside Q")
+    _, nv = _normalize(vec)
     for v in nv:
         c = complex(v)
         if abs(c.imag) > tol:
@@ -238,15 +277,24 @@ def point_rationality(vec, max_den=1000, tol=1e-9):
 
 def grassmann_rationality(gr, max_den=1000, tol=1e-9):
     """Rationality of the unordered pair via symmetric functions of the
-    normalized coordinate vectors (sum and coordinatewise product)."""
-    float1, p = _normalize(gr.plucker1)
-    float2, q = _normalize(gr.plucker2)
-    is_float = float1 or float2
-    s = [a + b for a, b in zip(p, q)]
-    m = [a * b for a, b in zip(p, q)]
+    normalized coordinate vectors (sum and coordinatewise product).  An exact
+    pair takes them projectively, over Z[sqrt d] with p_0 and q_0 the first
+    nonzero coordinates: p_i q_0 + q_i p_0 and p_i q_i."""
+    if gr.d is not None:
+        d, p, q = gr.d, gr.plucker1, gr.plucker2
+        p0, q0 = (next(c for c in v if c[0] or c[1]) for v in (p, q))
+        s = [tuple(map(add, _mul(a, q0, d), _mul(b, p0, d))) for a, b in zip(p, q)]
+        m = [_mul(a, b, d) for a, b in zip(p, q)]
+        is_float = False
+    else:
+        float1, p = _normalize(gr.plucker1)
+        float2, q = _normalize(gr.plucker2)
+        is_float = float1 or float2
+        s = [a + b for a, b in zip(p, q)]
+        m = [a * b for a, b in zip(p, q)]
     flags = []
     for vec in (s, m):
-        if all(abs(complex(v)) <= tol if is_float else v == 0 for v in vec):
+        if all(abs(complex(v)) <= tol if is_float else not any(_parts(v)) for v in vec):
             flags.append(PointVerdict(True, "float" if is_float else "exact",
                                       "symmetric function vanishes"))
         else:

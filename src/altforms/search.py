@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .invariants import case_of
-from .multilinear import all_keys, entry_moves, evaluate
+from .multilinear import AlternatingForm, all_keys, entry_moves, evaluate
 from .orbits import classify_real, irrationality_report
 from .perturb import PartialTarget, constrained_keys
 
@@ -115,9 +115,11 @@ def _targets(x, y):
 
 def deviations(x, y, h):
     """{"i,j,k": |y_I - x(u_I)|} for the columns u_i of a real basis matrix h, in
-    constrained-key order, through multilinear.evaluate; no unimodularity check."""
+    constrained-key order, through multilinear.evaluate on x's terms in key order,
+    the order in which the search sums them (_x_items); no unimodularity check."""
     cols = np.asarray(h, dtype=float).T.tolist()
-    return {",".join(str(i + 1) for i in key): abs(v - float(evaluate(x, *(cols[i] for i in key))))
+    xs = AlternatingForm(x.dim, x.degree, dict(x.terms()))
+    return {",".join(str(i + 1) for i in key): abs(v - float(evaluate(xs, *(cols[i] for i in key))))
             for key, v in _targets(x, y)}
 
 

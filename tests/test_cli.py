@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import warnings
 
 import pytest
@@ -7,9 +8,10 @@ import pytest
 from altforms.cli import main
 from altforms.serialize import (FormFormatError, form_from_dict, form_to_dict,
                                 parse_form, parse_target, target_from_dict, target_to_dict)
-from altforms.multilinear import AlternatingForm
+from altforms.multilinear import AlternatingForm, all_keys
 from altforms.perturb import PartialTarget, constrained_keys
 from altforms.representatives import make_rep
+from altforms.scalars import QuadExt
 from fractions import Fraction
 
 
@@ -354,7 +356,7 @@ def _approximate_configurations(tmp_path, seed):
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_cli_approximate_objective_is_the_largest_printed_deviation(tmp_path, capsys, seed):
     # the search scores from maintained minors, per_index_deviation comes from
-    # multilinear.evaluate: on these configurations the two agree exactly
+    # multilinear.evaluate; both sum x's terms in key order, so the two agree exactly
     configurations = _approximate_configurations(tmp_path, seed)
     assert configurations
     for argv in configurations:
@@ -362,6 +364,30 @@ def test_cli_approximate_objective_is_the_largest_printed_deviation(tmp_path, ca
         doc = json.loads(out)
         assert code == 0
         assert list(doc["per_index_deviation"]) == sorted(doc["per_index_deviation"])
+        assert doc["objective"] == max(doc["per_index_deviation"].values())
+
+
+@pytest.mark.parametrize("dim,degree,case", ((4, 2, 3), (6, 3, 1), (7, 3, 2)))
+def test_cli_approximate_objective_on_shuffled_keys(tmp_path, capsys, dim, degree, case):
+    # a form file whose keys are out of order: per_index_deviation sums x's terms in
+    # key order, as the search does, not in the file's order (which moved last bits)
+    rng = random.Random(11)
+    n = dim // 2 if case == 3 else None
+    target = {"case": case, "values": {}}
+    if n:
+        target["n"] = n
+    for _ in range(60):
+        keys = list(all_keys(dim, degree))
+        rng.shuffle(keys)
+        x = {"dim": dim, "degree": degree, "scalar": "float",
+             "coeffs": {",".join(map(str, k)): rng.gauss(0, 1) for k in keys}}
+        target["values"] = {",".join(map(str, k)): rng.gauss(0, 1)
+                            for k in constrained_keys(case, n)}
+        code, out, _ = run(capsys, "approximate", write_json(tmp_path, "x.json", x),
+                           write_json(tmp_path, "y.json", target),
+                           "--beam", "8", "--depth", "3", "--epsilon", "1e-12")
+        doc = json.loads(out)
+        assert code == 0
         assert doc["objective"] == max(doc["per_index_deviation"].values())
 
 
@@ -430,6 +456,28 @@ def test_pretty_prints_a_row_per_line_and_a_blank_line_between_matrices(tmp_path
     table, gram = block(lines, "table:"), block(lines, "norm_gram:")
     assert code == 0 and len(table) == 8 * 9 - 1 and len(gram) == 8
     assert all(line == "" for line in table[8::9]) and all(line.count(",") == 7 for line in gram)
+
+
+def test_pretty_prints_a_quadratic_value_on_one_line(tmp_path, capsys):
+    # a Q(sqrt 2) entry {a, b, d} prints as "a + b sqrt(d)" inside its row, not as a
+    # block of three lines per entry
+    rng = random.Random(5)
+    x = AlternatingForm(6, 3, {k: QuadExt(rng.randint(1, 9), rng.randint(-9, -1), 2)
+                               for k in all_keys(6, 3)})
+    path = write_json(tmp_path, "x.json", form_to_dict(x))
+    code, out, _ = run(capsys, "stab", path, "--pretty")
+    dim = json.loads(run(capsys, "stab", path)[1])["dim"]
+    lines = out.splitlines()
+    basis = lines[lines.index("basis:") + 1:]
+    assert code == 0 and dim > 0 and len(basis) == dim * 7 - 1
+    rows = [line for line in basis if line]
+    assert all(line.startswith("  [") and line.endswith("]") and line.count(",") == 5
+               for line in rows)
+    assert any(" sqrt(2)" in line for line in rows) and "{" not in out
+    code, out, _ = run(capsys, "invariant", path, "--pretty")
+    delta = json.loads(run(capsys, "invariant", path)[1])["delta"]
+    sign, b = ("-", delta["b"][1:]) if delta["b"].startswith("-") else ("+", delta["b"])
+    assert f"delta        {delta['a']} {sign} {b} sqrt(2)" in out.splitlines()
 
 
 def test_cli_approximate_via_orbit_and_threads(tmp_path, capsys):
