@@ -28,7 +28,7 @@ from functools import lru_cache
 from operator import mul
 
 from . import linalg
-from .invariants import QuadraticForm, _delta_from_q, q_case2
+from .invariants import _delta_from_q, q_case2
 from .multilinear import AlternatingForm, gl_action, integral_multiple, sort_sign
 from .orbits import float_signature
 from .scalars import clear_denominators
@@ -73,9 +73,6 @@ class AlgebraStructure:
 
     def inner_coords(self, u, v):
         return _inner_coords(self.gram, u, v)
-
-    def norm_form(self):
-        return QuadraticForm(self.dim, [list(r) for r in self.gram])
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraStructure):
@@ -341,7 +338,7 @@ def octonion_from_form(x, q=None):
 
     The imaginary product u.v solves gram(Q) * (u.v) = 3 x(., u, v); the real
     part is -Q(u, v)/delta and the norm of v is Q(v)/delta.  A caller that has
-    built Q = q_case2(x) passes it as q.  Raises ValueError("not semistable")
+    built the gram q_case2(x) passes it as q.  Raises ValueError("not semistable")
     exactly when classify_real at its default tol calls x degenerate (for
     floats, both ask orbits.float_signature), and ValueError on Q(sqrt d)
     coefficients, whose delta is only computed as a float.
@@ -352,12 +349,11 @@ def octonion_from_form(x, q=None):
     if kind == "quadext":
         raise ValueError("octonion_from_form supports rational or float coefficients, "
                          "not Q(sqrt d)")
-    Q = q_case2(x) if q is None else q
+    gram7 = q_case2(x) if q is None else q
     is_float = kind == "float"
-    delta, _ = _delta_from_q(Q, kind)
-    if float_signature(x, Q)[2] if is_float else delta == 0:
+    delta, _ = _delta_from_q(gram7, kind)
+    if float_signature(x, gram7)[2] if is_float else delta == 0:
         raise ValueError("not semistable")
-    gram7 = [list(r) for r in Q.gram]
     if is_float:
         import numpy as np
         Gf = np.array([[float(v) for v in r] for r in gram7])

@@ -125,8 +125,8 @@ def cmd_invariant(args):
            "delta_exact": rep.delta_exact}
     if rep.s_matrix is not None:
         out["s_matrix"] = scalar_to_json(rep.s_matrix)
-    if rep.q_form is not None:
-        out["q_gram"] = scalar_to_json(rep.q_form.gram)
+    if rep.q_gram is not None:
+        out["q_gram"] = scalar_to_json(rep.q_gram)
     if rep.pfaffian is not None:
         out["pfaffian"] = scalar_to_json(rep.pfaffian)
     _emit(out, args.pretty)
@@ -266,13 +266,13 @@ def _verify_rows():
     expected[0][0] = Fraction(-6)
     for (i, j) in ((1, 4), (2, 5), (3, 6)):
         expected[i][j] = expected[j][i] = Fraction(3)
-    row("case2 Q_w = 6(-e1^2+e2e5+e3e6+e4e7)", [list(r) for r in q.gram], expected)
+    row("case2 Q_w = 6(-e1^2+e2e5+e3e6+e4e7)", q, expected)
     wp = make_rep("case2_wprime")
     qp = q_case2(wp)
     expectedp = [[Fraction(0)] * 7 for _ in range(7)]
     expectedp[0][3] = expectedp[3][0] = Fraction(-3)
     expectedp[1][2] = expectedp[2][1] = Fraction(3)
-    row("case2 Q_w' = 6(-e1e4+e2e3)", [list(r) for r in qp.gram], expectedp)
+    row("case2 Q_w' = 6(-e1e4+e2e3)", qp, expectedp)
     row("case2 delta(w) = 6", _delta_from_q(q, "rational")[0], Fraction(6))
     row("case2 delta(w') = 0", _delta_from_q(qp, "rational")[0], Fraction(0))
     row("case2 delta(w1) = 2^9*6", delta_case2(make_rep("case2_w1"))[0], Fraction(2 ** 9 * 6))

@@ -31,45 +31,6 @@ from .scalars import clear_denominators, cube_root_rational, finite_float
 QCASE2_DET_RATIO = Fraction(81, 4)
 
 
-@dataclass
-class QuadraticForm:
-    """Symmetric gram matrix; Q(v) = v^T gram v."""
-
-    dim: int
-    gram: list
-
-    def __post_init__(self):
-        if len(self.gram) != self.dim or any(len(r) != self.dim for r in self.gram):
-            raise ValueError("gram must be square of size dim")
-        for i in range(self.dim):
-            for j in range(i):
-                if not (self.gram[i][j] == self.gram[j][i]):
-                    raise ValueError("gram must be symmetric")
-
-    def evaluate(self, v):
-        return sum(self.gram[i][j] * v[i] * v[j]
-                   for i in range(self.dim) for j in range(self.dim))
-
-    def det(self):
-        return linalg.mat_det(self.gram)
-
-    def signature(self):
-        """Exact (n_plus, n_minus, n_zero); rational gram only."""
-        return linalg.congruent_signature(self.gram)
-
-    def definiteness(self):
-        """'positive', 'negative', 'indefinite', or 'degenerate', from the exact
-        signature; orbits.float_signature reads the Q_x of a float form."""
-        npos, nneg, nzero = self.signature()
-        if nzero > 0:
-            return "degenerate"
-        if npos == self.dim:
-            return "positive"
-        if nneg == self.dim:
-            return "negative"
-        return "indefinite"
-
-
 def _check_shape(x, dim, degree, what):
     if x.dim != dim or x.degree != degree:
         raise ValueError(f"{what} needs dim {dim}, degree {degree}; "
@@ -223,7 +184,7 @@ def s_case2(x):
 
 
 def q_case2(x):
-    """Quadratic covariant: the symmetrization (S_x + S_x^T)/2 as a form on W*;
+    """Quadratic covariant: the 7x7 gram (S_x + S_x^T)/2 of a form on W*;
     ValueError when a float gram entry overflows."""
     S = s_case2(x)
     is_float = x.scalar_kind() == "float"
@@ -231,7 +192,7 @@ def q_case2(x):
     gram = [[half * (S[i][j] + S[j][i]) for j in range(7)] for i in range(7)]
     if is_float:
         _finite(*(v for row in gram for v in row))
-    return QuadraticForm(7, gram)
+    return gram
 
 
 def delta_case2(x):
@@ -244,17 +205,17 @@ def delta_case2(x):
     return _delta_from_q(q_case2(x), x.scalar_kind())
 
 
-def _delta_from_q(q, kind):
-    """delta_case2 from a built Q_x of a form with the given scalar kind; ValueError
-    when a float delta overflows."""
+def _delta_from_q(gram, kind):
+    """delta_case2 from the built gram of Q_x of a form with the given scalar kind;
+    ValueError when a float delta overflows."""
     if kind == "rational":
-        root = cube_root_rational(q.det() / QCASE2_DET_RATIO)
+        root = cube_root_rational(linalg.mat_det(gram) / QCASE2_DET_RATIO)
         if root is None:
             raise ArithmeticError("det gram / (81/4) must be a perfect cube for rational input")
         return root, True
     import numpy as np
     with np.errstate(over="ignore"):  # an overflowing det is reported by _finite below
-        det = float(np.linalg.det(np.array([[float(v) for v in r] for r in q.gram])))
+        det = float(np.linalg.det(np.array([[float(v) for v in r] for r in gram])))
     return _finite(float(np.cbrt(det / float(QCASE2_DET_RATIO)))), False
 
 
@@ -321,7 +282,7 @@ class InvariantReport:
     delta: object = None
     delta_exact: bool = True
     s_matrix: list = None
-    q_form: QuadraticForm = None
+    q_gram: list = None
     pfaffian: object = None
 
 
@@ -352,7 +313,7 @@ def invariant_report(x):
     if case == 2:
         q = q_case2(x)
         d, exact = _delta_from_q(q, x.scalar_kind())
-        return InvariantReport(case=2, delta=d, delta_exact=exact, q_form=q)
+        return InvariantReport(case=2, delta=d, delta_exact=exact, q_gram=q)
     pf = pfaffian(x)
     return InvariantReport(case=3, delta_exact=not is_float,
                            pfaffian=_finite(pf) if is_float else pf)

@@ -69,18 +69,6 @@ class AlternatingForm:
         self.degree = degree
         self.coeffs = clean
 
-    @classmethod
-    def from_terms(cls, dim, degree, *terms):
-        """Build from (coefficient, i, j, ...) tuples; indices may be unordered."""
-        coeffs = {}
-        for term in terms:
-            c, idx = term[0], term[1:]
-            key, s = sort_sign(idx)
-            if s == 0:
-                continue
-            coeffs[key] = coeffs.get(key, 0) + s * c
-        return cls(dim, degree, coeffs)
-
     def coeff(self, *idx):
         """Signed coefficient for an arbitrary-order index tuple."""
         key, s = sort_sign(idx)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from operator import add, sub
 
 from . import linalg
-from .invariants import (_delta_from_q, _delta_from_s, _finite, case_of, delta_case1,
-                         delta_case1_explicit, pfaffian, q_case2, s_case1)
+from .invariants import (_delta_from_q, _delta_from_s, _finite, case_of, delta_case1_explicit,
+                         pfaffian, q_case2, s_case1)
 from .multilinear import _small_det, all_keys
 from .scalars import (QuadExt, clear_denominators, demote, rational_reconstruct, rational_sqrt,
                       real_sign, squarefree_part)
@@ -27,7 +27,7 @@ class OrbitReport:
     real_orbit: str
     field_d: int = None          # squarefree d with k(x) = Q(sqrt(d)); 1 means Q
     delta: object = None
-    q: object = field(default=None, repr=False, compare=False)  # Q_x of a dim-7 form
+    q: list = field(default=None, repr=False, compare=False)  # gram of Q_x of a dim-7 form
 
     @property
     def real_rank_positive(self):
@@ -58,9 +58,11 @@ def classify_real(x, tol=1e-9):
     Exact coefficients give exact verdicts.  Float ones go by float_zero: delta
     at degree 4, the Pfaffian at degree n, and the eigenvalues of Q_x read as
     Bryant's B_x = Q_x / 6 (float_signature); so t * x gets the verdict of x for
-    every t > 0.  NaN/inf coefficients or an overflowing float invariant
-    raise ValueError.  A dim-7 form is classified by its Q_x, kept as report.q.
+    every t > 0.  NaN/inf coefficients, an overflowing float invariant or a tol
+    not finite and > 0 raise ValueError.  report.q keeps the gram of a dim-7 Q_x.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, not {tol}")
     case = case_of(x)
     is_float = x.scalar_kind() == "float"
     if is_float and not all(math.isfinite(v) for v in x.coeffs.values()):
@@ -79,11 +81,12 @@ def classify_real(x, tol=1e-9):
             orbit = "case1_negative"
         rep = OrbitReport(1, orbit, delta=d)
         if orbit != "degenerate" and x.scalar_kind() == "rational":
-            rep.field_d = squarefree_part(d)[0]  # field_kx(x), without building S_x
+            rep.field_d = squarefree_part(d)[0]  # k(x) = Q(sqrt delta), without building S_x
         return rep
     if case == 2:
         q = q_case2(x)
-        npos, nneg, nzero = float_signature(x, q, tol) if is_float else q.signature()
+        npos, nneg, nzero = (float_signature(x, q, tol) if is_float
+                             else linalg.congruent_signature(q))
         delta, _ = _delta_from_q(q, x.scalar_kind())
         if nzero:
             orbit = "degenerate"
@@ -93,10 +96,7 @@ def classify_real(x, tol=1e-9):
             orbit = "case2_nonsplit"
         return OrbitReport(2, orbit, delta=delta, q=q)
     pf = pfaffian(x)
-    if zero(pf, x.dim // 2):
-        orbit = "degenerate"
-    else:
-        orbit = "case3_nondegenerate"
+    orbit = "degenerate" if zero(pf, x.dim // 2) else "case3_nondegenerate"
     return OrbitReport(3, orbit, delta=pf)
 
 
@@ -114,27 +114,15 @@ def float_zero(value, s, degree, tol):
 
 
 def float_signature(x, q, tol=1e-9):
-    """QuadraticForm.signature of the Q_x of a float dim-7 form, read as Bryant's
-    B_x = Q_x / 6: an eigenvalue of B_x counts as zero by float_zero at degree 3.
-    The default tol is classify_real's."""
+    """(n_plus, n_minus, n_zero) of the gram q of Q_x of a float dim-7 form, read as
+    Bryant's B_x = Q_x / 6: an eigenvalue of B_x counts as zero by float_zero at
+    degree 3.  The default tol is classify_real's."""
     import numpy as np
-    eig = [float(e) / 6 for e in np.linalg.eigvalsh(np.array(q.gram, dtype=float))]
+    eig = [float(e) / 6 for e in np.linalg.eigvalsh(np.array(q, dtype=float))]
     s = x.max_abs()
     zero = [float_zero(e, s, 3, tol) for e in eig]
     return (sum(e > 0 and not z for e, z in zip(eig, zero)),
             sum(e < 0 and not z for e, z in zip(eig, zero)), sum(zero))
-
-
-def field_kx(x):
-    """Squarefree d with k(x) = Q(sqrt(d)) for a rational dim-6 trivector.
-
-    d = 1 means the splitting field is Q itself.
-    """
-    d = delta_case1(x)
-    if d == 0:
-        raise ValueError("not semistable")
-    sf, _ = squarefree_part(d)
-    return sf
 
 
 def eigenspaces(x, tol=1e-9):
@@ -242,10 +230,6 @@ class PointVerdict:
     mode: str            # "exact" (certified) or "float" (heuristic)
     detail: str = ""
 
-    @property
-    def certified(self):
-        return self.mode == "exact"
-
 
 def point_rationality(vec, max_den=1000, tol=1e-9):
     """Rationality of a projective point given by a coordinate vector.
@@ -309,17 +293,16 @@ class IrrationalityReport:
     case: int
     flags: dict = field(default_factory=dict)   # name -> PointVerdict
 
-    def all_irrational(self):
-        return not any(f.rational for f in self.flags.values())
-
 
 def irrationality_report(x, max_den=1000, tol=1e-9, q=None):
     """Per-predicate rationality flags for the case of x.
 
     dim 6: the two eigenspace points and the unordered pair; dim 7: the
-    projective image of the quadratic covariant (q, if the caller has built
-    Q_x); degree 2: the projective image of x itself.
+    projective image of the quadratic covariant (q, the gram of Q_x if the
+    caller has built it); degree 2: that of x itself.  ValueError if max_den < 1.
     """
+    if max_den < 1:
+        raise ValueError(f"max_den must be >= 1, not {max_den}")
     case = case_of(x)
     rep = IrrationalityReport(case)
     if case == 1:
@@ -329,7 +312,7 @@ def irrationality_report(x, max_den=1000, tol=1e-9, q=None):
         rep.flags["Gr"] = grassmann_rationality(gr, max_den, tol)
         return rep
     if case == 2:
-        gram = (q_case2(x) if q is None else q).gram
+        gram = q_case2(x) if q is None else q
         rep.flags["Q"] = point_rationality([gram[i][j] for i in range(7) for j in range(i, 7)],
                                            max_den, tol)
         return rep

@@ -78,9 +78,10 @@ def _certify(form, y, eps, aux, want, rep):
 
 
 def _nudge_until(z, coords, predicate, eps):
-    """Deterministically bump coordinates by eps/2 (halving per sweep) until
-    the predicate holds.  The open-density of the target condition guarantees
-    termination; after 64 sweeps it raises ArithmeticError."""
+    """Deterministically bump coordinates by eps/2 (halving per sweep) until the
+    predicate holds, else ArithmeticError after 64 sweeps.  The condition is open
+    and dense, yet that bounds no sweep count: the zero case-3 target at n = 6
+    and eps = 0.01 uses all 64."""
     if predicate(z):
         return z
     delta = eps / 2.0
@@ -272,7 +273,7 @@ def extend_case2(y, eps):
     for _ in range(64):
         form, rep = complete(dict(z))
         if form is not None:
-            gram = rep.q.gram
+            gram = rep.q
             aux = {"f1": float(gram[0][0]), "f2": float(gram[6][6]), "f3": f3, "delta": rep.delta}
             return _certify(form, y, eps, aux, "case2_split", rep)
         # degenerate completion: move off the zero locus without touching

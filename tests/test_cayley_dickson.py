@@ -55,7 +55,7 @@ def test_matrix_algebra_from_doubling():
         assert ((x * y) * z).coords == (x * (y * z)).coords
         assert (x * y).norm() == x.norm() * y.norm()
     # the norm is hyperbolic: signature (2, 2)
-    assert M.norm_form().signature() == (2, 2, 0)
+    assert linalg.congruent_signature(M.gram) == (2, 2, 0)
 
 
 def test_split_octonions_alternative_not_associative():
@@ -82,7 +82,7 @@ def test_octonions_alternative():
         a3 = x.associator(z, y).coords
         assert tuple(-c for c in a1) == a2
         assert tuple(-c for c in a1) == a3
-    assert O.norm_form().signature() == (8, 0, 0)
+    assert linalg.congruent_signature(O.gram) == (8, 0, 0)
 
 
 @pytest.mark.parametrize("factory", [quaternions, octonions, split_octonions])
@@ -138,8 +138,7 @@ def test_c_form_split_golden():
 def test_c_form_nonsplit_definite():
     C = c_form(octonions())
     doubled = C.scale(Fraction(2))
-    q = q_case2(doubled)
-    assert q.definiteness() in ("positive", "negative")
+    assert linalg.congruent_signature(q_case2(doubled)) in ((7, 0, 0), (0, 7, 0))
     assert doubled == make_rep("case2_w1").scale(Fraction(-1))
 
 
@@ -156,7 +155,7 @@ def test_octonion_from_form_round_trip():
 
 def test_octonion_from_form_nonsplit_definite():
     A = octonion_from_form(make_rep("case2_w1"))
-    assert A.norm_form().signature() == (8, 0, 0)
+    assert linalg.congruent_signature(A.gram) == (8, 0, 0)
     rng = random.Random(46)
     for _ in range(100):
         x, y = rand_elt(rng, A), rand_elt(rng, A)
@@ -195,7 +194,7 @@ def test_cd_double_dimension_and_signs():
     k = ground_field()
     assert cd_double(k, +1).dim == 2
     minus = cd_double(cd_double(k, +1), -1)
-    assert minus.norm_form().signature() == (2, 2, 0)
+    assert linalg.congruent_signature(minus.gram) == (2, 2, 0)
     with pytest.raises(ValueError):
         cd_double(k, 0)
 
@@ -212,7 +211,7 @@ def test_split_norm_pullback_is_euclidean():
     for _ in range(20):
         y = [Fraction(rng.randint(-3, 3)) for _ in range(7)]
         x = linalg.mat_vec(M, [QuadExt(v, 0, -1) for v in y])
-        val = Qw.evaluate(x)
+        val = sum(Qw[i][j] * x[i] * x[j] for i in range(7) for j in range(7))
         want = 6 * sum(v * v for v in y)
         assert val == QuadExt(want, 0, -1)
 

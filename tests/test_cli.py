@@ -179,6 +179,35 @@ def test_cli_classify(tmp_path, capsys):
     assert doc["irrationality"]["Q"]["rational"] is True
 
 
+CLASSIFY_FORMS = {
+    "float": {"scalar": "float", "coeffs": {"1,2,3": 1.0, "4,5,6": 1.0}},
+    "float-degenerate": {"scalar": "float", "coeffs": {"1,2,3": 1.0, "1,2,4": 1.0}},
+    "rational": {"scalar": "rational", "coeffs": {"1,2,3": "1", "4,5,6": "1"}},
+}
+
+
+BAD_CLASSIFY_SETTINGS = (
+    ("--tol", "nan", "tol must be finite and > 0, not nan"),
+    ("--tol", "-1", "tol must be finite and > 0, not -1.0"),
+    ("--tol", "0", "tol must be finite and > 0, not 0.0"),
+    ("--tol", "inf", "tol must be finite and > 0, not inf"),
+    ("--max-den", "0", "max_den must be >= 1, not 0"),
+    ("--max-den", "-5", "max_den must be >= 1, not -5"))
+
+
+# a degenerate form gets no irrationality report, the only reader of max_den
+@pytest.mark.parametrize("form, option, value, message", [
+    (form, *bad) for form in CLASSIFY_FORMS for bad in BAD_CLASSIFY_SETTINGS
+    if not (form == "float-degenerate" and bad[0] == "--max-den")])
+def test_cli_classify_rejects_a_bad_tol_or_max_den(tmp_path, capsys, form, option, value,
+                                                    message):
+    # --tol inf called e123 + e456 degenerate; --tol nan on e123 + e124 failed in the
+    # eigenspaces; --max-den -5 on an exact form was accepted
+    path = write_json(tmp_path, "x.json", {"dim": 6, "degree": 3, **CLASSIFY_FORMS[form]})
+    code, out, err = run(capsys, "classify", path, option, value)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_cli_stab_and_fixed(tmp_path, capsys):
     code, out, _ = run(capsys, "rep", "case2_w")
     path = write_json(tmp_path, "w2.json", json.loads(out))
@@ -898,17 +927,18 @@ def test_verify_builds_each_q_once(monkeypatch, capsys):
 
 
 def old_classify_doc(x, tol=1e-9, max_den=1000):
-    """The classify JSON as it was built: classify_real, the field through
-    field_kx (S_x and its S_x^2 check), and an irrationality_report that
-    builds its own covariant."""
-    from altforms.orbits import classify_real, field_kx, irrationality_report
-    from altforms.scalars import scalar_to_json
+    """The classify JSON as it was built: classify_real, the field from delta_case1
+    (S_x and its S_x^2 check), and an irrationality_report that builds its own
+    covariant."""
+    from altforms.invariants import delta_case1
+    from altforms.orbits import classify_real, irrationality_report
+    from altforms.scalars import scalar_to_json, squarefree_part
     rep = classify_real(x, tol=tol)
     out = {"case": rep.case, "real_orbit": rep.real_orbit,
            "real_rank_positive": rep.real_rank_positive,
            "delta": scalar_to_json(rep.delta) if rep.delta is not None else None}
     if rep.case == 1 and rep.real_orbit != "degenerate" and x.scalar_kind() == "rational":
-        out["field_d"] = field_kx(x)
+        out["field_d"] = squarefree_part(delta_case1(x))[0]
     if rep.real_orbit != "degenerate":
         out["irrationality"] = {
             name: {"rational": v.rational, "mode": v.mode, "detail": v.detail}

@@ -100,7 +100,7 @@ def test_small_float_forms_keep_their_orbits(tmp_path, capsys):
 def test_b_x_cutoff_on_the_band_of_dim7_forms():
     # min |eig Q_x| = 3e-9 lies in (tol s^3, 6 tol s^3]: B_x = Q_x / 6 has 5e-10 <= 1e-9
     x = float_rep("case2_wprime") + float_rep("case2_w").scale(1e-9)
-    eig = np.linalg.eigvalsh(np.array(q_case2(x).gram, dtype=float))
+    eig = np.linalg.eigvalsh(np.array(q_case2(x), dtype=float))
     assert 1e-9 < np.abs(eig).min() <= 6e-9 and x.max_abs() == 1.0
     assert classify_real(x).real_orbit == "degenerate"
     assert _octonion_verdict(x) == "degenerate"

@@ -8,6 +8,8 @@ they replaced, kept here as oracles.
   forms over Q and Q(sqrt d), on g (e123 + e456) (a square delta), g w1
   (delta < 0) and w_alpha(d), and on the field-tower and degenerate errors.
 - ``point_rationality`` on exact vectors: the same normalization.
+- ``classify_real``'s ``field_d``, from the explicit quartic: the squarefree
+  part of ``delta_case1`` (S_x and its S_x^2 check), None on a degenerate form.
 - ``algebra_laws``: the per-sample ``_mul_coords`` loop on octonion tables
   (exact and float), on tables with one planted wrong entry and on tables
   whose unit row is broken.
@@ -29,9 +31,10 @@ from altforms.cayley_dickson import (AlgebraStructure, _inner_coords, _mul_coord
                                      octonion_from_form)
 from altforms.invariants import delta_case1, s_case1
 from altforms.multilinear import AlternatingForm, gl_action
-from altforms.orbits import eigenspaces, irrationality_report, plucker, point_rationality
+from altforms.orbits import (classify_real, eigenspaces, irrationality_report, plucker,
+                             point_rationality)
 from altforms.representatives import g_alpha, make_rep
-from altforms.scalars import QuadExt, clear_denominators, demote, rational_sqrt
+from altforms.scalars import QuadExt, clear_denominators, demote, rational_sqrt, squarefree_part
 from strategies import DS, fields, group_elements, trivectors
 from test_elimination_oracles import (STAB_FORMS, KINDS, mixed_matrix, rand_matrix,
                                       stab_system)
@@ -122,6 +125,16 @@ def test_eigenspace_errors_match_the_quadext_route():
     assert check_eigenspace_verdicts(tower) == "no field towers"
     degenerate = AlternatingForm(6, 3, {(1, 2, 3): Fraction(1), (1, 4, 5): Fraction(2)})
     assert check_eigenspace_verdicts(degenerate) == "not semistable"
+
+
+@SETTINGS
+@given(trivectors(6))
+def test_field_d_is_the_squarefree_part_of_delta(x):
+    # x without its e_6 terms lies in a 5-space, so it is degenerate
+    d = delta_case1(x)
+    assert classify_real(x).field_d == (squarefree_part(d)[0] if d else None)
+    y = AlternatingForm(6, 3, {k: v for k, v in x.coeffs.items() if 6 not in k})
+    assert delta_case1(y) == 0 and classify_real(y).field_d is None
 
 
 def test_point_rationality_matches_normalization():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from altforms import linalg
-from altforms.invariants import (QCASE2_DET_RATIO, QuadraticForm, case_of,
+from altforms.invariants import (QCASE2_DET_RATIO, case_of,
                                  delta_case1, delta_case1_explicit, delta_case2,
                                  invariant_report, pfaffian, q_case2, s_case1,
                                  s_case2, skew_matrix)
@@ -98,21 +98,21 @@ def test_s_case2_goldens():
 
 
 def test_q_case2_goldens():
-    gram = q_case2(W2).gram
+    gram = q_case2(W2)
     expected = [[Fraction(0)] * 7 for _ in range(7)]
     expected[0][0] = Fraction(-6)
     for i, j in ((1, 4), (2, 5), (3, 6)):
         expected[i][j] = expected[j][i] = Fraction(3)
     assert gram == expected
 
-    gramp = q_case2(make_rep("case2_wprime")).gram
+    gramp = q_case2(make_rep("case2_wprime"))
     expectedp = [[Fraction(0)] * 7 for _ in range(7)]
     expectedp[0][3] = expectedp[3][0] = Fraction(-3)
     expectedp[1][2] = expectedp[2][1] = Fraction(3)
     assert gramp == expectedp
 
     # the definite representative: 2^3 * 6 times the unit quadric
-    gram1 = q_case2(make_rep("case2_w1")).gram
+    gram1 = q_case2(make_rep("case2_w1"))
     assert gram1 == [[Fraction(48) if i == j else Fraction(0) for j in range(7)]
                      for i in range(7)]
 
@@ -124,9 +124,9 @@ def test_q_case2_covariance():
         g = rand_invertible(rng, 7)
         t = Fraction(rng.choice([1, 2, -1, 3]))
         moved = gl_action(g, x).scale(t)
-        lhs = q_case2(moved).gram
+        lhs = q_case2(moved)
         A = g
-        G = q_case2(x).gram
+        G = q_case2(x)
         AG = linalg.mat_mul(A, G)
         AGAt = linalg.mat_mul(AG, linalg.transpose(A))
         rhs = scaled(t ** 3 * linalg.mat_det(g), AGAt)
@@ -145,7 +145,7 @@ def test_delta_case2_goldens_and_cube_relation():
         x = rand_form(rng, 7, 3, span=2, density=0.4)
         d, exact = delta_case2(x)
         assert exact
-        assert d ** 3 * QCASE2_DET_RATIO == q_case2(x).det()
+        assert d ** 3 * QCASE2_DET_RATIO == linalg.mat_det(q_case2(x))
 
 
 def test_delta_case2_homogeneity():
@@ -199,24 +199,13 @@ def test_pfaffian_covariance_and_homogeneity():
 
 
 def test_quadratic_form_signature_and_definiteness():
-    q = QuadraticForm(2, [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]])
-    assert q.signature() == (2, 0, 0)
-    assert q.definiteness() == "positive"
-    q2 = QuadraticForm(2, [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
-    assert q2.signature() == (1, 1, 0)
-    assert q2.definiteness() == "indefinite"
-    assert q_case2(W2).signature() == (3, 4, 0)
-    assert q_case2(make_rep("case2_wprime")).definiteness() == "degenerate"
-    with pytest.raises(ValueError):
-        QuadraticForm(2, [[Fraction(0), Fraction(1)], [Fraction(2), Fraction(0)]])
-
-
-def test_quadratic_form_equality():
-    g = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(0)]]
-    assert QuadraticForm(2, g) == QuadraticForm(2, [list(r) for r in g])
-    assert QuadraticForm(2, g) != QuadraticForm(2, [[Fraction(2), 0], [0, Fraction(0)]])
-    assert (QuadraticForm(2, g) == 3) is False
-    assert QuadraticForm.__hash__ is None
+    sig = linalg.congruent_signature
+    assert sig([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]]) == (2, 0, 0)
+    assert sig([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == (1, 1, 0)
+    assert sig(q_case2(W2)) == (3, 4, 0)
+    assert sig(q_case2(make_rep("case2_wprime")))[2] > 0  # degenerate
+    with pytest.raises(ArithmeticError, match="not symmetric"):
+        sig([[Fraction(0), Fraction(1)], [Fraction(2), Fraction(0)]])
 
 
 def test_case_detection_and_report():
@@ -228,25 +217,25 @@ def test_case_detection_and_report():
     rep = invariant_report(W1)
     assert rep.case == 1 and rep.delta == 1 and rep.s_matrix is not None
     rep2 = invariant_report(W2)
-    assert rep2.case == 2 and rep2.delta == 6 and rep2.q_form is not None
+    assert rep2.case == 2 and rep2.delta == 6 and rep2.q_gram == q_case2(W2)
     rep3 = invariant_report(make_rep("case3_w", n=2))
     assert rep3.case == 3 and rep3.pfaffian == -1
 
 
 def test_signature_on_isotropic_diagonal_blocks():
     # the zero-diagonal repair must not land back on zero
-    q = QuadraticForm(2, [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(-2)]])
-    assert q.signature() == (1, 1, 0)
-    q2 = QuadraticForm(3, [[Fraction(0), Fraction(1), Fraction(0)],
-                           [Fraction(1), Fraction(-2), Fraction(0)],
-                           [Fraction(0), Fraction(0), Fraction(0)]])
-    assert q2.signature() == (1, 1, 1)
+    q = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(-2)]]
+    assert linalg.congruent_signature(q) == (1, 1, 0)
+    q2 = [[Fraction(0), Fraction(1), Fraction(0)],
+          [Fraction(1), Fraction(-2), Fraction(0)],
+          [Fraction(0), Fraction(0), Fraction(0)]]
+    assert linalg.congruent_signature(q2) == (1, 1, 1)
     rng = random.Random(19)
     for _ in range(50):
         n = rng.choice([3, 4, 5])
         M = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         G = [[M[i][j] + M[j][i] for j in range(n)] for i in range(n)]
-        npos, nneg, nzero = QuadraticForm(n, G).signature()
+        npos, nneg, nzero = linalg.congruent_signature(G)
         # cross-check against float eigenvalues
         import numpy as np
         eig = np.linalg.eigvalsh(np.array([[float(v) for v in r] for r in G]))

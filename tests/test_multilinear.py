@@ -37,9 +37,9 @@ def test_form_validates_keys():
         AlternatingForm(6, 3, {(1, 2, 7): Fraction(1)})
 
 
-def test_from_terms_normalizes_signs():
-    f = AlternatingForm.from_terms(6, 3, (Fraction(1), 3, 1, 2))
-    assert f.coeffs == {(1, 2, 3): Fraction(1)}
+def test_coeff_reads_any_index_order():
+    f = AlternatingForm(6, 3, {(1, 2, 3): Fraction(1)})
+    assert f.coeff(3, 1, 2) == Fraction(1)
     assert f.coeff(2, 1, 3) == Fraction(-1)
     assert f.coeff(1, 1, 2) == 0
 

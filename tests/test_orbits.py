@@ -7,7 +7,7 @@ import pytest
 from altforms import linalg
 from altforms.invariants import delta_case1, s_case1
 from altforms.multilinear import AlternatingForm, all_keys, gl_action
-from altforms.orbits import (classify_real, eigenspaces, field_kx,
+from altforms.orbits import (classify_real, eigenspaces,
                              grassmann_rationality, irrationality_report, plucker,
                              point_rationality)
 from altforms.representatives import g_alpha, make_rep
@@ -70,12 +70,12 @@ def test_classify_real_invariance_under_float_action():
 
 
 def test_field_kx():
-    assert field_kx(make_rep("case1_w")) == 1
-    assert field_kx(make_rep("case1_walpha", d=2)) == 2
-    assert field_kx(make_rep("case1_walpha", d=-5)) == -5
-    assert field_kx(make_rep("case1_w1")) == -1
-    with pytest.raises(ValueError):
-        field_kx(AlternatingForm(6, 3, {(1, 2, 3): Fraction(1)}))
+    # k(x) = Q(sqrt d) is classify_real's field_d; a degenerate form has none
+    assert classify_real(make_rep("case1_w")).field_d == 1
+    assert classify_real(make_rep("case1_walpha", d=2)).field_d == 2
+    assert classify_real(make_rep("case1_walpha", d=-5)).field_d == -5
+    assert classify_real(make_rep("case1_w1")).field_d == -1
+    assert classify_real(AlternatingForm(6, 3, {(1, 2, 3): Fraction(1)})).field_d is None
 
 
 def test_field_kx_invariant_under_rational_action():
@@ -86,7 +86,7 @@ def test_field_kx_invariant_under_rational_action():
             g = [[Fraction(rng.randint(-2, 2)) for _ in range(6)] for _ in range(6)]
             if linalg.mat_det(g) != 0:
                 break
-        assert field_kx(gl_action(g, x)) == 3
+        assert classify_real(gl_action(g, x)).field_d == 3
 
 
 def test_eigenspaces_of_w():
@@ -186,16 +186,16 @@ def test_plucker_shape():
 
 def test_point_rationality_exact_modes():
     v = point_rationality([Fraction(2), Fraction(4), Fraction(6)])
-    assert v.rational and v.certified
+    assert v.rational and v.mode == "exact"
     q = point_rationality([QuadExt(0, 1, 2), QuadExt(0, 2, 2)])
-    assert q.rational and q.certified  # ratio 2 is rational even if coords are not
+    assert q.rational and q.mode == "exact"  # ratio 2 is rational even if coords are not
     q2 = point_rationality([QuadExt(1, 0, 2), QuadExt(0, 1, 2)])
-    assert not q2.rational and q2.certified
+    assert not q2.rational and q2.mode == "exact"
 
 
 def test_point_rationality_float_modes():
     ok = point_rationality([0.5, 0.25, 1.0], max_den=1000, tol=1e-9)
-    assert ok.rational and not ok.certified
+    assert ok.rational and ok.mode == "float"
     bad = point_rationality([1.0, math.sqrt(2)], max_den=1000, tol=1e-12)
     assert not bad.rational
 
@@ -216,14 +216,27 @@ def test_normalize_float_vector_with_int_zeros():
 
 def test_irrationality_reports_certified():
     rep = irrationality_report(make_rep("case3_w", n=2))
-    assert rep.flags["x"].rational and rep.flags["x"].certified
+    assert rep.flags["x"].rational and rep.flags["x"].mode == "exact"
 
     rep = irrationality_report(make_rep("case2_w"))
-    assert rep.flags["Q"].rational and rep.flags["Q"].certified
+    assert rep.flags["Q"].rational and rep.flags["Q"].mode == "exact"
 
     rep = irrationality_report(make_rep("case1_w"))
     assert rep.flags["E1"].rational and rep.flags["E2"].rational
     assert rep.flags["Gr"].rational
+
+
+@pytest.mark.parametrize("x", [f(x) for x in (make_rep("case1_w"), make_rep("case2_w"),
+                                                make_rep("case3_w", n=2),
+                                                gl_action(g_alpha(2), make_rep("case1_w")))
+                               for f in (lambda x: x, AlternatingForm.as_float)])
+def test_bad_tol_and_max_den_are_rejected_for_every_scalar_kind(x):
+    for tol in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            classify_real(x, tol)
+    for max_den in (0, -5):
+        with pytest.raises(ValueError, match="max_den must be >= 1"):
+            irrationality_report(x, max_den=max_den)
 
 
 def test_irrationality_heuristic_for_float_orbit_point():
@@ -241,7 +254,6 @@ def test_irrationality_heuristic_for_float_orbit_point():
     assert not rep.flags["E1"].rational
     assert not rep.flags["E2"].rational
     assert not rep.flags["Gr"].rational
-    assert rep.all_irrational()
 
 
 def test_negative_orbit_float_eigenspaces_are_complex_but_pair_is_real():

@@ -129,7 +129,7 @@ def test_case2_auxiliaries_read_off_the_certified_form():
     rng = random.Random(66)
     for target in (zero_target(2), rand_target(rng, 2), rand_target(rng, 2, span=3.0)):
         cert = extend_case2(target, 0.05)
-        gram, aux = q_case2(cert.form).gram, cert.auxiliaries
+        gram, aux = q_case2(cert.form), cert.auxiliaries
         assert (aux["f1"], aux["f2"]) == (float(gram[0][0]), float(gram[6][6]))
         assert aux["f3"] == f3_case2(cert.form.coeffs)
         assert aux["delta"] == cert.orbit.delta
@@ -154,7 +154,7 @@ def test_case2_certificates_clear_the_cutoff_on_bryants_b(key, value, eps):
     from altforms.invariants import q_case2
     y = {k: (value if k == key else 0.0) for k in constrained_keys(2)}
     x = extend_case2(y, eps).form
-    eig = np.linalg.eigvalsh(np.array(q_case2(x).gram, dtype=float)) / 6
+    eig = np.linalg.eigvalsh(np.array(q_case2(x), dtype=float)) / 6
     assert np.abs(eig).min() > 1e-9 * x.max_abs() ** 3
     assert eig.min() < 0 < eig.max()
 
@@ -244,6 +244,6 @@ def test_covariant_corner_entries_match_combinatorial_sums():
     rng = _random.Random(68)
     for _ in range(10):
         z = {k: Fraction(rng.randint(-3, 3)) for k in all_keys(7, 3)}
-        gram = q_case2(AlternatingForm(7, 3, {k: v for k, v in z.items() if v})).gram
+        gram = q_case2(AlternatingForm(7, 3, {k: v for k, v in z.items() if v}))
         assert gram[0][0] == corner(z, 1)
         assert gram[6][6] == corner(z, 7)

@@ -137,7 +137,7 @@ def test_direct_sum_dimension():
 
 def test_case2_stabilizer_inside_orthogonal_algebra():
     w = make_rep("case2_w")
-    G = q_case2(w).gram
+    G = q_case2(w)
     L = stab_lie_algebra(w)
     for X in L.basis:
         XG = linalg.mat_mul(X, G)
@@ -177,7 +177,7 @@ def test_exponentials_of_stabilizer_have_unit_determinant():
             g = g @ expm(0.3 * X)
         assert abs(np.linalg.det(g) - 1.0) < 1e-9
         # and the generated element preserves the quadratic covariant
-        G = np.array([[float(v) for v in row] for row in q_case2(w).gram])
+        G = np.array([[float(v) for v in row] for row in q_case2(w)])
         assert np.max(np.abs(g @ G @ g.T - G)) < 1e-8
 
 
