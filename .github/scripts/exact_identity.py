@@ -12,7 +12,9 @@ forms, which take seconds each.  Then the float routes: perturb case1 (both
 signs), case2 and case3 at n = 2..5 on seeded dense and half-sparse targets at
 two epsilons, and approximate on seeded float and representative forms of
 dims 4, 6 and 7, each run plain, with --both-sides and with --via-orbit (its
-hypothesis flags and the case-2 completion read Q_x).  Two versions of the
+hypothesis flags and the case-2 completion read Q_x).  Last, invariant, classify
+and octonion table with --pretty on the first dense form of each shape and
+field and on every representative, and verify --pretty.  Two versions of the
 program print the same bytes on these commands when their sweeps are identical.
 
     PYTHONPATH=src python .github/scripts/exact_identity.py > sweep.txt
@@ -50,6 +52,7 @@ PERTURBS = (("case1", "+"), ("case1", "-"), ("case2", None),
 APPROXIMATES = ((4, 2, 3, 2, ("case3_w",)), (6, 3, 1, None, ("case1_w", "case1_w1")),
                 (7, 3, 2, None, ("case2_w", "case2_w1")))
 APPROXIMATE_FLAGS = ((), ("--both-sides",), ("--via-orbit",))
+PRETTY_COMMANDS = (("invariant",), ("classify",), ("octonion", "table"))
 
 
 def rational(rng):
@@ -143,6 +146,16 @@ def float_route_lines(workdir):
                            ["approximate", xpath, tpath, "--depth", "2", "--beam", "8", *flags])
 
 
+def pretty_lines(workdir):
+    """The --pretty commands, on the form files lines() has written."""
+    for name, _ in forms():
+        if name.startswith("dense1-") or name in REP_NAMES:
+            path = os.path.join(workdir, f"{name}.json")
+            for cmd in PRETTY_COMMANDS:
+                yield line(f"{' '.join(cmd)} --pretty {name}", [*cmd, path, "--pretty"])
+    yield line("verify --pretty", ["verify", "--pretty"])
+
+
 def lines(workdir):
     for name, x in forms():
         path = write(workdir, name, form_to_dict(x))
@@ -159,6 +172,7 @@ def lines(workdir):
         yield line(f"rep {name}", ["rep", name, *flags])
     yield line("verify", ["verify"])
     yield from float_route_lines(workdir)
+    yield from pretty_lines(workdir)
 
 
 def main(argv=None):

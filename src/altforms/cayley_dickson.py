@@ -22,34 +22,64 @@ coefficients and algebra coordinates line up index by index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from . import linalg
-from .invariants import _delta_from_q, q_case2
+from .invariants import _delta_from_q, _q_integral
 from .multilinear import AlternatingForm, gl_action, integral_multiple, sort_sign
 from .orbits import float_signature
 from .scalars import clear_denominators
 
 
 class AlgebraStructure:
-    """Structure constants + norm of a finite-dimensional normed algebra.
+    """Structure constants + norm of a finite-dimensional normed algebra, held as one
+    integral copy `cleared` = ((Dt, t), (Dg, g)) that algebra_laws, ==, c_form and
+    the JSON read: the table entries (table[i][j][m] at (i dim + j) dim + m) and
+    the gram entries as t / Dt and g / Dg, ints over a common denominator (D = 1
+    and the entries as they are with a float entry).  `table` and `gram` are
+    views: AlgebraStructure(dim, table, gram) takes them and clears them
+    (clear_denominators), and AlgebraStructure.integral(dim, (Dt, t), (Dg, g))
+    makes them on first read, each entry v / D (linalg._over) save the ints of
+    the unit's table row and column.  Immutable, so the constant algebras are
+    built once and shared."""
 
-    Immutable, so the constant algebras are built once and shared."""
-
-    __slots__ = ("dim", "table", "gram", "label")
+    __slots__ = ("dim", "label", "cleared", "_table", "_gram")
 
     def __init__(self, dim, table, gram, label=""):
-        init = object.__setattr__
-        init(self, "dim", dim)
-        init(self, "table", tuple(tuple(tuple(vec) for vec in row) for row in table))
-        init(self, "gram", tuple(tuple(row) for row in gram))
-        init(self, "label", label)
-        unit = self.table[0][0]
+        table = tuple(tuple(tuple(vec) for vec in row) for row in table)
+        gram = tuple(tuple(row) for row in gram)
+        flat = ([c for row in table for vec in row for c in vec], [c for row in gram for c in row])
+        self._hold(dim, label, tuple(clear_denominators(c) or (1, c) for c in flat), table, gram)
+        unit = table[0][0]
         if not (unit[0] == 1 and all(c == 0 for c in unit[1:])):
             raise ValueError("basis 0 must be the unit")
+
+    @classmethod
+    def integral(cls, dim, table, gram, label=""):
+        A = cls.__new__(cls)
+        A._hold(dim, label, (table, gram))
+        return A
+
+    def _hold(self, dim, label, cleared, table=None, gram=None):
+        for name, value in zip(self.__slots__, (dim, label, cleared, table, gram)):
+            object.__setattr__(self, name, value)
+
+    table = property(lambda self: self._table or self._views()[0])
+    gram = property(lambda self: self._gram or self._views()[1])
+
+    def _views(self):
+        n, ((Dt, t), (Dg, g)) = self.dim, self.cleared
+        t = [c // Dt if k < n * n or k // n % n == 0 else linalg._over(c, Dt)
+             for k, c in enumerate(t)]
+        vecs = [tuple(t[k:k + n]) for k in range(0, n ** 3, n)]
+        table = tuple(tuple(vecs[k:k + n]) for k in range(0, n * n, n))
+        gram = tuple(tuple(linalg._over(c, Dg) for c in g[k:k + n]) for k in range(0, n * n, n))
+        self._hold(n, self.label, self.cleared, table, gram)
+        return table, gram
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraStructure is immutable")
@@ -75,9 +105,13 @@ class AlgebraStructure:
         return _inner_coords(self.gram, u, v)
 
     def __eq__(self, other):
+        """Equal tables and grams, a / Da == b / Db read on the integral copies as
+        Db a == Da b."""
         if not isinstance(other, AlgebraStructure):
             return NotImplemented
-        return self.dim == other.dim and self.table == other.table and self.gram == other.gram
+        return self.dim == other.dim and all(
+            Db * a == Da * b for (Da, x), (Db, y) in zip(self.cleared, other.cleared)
+            for a, b in zip(x, y))
 
     def __repr__(self):
         return f"AlgebraStructure(dim={self.dim}, label={self.label!r})"
@@ -112,24 +146,20 @@ def algebra_laws(A, seed=0):
     """(norm multiplicative on samples, unit law) for an algebra structure.
 
     N(uv) == N(u) N(v) is tried on 25 seeded pairs with coordinates in
-    -3..3, on the table T = T' / Dt and the gram G = G' / Dg over common
-    denominators (integers for a rational algebra; Dt = Dg = 1 and the entries
-    as they are for a float one): the law reads Dg N'(uv) == Dt^2 N'(u) N'(v)
-    with (uv)_m = sum_ij u_i v_j T'[i][j][m] and N'(w) = w^T G' w.  The unit
-    law reads row 0 and column 0 of the table: T'[0][i] = T'[i][0] = Dt e_i.
-    Float algebras compare with a relative tolerance of 1e-9, others exactly.
+    -3..3, on the integral copy A.cleared, T = T' / Dt and G = G' / Dg: the law
+    reads Dg N'(uv) == Dt^2 N'(u) N'(v) with (uv)_m = sum_ij u_i v_j T'[i][j][m]
+    and N'(w) = w^T G' w.  The unit law reads row 0 and column 0 of the table:
+    T'[0][i] = T'[i][0] = Dt e_i.  Float algebras compare with a relative
+    tolerance of 1e-9, others exactly.
     """
     n = A.dim
-    if any(isinstance(c, float) for row in A.gram for c in row):
+    (Dt, table), (Dg, gram) = A.cleared
+    if any(isinstance(c, float) for c in gram):
         def eq(a, b):
             return abs(float(a) - float(b)) <= 1e-9 * max(1.0, abs(float(a)), abs(float(b)))
     else:
         def eq(a, b):
             return a == b
-    table = [c for row in A.table for vec in row for c in vec]
-    gram = [c for row in A.gram for c in row]
-    (Dt, table), (Dg, gram) = (clear_denominators(table) or (1, table),
-                               clear_denominators(gram) or (1, gram))
     cols = [table[m::n] for m in range(n)]  # cols[m][i * n + j] = T'[i][j][m]
     rows = [gram[i * n:(i + 1) * n] for i in range(n)]
 
@@ -305,20 +335,21 @@ def split_octonions():
 def c_form(A):
     """Trilinear form C(x, y, z) = <x, yz> on the imaginary part of a dim-8 algebra.
 
-    Read off the structure constants: C(i, j, k) = sum_m gram[i][m] table[j][k][m]
-    over the nonzero gram entries.  The result is verified alternating
-    (ArithmeticError otherwise) and is returned as a degree-3 form on the
-    7-dimensional imaginary part.
+    Read off the integral copy A.cleared: C(i, j, k) = sum_m G'[i][m] T'[j][k][m]
+    over the nonzero entries, divided by Dg Dt once.  The result is verified
+    alternating (ArithmeticError otherwise) and is returned as a degree-3 form on
+    the 7-dimensional imaginary part.
     """
     if A.dim != 8:
         raise ValueError("c_form needs an 8-dimensional algebra")
+    (Dt, t), (Dg, g) = A.cleared
     vals = {}
     for i in range(1, 8):
-        gi = [(m, g) for m, g in enumerate(A.gram[i]) if not (g == 0)]
+        gi = [(m, v) for m, v in enumerate(g[8 * i:8 * i + 8]) if not (v == 0)]
         for j in range(1, 8):
             for k in range(1, 8):
-                t = A.table[j][k]
-                v = sum(g * t[m] for m, g in gi if not (t[m] == 0))
+                tk = t[64 * j + 8 * k:64 * j + 8 * k + 8]
+                v = sum(gv * tk[m] for m, gv in gi if not (tk[m] == 0))
                 key, s = sort_sign((i, j, k))
                 if s == 0:
                     if not (v == 0):
@@ -330,7 +361,8 @@ def c_form(A):
                     vals[key] = cur
                 elif not (prev == cur):
                     raise ArithmeticError("C is not alternating (internal bug)")
-    return AlternatingForm(7, 3, {k: v for k, v in vals.items() if not (v == 0)})
+    return AlternatingForm(7, 3, {k: linalg._over(v, Dg * Dt) for k, v in vals.items()
+                                  if not (v == 0)})
 
 
 def octonion_from_form(x, q=None):
@@ -338,10 +370,13 @@ def octonion_from_form(x, q=None):
 
     The imaginary product u.v solves gram(Q) * (u.v) = 3 x(., u, v); the real
     part is -Q(u, v)/delta and the norm of v is Q(v)/delta.  A caller that has
-    built the gram q_case2(x) passes it as q.  Raises ValueError("not semistable")
-    exactly when classify_real at its default tol calls x degenerate (for
-    floats, both ask orbits.float_signature), and ValueError on Q(sqrt d)
-    coefficients, whose delta is only computed as a float.
+    built q = invariants._q_integral(x) passes it.  Raises ValueError("not
+    semistable") exactly when classify_real at its default tol calls x degenerate
+    (for floats, both ask orbits.float_signature), and ValueError on Q(sqrt d)
+    coefficients, whose delta is only computed as a float.  An exact x is solved
+    on ints: with gram(Q) = G / Dg, G^-1 = inv / Di (linalg.int_inverse), x = xs / Dx
+    and delta = a / b, u.v = Dg inv 3 xs(., u, v) / (Di Dx) and gram(Q) / delta =
+    r / Dr, r = sign(a) b G and Dr = Dg |a|, over L = lcm(Dr, Di Dx).
     """
     if x.dim != 7 or x.degree != 3:
         raise ValueError("octonion_from_form needs dim 7, degree 3")
@@ -349,15 +384,16 @@ def octonion_from_form(x, q=None):
     if kind == "quadext":
         raise ValueError("octonion_from_form supports rational or float coefficients, "
                          "not Q(sqrt d)")
-    gram7 = q_case2(x) if q is None else q
+    q = _q_integral(x) if q is None else q
+    Dg, G = q
     is_float = kind == "float"
-    delta, _ = _delta_from_q(gram7, kind)
-    if float_signature(x, gram7)[2] if is_float else delta == 0:
+    delta, _ = _delta_from_q(q, kind)
+    if float_signature(x, G)[2] if is_float else delta == 0:
         raise ValueError("not semistable")
     if is_float:
         import numpy as np
-        Gf = np.array([[float(v) for v in r] for r in gram7])
-        xs = x
+        Gf = np.array([[float(v) for v in r] for r in G])
+        xs, L, Dr, fr, r = x, 1, 1, 1, [[v / delta for v in row] for row in G]
 
         def solve7(rhs):
             sol = np.linalg.solve(Gf, np.array([float(v) for v in rhs]))
@@ -366,36 +402,32 @@ def octonion_from_form(x, q=None):
                 raise ArithmeticError("ill-conditioned product solve")
             return [float(s) for s in sol]
     else:
-        # gram^-1 = inv / Di and x = xs / Dx over ints: one Fraction per entry
-        Di, flat = clear_denominators(v for row in linalg.mat_inv(gram7) for v in row)
-        inv = [flat[7 * r:7 * r + 7] for r in range(7)]
+        Di, inv = linalg.int_inverse(G)
         Dx, xs = integral_multiple(x)
+        a, b = delta.numerator, delta.denominator
+        Dr, r = Dg * abs(a), [[v * b if a > 0 else -v * b for v in row] for row in G]
+        L = math.lcm(Dr, Di * Dx)
+        fr, fi = L // Dr, Dg * (L // (Di * Dx))
 
         def solve7(rhs):
-            return [Fraction(v, Di * Dx) for v in linalg.mat_vec(inv, rhs)]
+            return [fi * v for v in linalg.mat_vec(inv, rhs)]
 
-    ratio = {}  # gram7 / delta, each of the 28 entries i <= j divided once
-    for i in range(7):
-        for j in range(i, 7):
-            ratio[i, j] = ratio[j, i] = gram7[i][j] / delta
-    dim = 8
-    table = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        table[0][i] = tuple((1 if m == i else 0) for m in range(dim))
-        table[i][0] = tuple((1 if m == i else 0) for m in range(dim))
+    t = [0] * 512  # table[i][j][m] at 64 i + 8 j + m
+    for i in range(8):
+        t[9 * i] = t[65 * i] = L  # table[0][i] = table[i][0] = e_i
     for i in range(1, 8):
         for j in range(1, 8):
+            k = 64 * i + 8 * j
+            t[k] = -r[i - 1][j - 1] * fr
             if is_float or i < j:  # a float solve of -rhs may print -0.0 where rhs gave 0.0
-                im = solve7([3 * xs.coeff(m, i, j) for m in range(1, 8)])
-            else:  # x is alternating: im(j, i) = -im(i, j) and im(i, i) = 0
-                im = [-v for v in table[j][i][1:]] if i > j else [Fraction(0)] * 7
-            table[i][j] = (-ratio[i - 1, j - 1], *im)
-    gram = [[(0.0 if is_float else Fraction(0))] * dim for _ in range(dim)]
-    gram[0][0] = 1.0 if is_float else Fraction(1)
+                t[k + 1:k + 8] = solve7([3 * xs.coeff(m, i, j) for m in range(1, 8)])
+            elif i > j:  # x is alternating: im(i, j) = -im(j, i), and im(i, i) = 0
+                t[k + 1:k + 8] = [-v for v in t[64 * j + 8 * i + 1:64 * j + 8 * i + 8]]
+    g = [0.0 if is_float else 0] * 64
+    g[0] = 1.0 if is_float else Dr
     for i in range(7):
-        for j in range(7):
-            gram[i + 1][j + 1] = ratio[i, j]
-    return AlgebraStructure(8, table, gram, "O_x")
+        g[8 * i + 9:8 * i + 16] = r[i]
+    return AlgebraStructure.integral(8, (L, t), (Dr, g), "O_x")
 
 
 def iso_check(x, y, t, g):

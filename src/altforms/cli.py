@@ -17,11 +17,12 @@ from functools import lru_cache
 
 from . import cayley_dickson as cd
 from . import linalg, perturb, serialize, stabilizers
-from .invariants import _delta_from_q, delta_case1, delta_case2, invariant_report, q_case2, s_case1
+from .invariants import (_delta_from_q, _q_integral, _view, delta_case1, delta_case2,
+                         invariant_report, s_case1)
 from .multilinear import AlternatingForm, gl_action
-from .orbits import classify_real, irrationality_report
+from .orbits import check_max_den, classify_real, irrationality_report
 from .representatives import REP_NAMES, g_alpha, make_rep
-from .scalars import QuadExt, demote, scalar_to_json
+from .scalars import QuadExt, demote, ratio_to_json, scalar_to_json
 from .serialize import FormFormatError
 
 
@@ -123,10 +124,9 @@ def cmd_invariant(args):
     out = {"case": rep.case,
            "delta": scalar_to_json(rep.delta) if rep.delta is not None else None,
            "delta_exact": rep.delta_exact}
-    if rep.s_matrix is not None:
-        out["s_matrix"] = scalar_to_json(rep.s_matrix)
-    if rep.q_gram is not None:
-        out["q_gram"] = scalar_to_json(rep.q_gram)
+    for key, copy in (("s_matrix", rep.s), ("q_gram", rep.q)):  # from the integral copies
+        if copy is not None:
+            out[key] = [[ratio_to_json(v, copy[0]) for v in row] for row in copy[1]]
     if rep.pfaffian is not None:
         out["pfaffian"] = scalar_to_json(rep.pfaffian)
     _emit(out, args.pretty)
@@ -135,6 +135,7 @@ def cmd_invariant(args):
 
 def cmd_classify(args):
     x = serialize.parse_form(args.form)
+    check_max_den(args.max_den)
     rep = classify_real(x, tol=args.tol)
     out = {"case": rep.case, "real_orbit": rep.real_orbit,
            "real_rank_positive": rep.real_rank_positive,
@@ -167,22 +168,20 @@ def cmd_fixed(args):
     return 0
 
 
-def _algebra_checks(A):
-    norm_ok, unit_ok = cd.algebra_laws(A)
-    return {"norm_multiplicative_on_samples": norm_ok, "unit_law": unit_ok,
-            "norm_of_unit": scalar_to_json(A.one.norm())}
-
-
 def cmd_octonion(args):
     if args.what == "table":
         if not args.form:
             raise FormFormatError("octonion table needs a form file")
         x = serialize.parse_form(args.form)
         A = cd.octonion_from_form(x)
+        (Dt, t), (Dg, g) = A.cleared  # written from the integral copy
+        t, g = [ratio_to_json(v, Dt) for v in t], [ratio_to_json(v, Dg) for v in g]
+        norm_ok, unit_ok = cd.algebra_laws(A)
         out = {"dim": A.dim,
-               "table": scalar_to_json(A.table),
-               "norm_gram": scalar_to_json(A.gram),
-               "checks": _algebra_checks(A)}
+               "table": [[t[k:k + 8] for k in range(r, r + 64, 8)] for r in range(0, 512, 64)],
+               "norm_gram": [g[k:k + 8] for k in range(0, 64, 8)],
+               "checks": {"norm_multiplicative_on_samples": norm_ok, "unit_law": unit_ok,
+                          "norm_of_unit": g[0]}}  # gram[0][0] = N(1)
         _emit(out, args.pretty)
         return 0
     A = cd.split_octonions() if args.algebra == "split" else cd.octonions()  # c-form
@@ -261,18 +260,18 @@ def _verify_rows():
         gl_action(g_alpha(2), w1).map_coeffs(demote), make_rep("case1_walpha", d=2))
 
     w2 = make_rep("case2_w")
-    q = q_case2(w2)
+    q = _q_integral(w2)
     expected = [[Fraction(0)] * 7 for _ in range(7)]
     expected[0][0] = Fraction(-6)
     for (i, j) in ((1, 4), (2, 5), (3, 6)):
         expected[i][j] = expected[j][i] = Fraction(3)
-    row("case2 Q_w = 6(-e1^2+e2e5+e3e6+e4e7)", q, expected)
+    row("case2 Q_w = 6(-e1^2+e2e5+e3e6+e4e7)", _view(*q), expected)
     wp = make_rep("case2_wprime")
-    qp = q_case2(wp)
+    qp = _q_integral(wp)
     expectedp = [[Fraction(0)] * 7 for _ in range(7)]
     expectedp[0][3] = expectedp[3][0] = Fraction(-3)
     expectedp[1][2] = expectedp[2][1] = Fraction(3)
-    row("case2 Q_w' = 6(-e1e4+e2e3)", qp, expectedp)
+    row("case2 Q_w' = 6(-e1e4+e2e3)", _view(*qp), expectedp)
     row("case2 delta(w) = 6", _delta_from_q(q, "rational")[0], Fraction(6))
     row("case2 delta(w') = 0", _delta_from_q(qp, "rational")[0], Fraction(0))
     row("case2 delta(w1) = 2^9*6", delta_case2(make_rep("case2_w1"))[0], Fraction(2 ** 9 * 6))
@@ -328,56 +327,34 @@ def build_parser():
     p = argparse.ArgumentParser(prog="altforms", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--pretty", action="store_true", help="human-readable output")
+    def command(name, func, help, *positionals):
+        sp = sub.add_parser(name, help=help)
+        for arg in positionals:
+            sp.add_argument(arg)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("rep", help="emit a canonical representative form")
+    sp = command("rep", cmd_rep, "emit a canonical representative form")
     sp.add_argument("name", choices=REP_NAMES)
     sp.add_argument("--d", type=int, help="squarefree discriminant for case1_walpha")
     sp.add_argument("--n", type=int, help="half-dimension for case3_w")
-    common(sp)
-    sp.set_defaults(func=cmd_rep)
-
-    sp = sub.add_parser("invariant", help="invariant report for a form file")
-    sp.add_argument("form")
-    common(sp)
-    sp.set_defaults(func=cmd_invariant)
-
-    sp = sub.add_parser("classify", help="real orbit and irrationality report")
-    sp.add_argument("form")
+    command("invariant", cmd_invariant, "invariant report for a form file", "form")
+    sp = command("classify", cmd_classify, "real orbit and irrationality report", "form")
     sp.add_argument("--max-den", type=int, default=1000, dest="max_den")
     sp.add_argument("--tol", type=float, default=1e-9)
-    common(sp)
-    sp.set_defaults(func=cmd_classify)
-
-    sp = sub.add_parser("stab", help="stabilizer algebra basis of a form")
-    sp.add_argument("form")
-    common(sp)
-    sp.set_defaults(func=cmd_stab)
-
-    sp = sub.add_parser("fixed", help="forms annihilated by the stabilizer algebra")
-    sp.add_argument("form")
-    common(sp)
-    sp.set_defaults(func=cmd_fixed)
-
-    sp = sub.add_parser("octonion", help="octonion tables and trilinear forms")
+    command("stab", cmd_stab, "stabilizer algebra basis of a form", "form")
+    command("fixed", cmd_fixed, "forms annihilated by the stabilizer algebra", "form")
+    sp = command("octonion", cmd_octonion, "octonion tables and trilinear forms")
     sp.add_argument("what", choices=["table", "c-form"])
     sp.add_argument("form", nargs="?")
     sp.add_argument("--algebra", choices=["split", "nonsplit"], default="split")
-    common(sp)
-    sp.set_defaults(func=cmd_octonion)
-
-    sp = sub.add_parser("perturb", help="extend a partial target onto a real orbit")
+    sp = command("perturb", cmd_perturb, "extend a partial target onto a real orbit")
     sp.add_argument("case", choices=["case1", "case2", "case3"])
     sp.add_argument("target")
     sp.add_argument("--epsilon", type=float, required=True)
     sp.add_argument("--sign", choices=["+", "-"])
-    common(sp)
-    sp.set_defaults(func=cmd_perturb)
-
-    sp = sub.add_parser("approximate", help="beam search for an integral basis")
-    sp.add_argument("x")
-    sp.add_argument("target")
+    sp = command("approximate", cmd_approximate, "beam search for an integral basis",
+                 "x", "target")
     sp.add_argument("--epsilon", type=float, default=1e-9)
     sp.add_argument("--depth", type=int, default=6)
     sp.add_argument("--beam", type=int, default=64)
@@ -386,12 +363,9 @@ def build_parser():
     sp.add_argument("--both-sides", action="store_true", dest="both_sides")
     sp.add_argument("--threads", type=int, default=0,
                     help="accepted and ignored; the search runs in one thread")
-    common(sp)
-    sp.set_defaults(func=cmd_approximate)
-
-    sp = sub.add_parser("verify", help="golden identity suite; exit 0 iff all rows pass")
-    common(sp)
-    sp.set_defaults(func=cmd_verify)
+    command("verify", cmd_verify, "golden identity suite; exit 0 iff all rows pass")
+    for sp in sub.choices.values():  # last, as every usage line ends with it
+        sp.add_argument("--pretty", action="store_true", help="human-readable output")
     return p
 
 

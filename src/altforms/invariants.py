@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .multilinear import AlternatingForm, _small_det, all_keys, d3, sort_sign
+from .multilinear import AlternatingForm, _small_det, all_keys, d3, integral_multiple, sort_sign
 from .scalars import clear_denominators, cube_root_rational, finite_float
 
 # det gram(Q_x) = QCASE2_DET_RATIO * delta(x)^3, pinned at x = w.
@@ -60,29 +60,28 @@ def _s_plan(dim):
     return polar, pairing
 
 
-def _s_matrix(x):
-    """S_x = sum_pair D3(x)_pair (x) T_pair, with T_pair = sum_comp v e_comp . D3(x)_comp in
-    dim 7 and -sum_j v e_j in dim 6, v the coefficient of e_1..dim in x ^ e_pair ^ e_comp.
+def _s_integral(x, dim):
+    """(Dk, S') with S_x = S' / Dk: S' = S_{Dx} = sum_pair D3(Dx)_pair (x) T_pair, with
+    T_pair = sum_comp v e_comp . D3(Dx)_comp in dim 7 and -sum_j v e_j in dim 6, v the
+    coefficient of e_1..dim in Dx ^ e_pair ^ e_comp.
 
     One integer run for every scalar kind, driven by the coefficients x has: x is
     scaled by the common denominator D of its coefficients, a float taken as its
-    exact binary64 value, to ints or Z[sqrt d] (clear_denominators), and S_{Dx}
-    is divided by D^2 (dim 6) or D^3 (dim 7) once: exactly (linalg._over), or,
-    for a float form, by int true division, so each entry is correctly rounded.
-    ValueError when a float coefficient is not finite or a float entry overflows.
-    """
-    n, is_float = x.dim, x.scalar_kind() == "float"
+    exact binary64 value, to ints or Z[sqrt d] (clear_denominators); Dk is D^2
+    (dim 6) or D^3 (dim 7), and an entry no term reaches is the int 0.  ValueError
+    when x is not of shape (dim, 3) or a float coefficient is not finite."""
+    _check_shape(x, dim, 3, f"s_case{dim - 5}")
     D, values = clear_denominators(Fraction(finite_float(v)) if isinstance(v, float) else v
                                    for v in x.coeffs.values())
     coeffs = dict(zip(x.coeffs, values))
-    polar, pairing = _s_plan(n)
+    polar, pairing = _s_plan(dim)
     dx = {}  # D3(Dx) by pair: [(vec, coefficient)]
     for K, v in coeffs.items():
         for pair, vec, s in polar[K]:
             dx.setdefault(pair, []).append((vec, s * v))
     # dim 6 pairs x ^ e_pair with e_j by e_j ^ e_1..5 = -e_1..5 ^ e_j: hence the -1
-    partner = dx if n == 7 else {(j,): ((j - 1, -1),) for j in range(1, 7)}
-    S = [[0] * n for _ in range(n)]
+    partner = dx if dim == 7 else {(j,): ((j - 1, -1),) for j in range(1, 7)}
+    S = [[0] * dim for _ in range(dim)]
     for pair, d1 in dx.items():
         T = {}
         for triple, comp, s in pairing[pair]:
@@ -95,19 +94,31 @@ def _s_matrix(x):
             row = S[v1]
             for v2, t in T.items():
                 row[v2] += c1 * t
-    Dk = D ** (2 if n == 6 else 3)  # S_x is quadratic in x in dim 6, cubic in dim 7
-    if not is_float:
-        return [[linalg._over(v, Dk) for v in row] for row in S]
+    return D ** (2 if dim == 6 else 3), S  # S_x is quadratic in x in dim 6, cubic in dim 7
+
+
+def _s_matrix(x, dim):
+    """S_x from _s_integral, divided by Dk once: exactly (_view), or, for a float
+    form, by int true division, so each entry is correctly rounded.  ValueError
+    when a float entry overflows."""
+    Dk, S = _s_integral(x, dim)
+    if x.scalar_kind() != "float":
+        return _view(Dk, S)
     try:
         return [[v / Dk for v in row] for row in S]
     except OverflowError:
         raise ValueError("float coefficients too large: an invariant overflows") from None
 
 
+def _view(D, M):
+    """The matrix M / D of an integral copy (D, M), one division per entry
+    (linalg._over: an int gives a Fraction, a QuadExt a QuadExt, a float itself)."""
+    return [[linalg._over(v, D) for v in row] for row in M]
+
+
 def s_case1(x):
-    """S_x = x ^ D3(x) as a 6x6 matrix, quadratic in x (_s_matrix)."""
-    _check_shape(x, 6, 3, "s_case1")
-    return _s_matrix(x)
+    """S_x = x ^ D3(x) as a 6x6 matrix, quadratic in x (_s_integral)."""
+    return _s_matrix(x, 6)
 
 
 def delta_case1(x):
@@ -116,26 +127,19 @@ def delta_case1(x):
     delta_case1_explicit, as every float path does."""
     if x.scalar_kind() == "float":
         return delta_case1_explicit(x)
-    return _delta_from_s(s_case1(x))
+    return _delta_from_s(*_s_integral(x, 6))
 
 
-def _delta_from_s(S):
-    """delta with S^2 = delta * I for a built S_x; ArithmeticError otherwise.
-    An exact S is squared as D * S over Z or Z[sqrt d] and checked exactly;
-    delta is then one division by D^2.  Every product is formed, so delta
-    is a QuadExt exactly when S^2 computed on S itself would give one."""
-    D, n = None, len(S)
-    cleared = clear_denominators(v for row in S for v in row)
-    if cleared is not None:
-        D, flat = cleared
-        S = [flat[i * n:i * n + n] for i in range(n)]
+def _delta_from_s(Dk, S):
+    """delta with S_x^2 = delta * I for the integral copy (Dk, S') of an exact S_x;
+    ArithmeticError otherwise.  S'^2 is formed over Z or Z[sqrt d] and checked
+    exactly; delta is then one division by Dk^2.  Every product is formed, so
+    delta is a QuadExt exactly when S^2 computed on S itself would give one."""
     S2 = linalg.mat_mul(S, S)
     d = S2[0][0]
-    for i, row in enumerate(S2):
-        for j, v in enumerate(row):
-            if v != (d if i == j else 0):
-                raise ArithmeticError("S_x^2 is not a scalar matrix (internal bug)")
-    return d if D is None else linalg._over(d, D * D)
+    if any(v != (d if i == j else 0) for i, row in enumerate(S2) for j, v in enumerate(row)):
+        raise ArithmeticError("S_x^2 is not a scalar matrix (internal bug)")
+    return linalg._over(d, Dk * Dk)
 
 
 def _block_matrices(z):
@@ -174,25 +178,31 @@ def delta_case1_explicit(z):
 
 
 def s_case2(x):
-    """S_x in wedge^7 W (x) W (x) W as a 7x7 matrix, cubic in x (_s_matrix).
+    """S_x in wedge^7 W (x) W (x) W as a 7x7 matrix, cubic in x (_s_integral).
 
     wedge^7 W ~ k via the coefficient of e_1..7.  The second contraction only
     pairs a 5-form with the 2-form on its complementary indices.
     """
-    _check_shape(x, 7, 3, "s_case2")
-    return _s_matrix(x)
+    return _s_matrix(x, 7)
 
 
 def q_case2(x):
-    """Quadratic covariant: the 7x7 gram (S_x + S_x^T)/2 of a form on W*;
-    ValueError when a float gram entry overflows."""
-    S = s_case2(x)
-    is_float = x.scalar_kind() == "float"
-    half = 0.5 if is_float else Fraction(1, 2)
-    gram = [[half * (S[i][j] + S[j][i]) for j in range(7)] for i in range(7)]
-    if is_float:
+    """Quadratic covariant: the 7x7 gram (S_x + S_x^T)/2 of a form on W*, the
+    view of _q_integral; ValueError when a float gram entry overflows."""
+    return _view(*_q_integral(x))
+
+
+def _q_integral(x):
+    """(Dg, G') with gram(Q_x) = G' / Dg: G' = S' + S'^T and Dg = 2 Dk for an exact
+    form (_s_integral), Dg = 1 and 0.5 (S + S^T) of its rounded S_x, checked
+    finite (ValueError), for a float one."""
+    if x.scalar_kind() == "float":
+        S = _s_matrix(x, 7)
+        gram = [[0.5 * (S[i][j] + S[j][i]) for j in range(7)] for i in range(7)]
         _finite(*(v for row in gram for v in row))
-    return gram
+        return 1, gram
+    Dk, S = _s_integral(x, 7)
+    return 2 * Dk, [[S[i][j] + S[j][i] for j in range(7)] for i in range(7)]
 
 
 def delta_case2(x):
@@ -202,19 +212,22 @@ def delta_case2(x):
     rational (always the case for rational input); float input yields the
     real cube root with exact=False.
     """
-    return _delta_from_q(q_case2(x), x.scalar_kind())
+    return _delta_from_q(_q_integral(x), x.scalar_kind())
 
 
-def _delta_from_q(gram, kind):
-    """delta_case2 from the built gram of Q_x of a form with the given scalar kind;
-    ValueError when a float delta overflows."""
+def _delta_from_q(q, kind):
+    """delta_case2 from the integral copy q = (Dg, G') of gram(Q_x) (_q_integral):
+    the cube root of det G' / (Dg^7 * 81/4), det G' on ints, for a rational form;
+    else a float cube root of numpy's det of the gram, ValueError when it overflows."""
+    D, G = q
     if kind == "rational":
-        root = cube_root_rational(linalg.mat_det(gram) / QCASE2_DET_RATIO)
+        root = cube_root_rational(linalg.mat_det(G) / (QCASE2_DET_RATIO * D ** 7))
         if root is None:
             raise ArithmeticError("det gram / (81/4) must be a perfect cube for rational input")
         return root, True
     import numpy as np
     with np.errstate(over="ignore"):  # an overflowing det is reported by _finite below
+        gram = G if D == 1 else _view(D, G)  # a float form's gram as it is
         det = float(np.linalg.det(np.array([[float(v) for v in r] for r in gram])))
     return _finite(float(np.cbrt(det / float(QCASE2_DET_RATIO)))), False
 
@@ -276,14 +289,20 @@ def skew_matrix(x):
 
 @dataclass
 class InvariantReport:
-    """Per-case invariant bundle: only the relevant fields are populated."""
+    """Per-case invariant bundle: only the relevant fields are populated.  s and q are
+    the integral copies (D, M) of S_x (dim 6) and of gram(Q_x) (dim 7), as
+    _s_integral and _q_integral build them (D = 1 for a float S_x), and s_matrix and
+    q_gram their views M / D."""
 
     case: int
     delta: object = None
     delta_exact: bool = True
-    s_matrix: list = None
-    q_gram: list = None
+    s: tuple = None
+    q: tuple = None
     pfaffian: object = None
+
+    s_matrix = property(lambda self: self.s and _view(*self.s))
+    q_gram = property(lambda self: self.q and _view(*self.q))
 
 
 def case_of(x):
@@ -298,22 +317,25 @@ def case_of(x):
 
 
 def invariant_report(x):
-    """InvariantReport of x; ValueError when a float result overflows."""
+    """InvariantReport of x; ValueError when a float result overflows.  An exact
+    dim-6 delta is checked against the explicit quartic on Dx, over Z or
+    Z[sqrt d], which is D^4 delta = Dk^2 delta."""
     case = case_of(x)
     is_float = x.scalar_kind() == "float"
     if case == 1:
-        S = s_case1(x)
         if is_float:
+            S = s_case1(x)
             d = _finite(delta_case1_explicit(x), *(v for row in S for v in row))
-            return InvariantReport(case=1, delta=d, delta_exact=False, s_matrix=S)
-        d = _delta_from_s(S)
-        if d != delta_case1_explicit(x):
+            return InvariantReport(case=1, delta=d, delta_exact=False, s=(1, S))
+        Dk, S = _s_integral(x, 6)
+        d = _delta_from_s(Dk, S)
+        if d * Dk * Dk != delta_case1_explicit(integral_multiple(x)[1]):
             raise ArithmeticError("S_x^2 and the explicit quartic disagree (internal bug)")
-        return InvariantReport(case=1, delta=d, s_matrix=S)
+        return InvariantReport(case=1, delta=d, s=(Dk, S))
     if case == 2:
-        q = q_case2(x)
+        q = _q_integral(x)
         d, exact = _delta_from_q(q, x.scalar_kind())
-        return InvariantReport(case=2, delta=d, delta_exact=exact, q_gram=q)
+        return InvariantReport(case=2, delta=d, delta_exact=exact, q=q)
     pf = pfaffian(x)
     return InvariantReport(case=3, delta_exact=not is_float,
                            pfaffian=_finite(pf) if is_float else pf)

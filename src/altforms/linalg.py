@@ -216,6 +216,19 @@ def mat_inv(A):
     return _solve_block(A, identity(len(A)))
 
 
+def int_inverse(A):
+    """(D, X) with A^-1 = X / D for an invertible square matrix A over Z: the
+    reduction of [A | I] (sparse_rref), each pivot row scaled to D, the lcm of
+    the pivots.  ZeroDivisionError when A is singular."""
+    n = len(A)
+    rows = [{**{j: v for j, v in enumerate(row) if v}, n + i: 1} for i, row in enumerate(A)]
+    pivots, _ = sparse_rref(rows, n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
+    D = math.lcm(*(rows[i][c] for c, i in pivots))
+    return D, [[rows[i].get(j, 0) * (D // rows[i][c]) for j in range(n, 2 * n)] for c, i in pivots]
+
+
 def congruent_signature(G):
     """Exact signature (n_plus, n_minus, n_zero) of a symmetric matrix over Q;
     a float counts as its exact value, any Integral (numpy's too) as its int,

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from operator import add, sub
 
 from . import linalg
-from .invariants import (_delta_from_q, _delta_from_s, _finite, case_of, delta_case1_explicit,
-                         pfaffian, q_case2, s_case1)
-from .multilinear import _small_det, all_keys
-from .scalars import (QuadExt, clear_denominators, demote, rational_reconstruct, rational_sqrt,
-                      real_sign, squarefree_part)
+from .invariants import (_delta_from_q, _delta_from_s, _finite, _q_integral, _s_integral,
+                         case_of, delta_case1_explicit, pfaffian, s_case1)
+from .multilinear import _small_det, all_keys, integral_multiple
+from .scalars import (QuadExt, demote, rational_reconstruct, rational_sqrt, real_sign,
+                      squarefree_part)
 
 @dataclass
 class OrbitReport:
@@ -27,7 +27,8 @@ class OrbitReport:
     real_orbit: str
     field_d: int = None          # squarefree d with k(x) = Q(sqrt(d)); 1 means Q
     delta: object = None
-    q: list = field(default=None, repr=False, compare=False)  # gram of Q_x of a dim-7 form
+    # the integral copy (D, G) of the gram G / D of Q_x of a dim-7 form (invariants._q_integral)
+    q: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def real_rank_positive(self):
@@ -59,7 +60,8 @@ def classify_real(x, tol=1e-9):
     at degree 4, the Pfaffian at degree n, and the eigenvalues of Q_x read as
     Bryant's B_x = Q_x / 6 (float_signature); so t * x gets the verdict of x for
     every t > 0.  NaN/inf coefficients, an overflowing float invariant or a tol
-    not finite and > 0 raise ValueError.  report.q keeps the gram of a dim-7 Q_x.
+    not finite and > 0 raise ValueError.  report.q keeps the integral copy of the
+    gram of a dim-7 Q_x, whose signature is read on its ints.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, not {tol}")
@@ -72,7 +74,11 @@ def classify_real(x, tol=1e-9):
         return float_zero(_finite(v), x.max_abs(), degree, tol) if is_float else v == 0
 
     if case == 1:
-        d = delta_case1_explicit(x)
+        if is_float:
+            d = delta_case1_explicit(x)
+        else:  # the quartic on D x over Z or Z[sqrt d], divided by D^4 once
+            D, xs = integral_multiple(x)
+            d = linalg._over(delta_case1_explicit(xs), D ** 4)
         if zero(d, 4):
             orbit = "degenerate"
         elif real_sign(d) > 0:
@@ -84,9 +90,9 @@ def classify_real(x, tol=1e-9):
             rep.field_d = squarefree_part(d)[0]  # k(x) = Q(sqrt delta), without building S_x
         return rep
     if case == 2:
-        q = q_case2(x)
-        npos, nneg, nzero = (float_signature(x, q, tol) if is_float
-                             else linalg.congruent_signature(q))
+        q = _q_integral(x)
+        npos, nneg, nzero = (float_signature(x, q[1], tol) if is_float
+                             else linalg.congruent_signature(q[1]))
         delta, _ = _delta_from_q(q, x.scalar_kind())
         if nzero:
             orbit = "degenerate"
@@ -129,16 +135,17 @@ def eigenspaces(x, tol=1e-9):
     """The two rank-3 eigenspaces of S_x for the eigenvalues +/- sqrt(delta).
 
     Exact over Q(sqrt(d)) for rational input (basis1 belongs to +sqrt(delta)):
-    the canonical kernel vectors of D (S_x -/+ sqrt(delta) I), D the common
-    denominator, by linalg.int_nullspace, and the Plücker vectors from the
-    primitive ones, on ints (_plucker_zd).
+    the canonical kernel vectors of S' -/+ Dk sqrt(delta) I over Z or Z[sqrt d],
+    (Dk, S') the integral copy of S_x (invariants._s_integral), by
+    linalg.int_nullspace, and the Plücker vectors from the primitive ones, on
+    ints (_plucker_zd).
     Float input uses complex numpy arithmetic.  ValueError when sqrt(delta)
     lies outside Q and the field of S_x (a field tower).
     """
     if x.scalar_kind() == "float":
         return _eigenspaces_float(x, tol)
-    S = s_case1(x)
-    delta = demote(_delta_from_s(S))
+    Dk, S = _s_integral(x, 6)
+    delta = demote(_delta_from_s(Dk, S))
     if delta == 0:
         raise ValueError("not semistable")
     fields = {v.d for row in S for v in row if isinstance(v, QuadExt)}  # Q(sqrt d) of S_x
@@ -146,10 +153,11 @@ def eigenspaces(x, tol=1e-9):
     if root is None or isinstance(root, QuadExt) and fields - {root.d}:
         raise ValueError("eigenspaces need a rational invariant (no field towers)")
     d = root.d if isinstance(root, QuadExt) else next(iter(fields), 1)
-    _, flat = clear_denominators([*(v for row in S for v in row), root])  # D S and D sqrt(delta)
+    # Dk sqrt(delta) = sqrt(Dk^2 delta): an int, or a QuadExt over Z[sqrt d]
+    root = Dk * root if type(root) is QuadExt else (Dk * root).numerator
     bases, coords = [], []
-    for lam in (flat[36], -flat[36]):
-        rows = [{j: v for j in range(6) if (v := flat[6 * i + j] - (lam if i == j else 0))}
+    for lam in (root, -root):
+        rows = [{j: v for j in range(6) if (v := S[i][j] - (lam if i == j else 0))}
                 for i in range(6)]
         ns = linalg.int_nullspace(rows, 6)
         if len(ns) != 3:
@@ -294,15 +302,22 @@ class IrrationalityReport:
     flags: dict = field(default_factory=dict)   # name -> PointVerdict
 
 
+def check_max_den(max_den):
+    """ValueError unless max_den >= 1: for irrationality_report, and before any orbit
+    verdict in the classify command and search.hypothesis_check."""
+    if max_den < 1:
+        raise ValueError(f"max_den must be >= 1, not {max_den}")
+
+
 def irrationality_report(x, max_den=1000, tol=1e-9, q=None):
     """Per-predicate rationality flags for the case of x.
 
     dim 6: the two eigenspace points and the unordered pair; dim 7: the
-    projective image of the quadratic covariant (q, the gram of Q_x if the
-    caller has built it); degree 2: that of x itself.  ValueError if max_den < 1.
+    projective image of Q_x, read on the integral copy q of its gram
+    (invariants._q_integral, passed if the caller has built it); degree 2: that
+    of x itself.  ValueError if max_den < 1 (check_max_den).
     """
-    if max_den < 1:
-        raise ValueError(f"max_den must be >= 1, not {max_den}")
+    check_max_den(max_den)
     case = case_of(x)
     rep = IrrationalityReport(case)
     if case == 1:
@@ -312,7 +327,7 @@ def irrationality_report(x, max_den=1000, tol=1e-9, q=None):
         rep.flags["Gr"] = grassmann_rationality(gr, max_den, tol)
         return rep
     if case == 2:
-        gram = q_case2(x) if q is None else q
+        _, gram = _q_integral(x) if q is None else q
         rep.flags["Q"] = point_rationality([gram[i][j] for i in range(7) for j in range(i, 7)],
                                            max_den, tol)
         return rep

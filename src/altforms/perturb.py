@@ -273,7 +273,7 @@ def extend_case2(y, eps):
     for _ in range(64):
         form, rep = complete(dict(z))
         if form is not None:
-            gram = rep.q
+            _, gram = rep.q
             aux = {"f1": float(gram[0][0]), "f2": float(gram[6][6]), "f3": f3, "delta": rep.delta}
             return _certify(form, y, eps, aux, "case2_split", rep)
         # degenerate completion: move off the zero locus without touching

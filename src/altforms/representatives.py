@@ -36,7 +36,13 @@ def _check_d(d):
 
 
 def make_rep(name, d=None, n=None):
-    """Canonical representative form for a tag in REP_NAMES."""
+    """Canonical representative form for a tag in REP_NAMES: d for case1_walpha and
+    n for case3_w; ValueError for an unknown tag, or for a d or n the tag does not take."""
+    if name not in REP_NAMES:
+        raise ValueError(f"unknown representative {name!r}")
+    for option, value in (("d", d), ("n", n)):
+        if value is not None and name != {"d": "case1_walpha", "n": "case3_w"}[option]:
+            raise ValueError(f"{name} does not take {option}")
     one = Fraction(1)
     if name == "case1_w":
         return AlternatingForm(6, 3, {(1, 2, 3): one, (4, 5, 6): one})
@@ -57,11 +63,9 @@ def make_rep(name, d=None, n=None):
         return AlternatingForm(7, 3, {(1, 2, 3): two, (1, 4, 5): two, (1, 6, 7): -two,
                                       (2, 4, 6): two, (2, 5, 7): two, (3, 4, 7): two,
                                       (3, 5, 6): -two})
-    if name == "case3_w":
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"n must be a positive integer; got {n!r}")
-        return AlternatingForm(2 * n, 2, {(i, n + i): one for i in range(1, n + 1)})
-    raise ValueError(f"unknown representative {name!r}")
+    if not isinstance(n, int) or n < 1:  # case3_w
+        raise ValueError(f"n must be a positive integer; got {n!r}")
+    return AlternatingForm(2 * n, 2, {(i, n + i): one for i in range(1, n + 1)})
 
 
 def d_block(A, B):

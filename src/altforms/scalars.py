@@ -390,17 +390,12 @@ def scalar_kind(x):
 
 
 def scalar_to_json(x):
-    """Serialize: rationals as 'p/q' strings, QuadExt as a dict, floats as numbers;
-    lists and tuples (vectors, matrices, tables) element by element.  A
-    QuadExt is written from its ints, one gcd per rational part; a flat list of
-    Fractions by one map of Fraction.__str__."""
+    """Serialize: rationals as 'p/q' strings, QuadExt as a dict (ratio_to_json), floats
+    as numbers; lists and tuples (vectors, matrices, tables) element by element."""
     if type(x) is Fraction:
         return str(x)
     if isinstance(x, (list, tuple)):
-        try:
-            return list(map(Fraction.__str__, x))
-        except AttributeError:  # an entry not a Fraction: it has no _denominator
-            return [scalar_to_json(v) for v in x]
+        return [scalar_to_json(v) for v in x]
     if isinstance(x, QuadExt):
         return ratio_to_json(x)
     if isinstance(x, (int, Fraction)):

@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg
 from .invariants import case_of
 from .multilinear import AlternatingForm, all_keys, entry_moves, evaluate
-from .orbits import classify_real, irrationality_report
+from .orbits import check_max_den, classify_real, irrationality_report
 from .perturb import PartialTarget, constrained_keys
 
 _REQUIRED_FLAGS = {
@@ -488,8 +488,10 @@ def hypothesis_check(x, max_den=1000, tol=1e-9):
     """Combined verdict on the density hypotheses: orbit rank and irrationality.
 
     Returns {"verdict": "pass"|"warn", "reasons": [...], "orbit": ...,
-    "flags": {...}}; a warn lists every failing hypothesis.
+    "flags": {...}}; a warn lists every failing hypothesis.  ValueError if
+    max_den < 1, whatever the orbit (orbits.check_max_den).
     """
+    check_max_den(max_den)
     rep = classify_real(x, tol)  # rep.q: Q_x of a dim-7 form, reused for its flag
     reasons = []
     flags = {}

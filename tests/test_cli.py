@@ -168,6 +168,14 @@ def test_cli_rep_and_invariant(tmp_path, capsys):
     assert json.loads(out)["delta"] == "128"
 
 
+@pytest.mark.parametrize("name, option", [("case1_w", "d"), ("case1_w1", "d"), ("case2_w", "n"),
+                                          ("case1_walpha", "n"), ("case3_w", "d")])
+def test_cli_rep_rejects_an_option_its_representative_does_not_take(capsys, name, option):
+    # rep case1_w --d 2 printed case1_w and exited 0
+    code, out, err = run(capsys, "rep", name, f"--{option}", "2")
+    assert (code, out, err) == (1, "", f"error: {name} does not take {option}\n")
+
+
 def test_cli_classify(tmp_path, capsys):
     code, out, _ = run(capsys, "rep", "case2_w1")
     path = write_json(tmp_path, "w1.json", json.loads(out))
@@ -195,14 +203,13 @@ BAD_CLASSIFY_SETTINGS = (
     ("--max-den", "-5", "max_den must be >= 1, not -5"))
 
 
-# a degenerate form gets no irrationality report, the only reader of max_den
 @pytest.mark.parametrize("form, option, value, message", [
-    (form, *bad) for form in CLASSIFY_FORMS for bad in BAD_CLASSIFY_SETTINGS
-    if not (form == "float-degenerate" and bad[0] == "--max-den")])
+    (form, *bad) for form in CLASSIFY_FORMS for bad in BAD_CLASSIFY_SETTINGS])
 def test_cli_classify_rejects_a_bad_tol_or_max_den(tmp_path, capsys, form, option, value,
                                                     message):
     # --tol inf called e123 + e456 degenerate; --tol nan on e123 + e124 failed in the
-    # eigenspaces; --max-den -5 on an exact form was accepted
+    # eigenspaces; --max-den -5 on an exact form was accepted, and --max-den 0 on a
+    # degenerate form, which gets no irrationality report, exited 0
     path = write_json(tmp_path, "x.json", {"dim": 6, "degree": 3, **CLASSIFY_FORMS[form]})
     code, out, err = run(capsys, "classify", path, option, value)
     assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -919,8 +926,9 @@ def test_verify_builds_each_q_once(monkeypatch, capsys):
     # octonion row reads the Q_w of the gram row: three S_x per verify
     from altforms import invariants
     calls = []
-    s_case2 = invariants.s_case2
-    monkeypatch.setattr(invariants, "s_case2", lambda x: calls.append(x) or s_case2(x))
+    s_integral = invariants._s_integral  # every S_x is built there
+    monkeypatch.setattr(invariants, "_s_integral",
+                        lambda x, dim: dim == 7 and calls.append(x) or s_integral(x, dim))
     code, out, _ = run(capsys, "verify")
     assert code == 0 and json.loads(out)["all_pass"] is True
     assert len(calls) == 3
@@ -969,19 +977,17 @@ def test_classify_builds_its_covariant_once(monkeypatch, capsys, tmp_path):
     forms = [form_from_dict(form_to_dict(x)) for x in _classify_forms()]
     want = [json.dumps(old_classify_doc(x), indent=2, default=str) + "\n" for x in forms]
     calls = []
-    for name in ("s_case1", "s_case2"):
-        counted = (lambda f, name: lambda x: calls.append(name) or f(x))(
-            getattr(invariants, name), name)
-        for module in (invariants, orbits):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+    s_integral = invariants._s_integral  # every S_x is built there
+    for module in (invariants, orbits):
+        monkeypatch.setattr(module, "_s_integral",
+                            lambda x, dim: calls.append(dim) or s_integral(x, dim))
     for i, (x, doc) in enumerate(zip(forms, want)):
         calls.clear()
         code, out, err = run(capsys, "classify", write_json(tmp_path, f"f{i}.json",
                                                             form_to_dict(x)))
         assert (code, out, err) == (0, doc, "")
         assert json.loads(out)["real_orbit"] != "degenerate"
-        assert calls == ["s_case1" if x.dim == 6 else "s_case2"]
+        assert calls == [x.dim]
 
 
 @pytest.mark.parametrize("name", ["case1_w", "case1_w1", "case2_w", "case2_w1"])

@@ -256,8 +256,8 @@ def test_self_checks_run_under_python_O():
         "assert False, 'asserts are on'\n"
         "import altforms.invariants as inv\n"
         "from altforms.representatives import make_rep\n"
-        "inv.s_case1 = lambda x: [[1 if j == (i + 1) % 6 else 0 for j in range(6)]"
-        " for i in range(6)]\n"
+        "inv._s_integral = lambda x, dim: (1, [[1 if j == (i + 1) % 6 else 0 for j in range(6)]"
+        " for i in range(6)])\n"
         "for f in (inv.delta_case1, inv.invariant_report):\n"
         "    try:\n"
         "        f(make_rep('case1_w'))\n"

@@ -237,14 +237,23 @@ def test_hypothesis_check_verdicts():
     assert S.hypothesis_check(degenerate)["verdict"] == "warn"
 
 
+@pytest.mark.parametrize("max_den", [0, -5])
+def test_hypothesis_check_rejects_max_den_below_1_on_any_form(max_den):
+    # a degenerate form gets no irrationality report, and its max_den went unread
+    for x in (AlternatingForm(6, 3, {(1, 2, 3): 1.0}), make_rep("case1_w")):
+        with pytest.raises(ValueError, match=f"max_den must be >= 1, not {max_den}"):
+            S.hypothesis_check(x, max_den=max_den)
+
+
 def test_dim7_float_paths_build_q_once(monkeypatch):
     # hypothesis_check classifies and flags a dim-7 form from one S_x; perturb case2
     # classifies its completion, and reads its delta, from the S_x it completed with
     from altforms import invariants, perturb
     from altforms.orbits import classify_real, irrationality_report
     calls = []
-    s_case2 = invariants.s_case2
-    monkeypatch.setattr(invariants, "s_case2", lambda x: calls.append(x) or s_case2(x))
+    s_integral = invariants._s_integral  # every S_x is built there
+    monkeypatch.setattr(invariants, "_s_integral",
+                        lambda x, dim: dim == 7 and calls.append(x) or s_integral(x, dim))
     rng = random.Random(90)
     x = AlternatingForm(7, 3, {k: rng.uniform(-1, 1) for k in constrained_keys(2)})
     x = x + AlternatingForm(7, 3, {(1, 2, 7): 0.5, (3, 4, 7): 1.0, (5, 6, 7): -1.0})
